@@ -2,8 +2,9 @@
 
 The Schwarzian norm is sup |S_f(z)| (1-|z|^2)^2 and the pre-Schwarzian
 norm is sup |P_f(z)| (1-|z|^2).  The estimator sweeps a polar grid with
-hyperbolically clustered radii, refines the best cells by Nelder-Mead,
-and reports a lower bound together with its argmax.  Worked values:
+hyperbolically clustered radii, refines the best cells by a batched
+local zoom in the same polar coordinates, and reports a lower bound
+together with its argmax.  Worked values:
 
     ||S_L|| = 3/2 (constant modulus), ||S_S1|| = 5/2, ||S_S2|| = 4,
     ||S_K|| = 19/2 at 0, ||S_K2|| -> 19/2 only as |z| -> 1,

@@ -159,8 +159,9 @@ def _add_search_flags(p):
                    help="radial samples of the polar grid")
     p.add_argument("--rmax", type=float, default=1.0 - 1e-6)
     p.add_argument("--no-refine", action="store_true",
-                   help="skip Nelder-Mead refinement of the grid maximum")
-    p.add_argument("--refine-iterations", type=int, default=60)
+                   help="skip the local zoom around the best grid cells")
+    p.add_argument("--refine-iterations", type=int, default=60,
+                   help="cap on the number of zoom levels")
 
 
 def _search_config(args):

@@ -6,10 +6,10 @@
     ||S_f|| = sup |S_f(z)| (1-|z|^2)^2    (op "S")
 
 by a polar grid whose radii are clustered hyperbolically
-(r = tanh(t), t uniform up to atanh(rmax)), followed by bounded
-Nelder-Mead refinement from the best grid cells.  The estimate is a
-lower bound by construction: every reported value is the weighted
-modulus re-evaluated at the reported argmax.  Maxima attained only in
+(r = tanh(t), t uniform up to atanh(rmax)), followed by a batched
+local zoom in the same (t, theta) coordinates around the best grid
+cells.  The estimate is a lower bound by construction: every reported
+value is the weighted modulus re-evaluated at the reported argmax.  Maxima attained only in
 the limit |z| -> 1 (e.g. the K2 example) surface as a near-boundary
 argmax with the boundary flag set.
 
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonFinite, ParameterOutOfRange
 from .maps import HarmonicMap
@@ -33,6 +32,11 @@ from .operators import pre_schwarzian, schwarzian
 # ~1e-14 relative on the catalog), far below any difference the
 # acceptance tolerances care about
 _TIE_REL = 1e-12
+
+# half-width K of the (2K+1) x (2K+1) refinement patch, and the step
+# below which refinement stops (both polar steps)
+_ZOOM_HALF = 2
+_ZOOM_STEP_MIN = 1e-14
 
 
 @dataclass
@@ -50,6 +54,8 @@ class SearchConfig:
             raise ParameterOutOfRange("radial samples must be >= 8")
         if not 0.0 < self.rmax < 1.0:
             raise ParameterOutOfRange("rmax must lie in (0, 1)")
+        if self.refine_iterations < 0:
+            raise ParameterOutOfRange("refine iterations must be >= 0")
 
 
 @dataclass
@@ -126,6 +132,49 @@ def _tie_break(candidates):
     return min(tied, key=lambda z: (abs(z), math.atan2(z.imag, z.real) % (2.0 * math.pi)))
 
 
+def _zoom(f, op, cfg, z0, w0):
+    """Batched local zoom around the seed points z0 (grid values w0).
+
+    Each seed carries a (2K+1) x (2K+1) patch in the coordinates of
+    ``_grid``, (t = atanh|z|, theta), one grid cell per step at first;
+    t is clamped to atanh(rmax) and |z| to rmax (the weight is not
+    defined beyond it).  A level evaluates all patches in one batched
+    call, moves each centre to its patch maximum on strict improvement
+    and divides both steps by 3, until both steps are below
+    _ZOOM_STEP_MIN or cfg.refine_iterations levels are done.
+
+    Returns the best value and point per seed and the number of patch
+    points evaluated.
+    """
+    tmax = math.atanh(cfg.rmax)
+    t = np.arctanh(np.abs(z0))
+    theta = np.angle(z0)
+    best, zbest = w0.copy(), z0.copy()
+    dt, dtheta = tmax / cfg.radial_samples, 2.0 * math.pi / cfg.rays
+    offsets = np.arange(-_ZOOM_HALF, _ZOOM_HALF + 1, dtype=float)
+    rows = np.arange(z0.size)
+    evals = 0
+    for _ in range(cfg.refine_iterations):
+        if dt < _ZOOM_STEP_MIN and dtheta < _ZOOM_STEP_MIN:
+            break
+        pt = np.clip(t[:, None] + dt * offsets, -tmax, tmax)
+        pa = theta[:, None] + dtheta * offsets
+        radius = np.clip(np.tanh(pt), -cfg.rmax, cfg.rmax)
+        zp = (radius[:, :, None] * np.exp(1j * pa)[:, None, :]).reshape(z0.size, -1)
+        wp = _weighted_modulus(f, op, zp.reshape(-1)).reshape(zp.shape)
+        evals += zp.size
+        j = np.argmax(wp, axis=1)
+        up = wp[rows, j] > best
+        jt, ja = np.divmod(j, offsets.size)
+        t = np.where(up, pt[rows, jt], t)
+        theta = np.where(up, pa[rows, ja], theta)
+        best = np.where(up, wp[rows, j], best)
+        zbest = np.where(up, zp[rows, j], zbest)
+        dt /= 3.0
+        dtheta /= 3.0
+    return best, zbest, evals
+
+
 def hyperbolic_sup(f, op, cfg=None):
     """Lower-bound estimate of the hyperbolic sup-norm of P_f or S_f."""
     cfg = cfg or SearchConfig()
@@ -139,55 +188,19 @@ def hyperbolic_sup(f, op, cfg=None):
     candidates = [(grid_best, complex(zs[order[0]]))]
 
     if cfg.refine:
-        # local refinement from the top grid cells; the objective is
-        # clamped to |z| <= rmax (the weight is not defined beyond it)
         seeds = []
         for i in order:
-            z = complex(zs[i])
-            if all(abs(z - s) > 1e-12 for s in seeds):
-                seeds.append(z)
+            if all(abs(zs[i] - zs[j]) > 1e-12 for j in seeds):
+                seeds.append(i)
             if len(seeds) == 5:
                 break
-        tmax = math.atanh(cfg.rmax)
-        counter = [0]
-
-        def neg(xy):
-            counter[0] += 1
-            z = complex(xy[0], xy[1])
-            if abs(z) > cfg.rmax:
-                return np.inf
-            return -float(_weighted_modulus(f, op, np.asarray(z)))
-
-        for z0 in seeds:
-            r0 = abs(z0)
-            dr = (1.0 - r0 * r0) * tmax / cfg.radial_samples
-            da = max(r0, 0.1) * 2.0 * math.pi / cfg.rays
-            d = max(min(dr, da), 1e-9)
-
-            def vertex(dx, dy):
-                x, y = z0.real + dx, z0.imag + dy
-                if math.hypot(x, y) > cfg.rmax:  # step inward instead
-                    x, y = z0.real - dx, z0.imag - dy
-                return [x, y]
-
-            simplex = np.array([
-                [z0.real, z0.imag],
-                vertex(d, 0.0),
-                vertex(0.0, d),
-            ])
-            res = minimize(neg, np.array([z0.real, z0.imag]),
-                           method="Nelder-Mead",
-                           options={"maxiter": cfg.refine_iterations,
-                                    "initial_simplex": simplex,
-                                    "xatol": 1e-12, "fatol": 1e-14})
-            zr = complex(res.x[0], res.x[1])
-            # keep a refined point only when it genuinely improves on the
-            # grid; within the tie window the grid point stands for it
-            # (keeps flat ridges and rim maxima at their canonical points)
-            if abs(zr) <= cfg.rmax and np.isfinite(res.fun) \
-                    and float(-res.fun) > grid_best + window:
-                candidates.append((float(-res.fun), zr))
-        evals += counter[0]
+        best, zbest, patch_evals = _zoom(f, op, cfg, zs[seeds], w[seeds])
+        evals += patch_evals
+        # keep a refined point only when it genuinely improves on the
+        # grid; within the tie window the grid point stands for it
+        # (keeps flat ridges and rim maxima at their canonical points)
+        candidates.extend((float(v), complex(z)) for v, z in zip(best, zbest)
+                          if v > grid_best + window)
 
     # include the grid ridge in the tie set so flat maxima resolve to
     # the canonical (smallest |z|) point
@@ -216,14 +229,7 @@ def becker_check(f, cfg=None):
     """
     cfg = cfg or SearchConfig()
     zs = _grid(cfg)
-    hpj, wj = f.derivative_data(zs, order_h=1, order_w=1)
-    hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
-    w, wp = wj.coeffs[0], wj.coeffs[1]
-    one_minus_w2 = (1.0 - np.abs(w)) * (1.0 + np.abs(w))
-    P = hpp_over_hp - np.conjugate(w) * wp / one_minus_w2
-    r = np.abs(zs)
-    weight = (1.0 - r) * (1.0 + r)
-    lhs = (np.abs(zs * P) + np.abs(zs * wp) / one_minus_w2) * weight
+    lhs = becker_lhs(f, zs)
     if not np.all(np.isfinite(lhs)):
         raise NonFinite("non-finite Becker quantity on the grid")
     margin = 1.0 - lhs
@@ -243,7 +249,7 @@ def becker_lhs(f, z):
     one_minus_w2 = (1.0 - np.abs(w)) * (1.0 + np.abs(w))
     P = hpp_over_hp - np.conjugate(w) * wp / one_minus_w2
     r = np.abs(z)
-    return (np.abs(z * P) + np.abs(z * wp) / one_minus_w2) * (1.0 - r) * (1.0 + r)
+    return (np.abs(z * P) + np.abs(z * wp) / one_minus_w2) * ((1.0 - r) * (1.0 + r))
 
 
 def finite_norm_compare(f, cfg=None):

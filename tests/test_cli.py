@@ -88,6 +88,13 @@ class TestExitCodes:
                              "--at", "nonsense")
         assert code == 1
 
+    def test_negative_refine_iterations_is_1(self, capsys):
+        code, out, err = run_cli(capsys, "norm", "--map", "K", "--op", "S",
+                                 "--refine-iterations", "-3")
+        assert code == 1
+        assert out == ""
+        assert "refine iterations" in json.loads(err)["message"]
+
     def test_unknown_catalog_name_is_1(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--map", "Q7", "--op", "schw",
                              "--at", "0,0")

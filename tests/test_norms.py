@@ -1,5 +1,10 @@
 """Norm estimation, Becker criterion, finiteness comparisons."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,9 @@ class TestSearchConfig:
             SearchConfig(radial_samples=2)
         with pytest.raises(ParameterOutOfRange):
             SearchConfig(rmax=1.0)
+        with pytest.raises(ParameterOutOfRange):
+            SearchConfig(refine_iterations=-3)
+        SearchConfig(refine_iterations=0)
 
 
 class TestHyperbolicSup:
@@ -125,6 +133,78 @@ class TestHyperbolicSup:
         d = rep.to_json()
         assert list(d) == ["value", "argmax", "boundary", "samples", "op"]
         assert d["op"] == "S" and isinstance(d["argmax"], list)
+
+
+CATALOG_NAMES = ("K", "L", "S1", "S2", "K2", "k", "l", "s", "q2")
+
+# grid-only reports (default search flags, refine=False), recorded from
+# the estimator before the local zoom replaced Nelder-Mead; the grid
+# path must not change
+GRID_REPORTS = {
+    ("K", "S"): '{"value": 9.5, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("K", "P"): '{"value": 6.999998000000001, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("L", "S"): '{"value": 1.5, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("L", "P"): '{"value": 4.999998, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("S1", "S"): '{"value": 2.5, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("S1", "P"): '{"value": 2.9999979999999997, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("S2", "S"): '{"value": 4.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("S2", "P"): '{"value": 2.9999979999663173, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("K2", "S"): '{"value": 9.500000000051811, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "S"}',
+    ("K2", "P"): '{"value": 6.999998000010561, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("k", "S"): '{"value": 6.000000003466396, "argmax": [-0.999999, 1.224645574500554e-16], "boundary": true, "samples": 32769, "op": "S"}',
+    ("k", "P"): '{"value": 5.999998000000001, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("l", "S"): '{"value": 0.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("l", "P"): '{"value": 3.9999979999999997, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("s", "S"): '{"value": 2.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("s", "P"): '{"value": 1.9999979999999995, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    ("q2", "S"): '{"value": 6.000000002131131, "argmax": [6.12322787250277e-17, 0.999999], "boundary": true, "samples": 32769, "op": "S"}',
+    ("q2", "P"): '{"value": 3.999997999954756, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+}
+
+
+class TestZoomRefinement:
+    @pytest.mark.parametrize("op", ["S", "P"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_refined_never_below_grid_best(self, name, op):
+        f = catalog_map(name)
+        grid = hyperbolic_sup(f, op, SearchConfig(refine=False))
+        refined = hyperbolic_sup(f, op)
+        assert refined.value >= grid.value
+        assert refined.samples_evaluated > grid.samples_evaluated
+
+    @pytest.mark.parametrize("key", sorted(GRID_REPORTS))
+    def test_grid_only_reports_unchanged(self, key):
+        name, op = key
+        rep = hyperbolic_sup(catalog_map(name), op, SearchConfig(refine=False))
+        assert json.dumps(rep.to_json()) == GRID_REPORTS[key]
+
+    def test_repeat_runs_identical(self):
+        for name, op in (("K2", "S"), ("q2", "P")):
+            a = hyperbolic_sup(catalog_map(name), op).to_json()
+            b = hyperbolic_sup(catalog_map(name), op).to_json()
+            assert json.dumps(a) == json.dumps(b)
+
+    def test_interior_maxima_exact_at_origin(self):
+        for name, value in (("K", 9.5), ("S1", 2.5), ("S2", 4.0), ("s", 2.0)):
+            rep = hyperbolic_sup(catalog_map(name), "S")
+            assert rep.value == value
+            assert rep.argmax == 0.0
+            assert not rep.boundary_flag
+
+    def test_zero_levels_is_grid_only(self):
+        f = catalog("S2")
+        none = hyperbolic_sup(f, "P", SearchConfig(refine_iterations=0))
+        grid = hyperbolic_sup(f, "P", SearchConfig(refine=False))
+        assert none.to_json() == grid.to_json()
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = ("import sys, harmschwarz.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestBecker:
