@@ -143,24 +143,16 @@ class AntiderivativeFunction(AnalyticFunction):
         self.label = label
         self.tol = tol
         self.max_depth = max_depth
-        self._cache = {}
 
     def derivative(self):
         return self.df
 
     def value(self, z, tol=None, max_depth=None):
-        use_default = tol is None and max_depth is None
         tol = self.tol if tol is None else tol
         max_depth = self.max_depth if max_depth is None else max_depth
         if np.ndim(z) == 0:
-            key = complex(z)
-            if use_default and key in self._cache:
-                return self._cache[key]
-            val = self.value0 + integrate_segment(
-                self.df.value, 0.0, key, tol=tol, max_depth=max_depth)
-            if use_default:
-                self._cache[key] = val
-            return val
+            return self.value0 + integrate_segment(
+                self.df.value, 0.0, complex(z), tol=tol, max_depth=max_depth)
         zs = np.asarray(z, dtype=np.complex128)
         vals = integrate_segments(self.df.value, np.zeros_like(zs), zs,
                                   tol=tol, max_depth=max_depth)

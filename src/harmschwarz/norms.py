@@ -124,6 +124,15 @@ def _weighted_modulus(f, op, zs):
     return w
 
 
+def _innermost(zs, idx):
+    """The grid indices idx with the smallest |z|: the only ones of a tie
+    set that ``_tie_break`` can pick.  np.hypot rounds exactly as the
+    abs() of ``_tie_break`` does (np.abs does not), so same-circle ties
+    stay resolved by the same ulps."""
+    r = np.hypot(zs.real[idx], zs.imag[idx])
+    return idx[r == r.min()] if idx.size else idx
+
+
 def _tie_break(candidates):
     """Pick (value, z): max value; ties go to smaller |z|, then smaller arg."""
     best = max(v for v, _ in candidates)
@@ -206,7 +215,7 @@ def hyperbolic_sup(f, op, cfg=None):
     # the canonical (smallest |z|) point
     best_val = max(v for v, _ in candidates)
     window = _TIE_REL * max(abs(best_val), 1.0)
-    near = np.nonzero(w >= best_val - window)[0]
+    near = _innermost(zs, np.nonzero(w >= best_val - window)[0])
     candidates.extend((float(w[i]), complex(zs[i])) for i in near)
 
     argmax = _tie_break(candidates)
@@ -236,7 +245,7 @@ def becker_check(f, cfg=None):
     worst = float(margin.min())
     window = _TIE_REL * max(abs(worst), 1.0)
     tied = [(float(-margin[i]), complex(zs[i]))
-            for i in np.nonzero(margin <= worst + window)[0]]
+            for i in _innermost(zs, np.nonzero(margin <= worst + window)[0])]
     witness = _tie_break(tied)
     return BeckerReport(holds=worst >= 0.0, worst_margin=worst, witness=witness)
 

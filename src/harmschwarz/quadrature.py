@@ -1,10 +1,12 @@
 """Adaptive Gauss-Legendre integration along straight segments.
 
 Integrands here are analytic functions sampled by value, so a 16-point
-rule converges extremely fast; adaptivity is uniform bisection of every
-segment with a two-level convergence test.  The batch form integrates
-many segments at once (one numpy call per refinement level), which is
-what the harmonic-map evaluator and the Tamanoi oracle lean on.
+rule converges extremely fast.  Adaptivity is per segment: each level
+doubles the pieces of every segment still in the batch, and a segment
+leaves the batch once two consecutive levels agree, so its result is
+the one it would get on its own.  The batch form integrates many
+segments at once (one numpy call per refinement level), which is what
+the harmonic-map evaluator and the Tamanoi oracle lean on.
 """
 
 import numpy as np
@@ -32,20 +34,30 @@ def integrate_segments(values_fn, z0, z1, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX
     """Integrate ``values_fn`` along each straight segment z0[i] -> z1[i].
 
     ``values_fn`` must accept a complex ndarray and return values of the
-    same shape.  Subdivision doubles until two consecutive levels agree
-    to ``tol`` (absolute, per segment); exceeding ``max_depth`` raises
-    QuadratureFailure.
+    same shape.  Each segment's subdivision doubles until two consecutive
+    levels agree to ``tol`` (absolute); the segment then leaves the batch
+    with the finer level's value, so every result equals the one
+    :func:`integrate_segment` gives for that segment alone.  A segment
+    still unconverged after ``max_depth`` raises QuadratureFailure, which
+    names it.
     """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    z1 = np.asarray(z1, dtype=np.complex128)
-    prev = _composite(values_fn, z0, z1, 1)
+    z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
+                                 np.asarray(z1, dtype=np.complex128))
+    out = np.empty(z0.size, dtype=np.complex128)
+    active = np.arange(z0.size)
+    a, b = z0.reshape(-1), z1.reshape(-1)
+    prev = _composite(values_fn, a, b, 1)
     for depth in range(1, max_depth + 1):
-        cur = _composite(values_fn, z0, z1, 2 ** depth)
-        if np.all(np.abs(cur - prev) <= tol):
-            return cur
-        prev = cur
+        cur = _composite(values_fn, a, b, 2 ** depth)
+        done = np.abs(cur - prev) <= tol
+        out[active[done]] = cur[done]
+        if np.all(done):
+            return out.reshape(z0.shape)
+        keep = ~done
+        active, a, b, prev = active[keep], a[keep], b[keep], cur[keep]
     raise QuadratureFailure(
-        f"integral did not reach tol={tol} within depth {max_depth}"
+        f"integral did not reach tol={tol} within depth {max_depth} "
+        f"on segment {a[0]} -> {b[0]}"
     )
 
 

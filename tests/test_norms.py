@@ -24,6 +24,7 @@ from harmschwarz import (
     pre_schwarzian,
     schwarzian,
 )
+from harmschwarz import norms
 from harmschwarz.errors import DomainError, ParameterOutOfRange
 
 
@@ -205,6 +206,42 @@ class TestZoomRefinement:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+class TestTieSet:
+    """A circular ridge resolves as _tie_break over every tied grid point.
+
+    For h' = exp(z^k) and omega = 0, |P_f|(1-|z|^2) = k|z|^(k-1)(1-|z|^2)
+    and the Becker quantity k|z|^k(1-|z|^2) are radial, so the grid
+    points of one circle tie and |z| rounding (ulps) decides among them.
+    """
+
+    @staticmethod
+    def _ridge_map(k):
+        return HarmonicMap.from_dilatation(ExprFunction(f"exp(z^{k})"),
+                                           ExprFunction("0"))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_norm_ridge(self, k):
+        f, cfg = self._ridge_map(k), SearchConfig(refine=False)
+        zs = norms._grid(cfg)
+        w = norms._weighted_modulus(f, "P", zs)
+        window = norms._TIE_REL * max(w.max(), 1.0)
+        tied = [(float(w[i]), complex(zs[i]))
+                for i in np.nonzero(w >= w.max() - window)[0]]
+        assert len(tied) >= cfg.rays
+        assert hyperbolic_sup(f, "P", cfg).argmax == norms._tie_break(tied)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_becker_ridge(self, k):
+        f, cfg = self._ridge_map(k), SearchConfig()
+        zs = norms._grid(cfg)
+        margin = 1.0 - becker_lhs(f, zs)
+        window = norms._TIE_REL * max(abs(margin.min()), 1.0)
+        tied = [(float(-margin[i]), complex(zs[i]))
+                for i in np.nonzero(margin <= margin.min() + window)[0]]
+        assert len(tied) >= cfg.rays
+        assert becker_check(f, cfg).witness == norms._tie_break(tied)
 
 
 class TestBecker:
