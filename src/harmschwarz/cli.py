@@ -4,9 +4,10 @@ Commands: catalog, eval, norm, becker, shear, render, verify.  Output is
 deterministic for fixed inputs: JSON objects with fixed field order and
 floats in shortest round-trip form, CSV with the documented header.
 
-Exit codes: 0 success, 1 usage, 2 expression parse error, 3 domain
-error, 4 numerical failure.  Every error path writes one machine
-parsable JSON record {"code", "message", "at"?} to stderr.
+Exit codes: 0 success, 1 usage (including non-finite numbers), 2
+expression parse error (including expressions that nest too deeply),
+3 domain error, 4 numerical failure.  Every error path writes one
+machine parsable JSON record {"code", "message", "at"?} to stderr.
 
 Map specification (exactly one style per invocation):
 
@@ -58,6 +59,8 @@ from .maps import (
 )
 from .norms import SearchConfig, becker_check, becker_lhs, hyperbolic_sup
 from .operators import (
+    cdo_schwarzian,
+    classical_schwarzian,
     dbar_pre_schwarzian,
     jacobian,
     lemma1_schwarzian,
@@ -67,7 +70,6 @@ from .operators import (
     schwarzian_via_jacobian_fd,
     tamanoi_schwarzian,
 )
-from .operators import cdo_schwarzian
 
 EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, EXIT_NUMERIC = 0, 1, 2, 3, 4
 
@@ -119,9 +121,12 @@ def _classify(exc):
 def _parse_point(text):
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        z = complex(float(re_s), float(im_s))
     except ValueError:
         raise _UsageError(f"point {text!r} is not of the form 're,im'")
+    if not cmath.isfinite(z):
+        raise _UsageError(f"point {text!r} is not finite")
+    return z
 
 
 def _load_map(args):
@@ -136,12 +141,10 @@ def _load_map(args):
     if args.map is not None:
         return catalog_map(args.map)
     if args.g is not None:
-        return HarmonicMap.from_parts(
-            ex.ExprFunction(args.h), ex.ExprFunction(args.g),
-            label="cli", sources=(("h", args.h), ("g", args.g)))
-    return HarmonicMap.from_dilatation(
-        ex.ExprFunction(args.h), ex.ExprFunction(args.omega),
-        h0=0.0, label="cli", sources=(("h", args.h), ("omega", args.omega)))
+        return map_from_json({"label": "cli", "form": "parts",
+                              "h": args.h, "g": args.g})
+    return map_from_json({"label": "cli", "form": "dilatation",
+                          "h": args.h, "omega": args.omega})
 
 
 def _add_map_flags(p):
@@ -173,53 +176,6 @@ def _search_config(args):
 def _jsonpair(v):
     v = complex(v)
     return [v.real, v.imag]
-
-
-# ---------------------------------------------------------------------------
-# symbolic d/dz on the expression grammar (serialization plumbing for
-# shear: h' = phi'/(1 - e^{2i theta} omega) must travel as expression
-# text, so phi' is differentiated at the AST level here)
-
-
-def _ddz(node):
-    if isinstance(node, ex.Const):
-        return ex.Const(0j)
-    if isinstance(node, ex.Var):
-        return ex.Const(1 + 0j)
-    if isinstance(node, ex.Neg):
-        return ex.Neg(_ddz(node.operand))
-    if isinstance(node, ex.Add):
-        return ex.Add(_ddz(node.left), _ddz(node.right))
-    if isinstance(node, ex.Sub):
-        return ex.Sub(_ddz(node.left), _ddz(node.right))
-    if isinstance(node, ex.Mul):
-        return ex.Add(ex.Mul(_ddz(node.left), node.right),
-                      ex.Mul(node.left, _ddz(node.right)))
-    if isinstance(node, ex.Div):
-        return ex.Div(
-            ex.Sub(ex.Mul(_ddz(node.left), node.right),
-                   ex.Mul(node.left, _ddz(node.right))),
-            ex.Pow(node.right, ex.Const(2 + 0j)))
-    if isinstance(node, ex.Pow):
-        n = ex.integer_exponent(node.exponent)
-        if n is not None:
-            return ex.Mul(
-                ex.Mul(ex.Const(complex(n)), ex.Pow(node.base, ex.Const(complex(n - 1)))),
-                _ddz(node.base))
-        # b^e = exp(e log b): derivative b^e * (e' log b + e b'/b)
-        return ex.Mul(
-            ex.Pow(node.base, node.exponent),
-            ex.Add(ex.Mul(_ddz(node.exponent), ex.Call("log", node.base)),
-                   ex.Mul(node.exponent, ex.Div(_ddz(node.base), node.base))))
-    if isinstance(node, ex.Call):
-        darg = _ddz(node.arg)
-        if node.fn == "log":
-            return ex.Div(darg, node.arg)
-        if node.fn == "exp":
-            return ex.Mul(ex.Call("exp", node.arg), darg)
-        if node.fn == "sqrt":
-            return ex.Div(darg, ex.Mul(ex.Const(2 + 0j), ex.Call("sqrt", node.arg)))
-    raise TypeError(f"cannot differentiate node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +243,12 @@ def _cmd_becker(args):
 def _cmd_shear(args):
     if not math.isfinite(args.theta):
         raise _UsageError("--theta must be finite (radians)")
+    if not math.isfinite(2.0 * args.theta):
+        raise _UsageError("--theta is too large: 2*theta is not finite")
     phi_ast = ex.parse(args.phi)
     omega_ast = ex.parse(args.omega)
     cis = cmath.exp(2j * args.theta)
-    hp_ast = ex.Div(_ddz(phi_ast),
+    hp_ast = ex.Div(ex._ddz(phi_ast),
                     ex.Sub(ex.Const(1 + 0j), ex.Mul(ex.Const(cis), omega_ast)))
     hp_src = ex.to_text(hp_ast)
     omega_src = ex.to_text(omega_ast)
@@ -368,11 +326,10 @@ def _suite_invariance():
         F = precompose(f, phi)
         err = 0.0
         for z in _VERIFY_POINTS:
-            phj = phi.jet(z, 3)
+            phj = phi.jet(z, 1)
             lhs = schwarzian(F, z)
             rhs = schwarzian(f, complex(phj.value)) * complex(phj.coeffs[1]) ** 2 \
-                + complex(6.0 * phj.coeffs[3] / phj.coeffs[1]
-                          - 1.5 * (2.0 * phj.coeffs[2] / phj.coeffs[1]) ** 2)
+                + complex(classical_schwarzian(phi, z))
             err = max(err, abs(lhs - rhs))
         details.append({"name": f"chain rule {name}", "passed": bool(err <= 1e-9),
                         "error": float(err), "tol": 1e-9})
@@ -528,6 +485,9 @@ def main(argv=None):
         return args.fn(args)
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
+    except RecursionError:
+        # the parser, the evaluator and the printers recurse over the AST
+        return _emit_error(EXIT_PARSE, "expression nests too deeply")
     except ToolkitError as exc:
         at = getattr(exc, "at", None)
         at_text = f"{complex(at).real},{complex(at).imag}" if at is not None else None

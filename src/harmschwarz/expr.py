@@ -287,63 +287,98 @@ def to_text(node):
 # jet evaluation
 
 
-def _eval(node, z0, order, path):
-    if isinstance(node, Const):
-        return Jet.constant(node.value, order, center=z0, shape=np.shape(z0))
-    if isinstance(node, Var):
-        return Jet.variable(z0, order)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, z0, order, path + "/neg")
-    if isinstance(node, Add):
-        return _eval(node.left, z0, order, path + "/add") + _eval(node.right, z0, order, path + "/add")
-    if isinstance(node, Sub):
-        return _eval(node.left, z0, order, path + "/sub") - _eval(node.right, z0, order, path + "/sub")
-    if isinstance(node, Mul):
-        return _eval(node.left, z0, order, path + "/mul") * _eval(node.right, z0, order, path + "/mul")
-    if isinstance(node, Div):
-        num = _eval(node.left, z0, order, path + "/div")
-        den = _eval(node.right, z0, order, path + "/div")
-        with _ast_context(path + "/div"):
-            return num / den
-    if isinstance(node, Pow):
-        n = integer_exponent(node.exponent)
-        base = _eval(node.base, z0, order, path + "/pow")
-        if n is not None:
-            with _ast_context(path + "/pow"):
+_NODE_TAGS = {Neg: "neg", Add: "add", Sub: "sub", Mul: "mul", Div: "div", Pow: "pow"}
+
+
+def _eval(node, z0, order):
+    try:
+        if isinstance(node, Const):
+            return Jet.constant(node.value, order, center=z0, shape=np.shape(z0))
+        if isinstance(node, Var):
+            return Jet.variable(z0, order)
+        if isinstance(node, Neg):
+            return -_eval(node.operand, z0, order)
+        if isinstance(node, Add):
+            return _eval(node.left, z0, order) + _eval(node.right, z0, order)
+        if isinstance(node, Sub):
+            return _eval(node.left, z0, order) - _eval(node.right, z0, order)
+        if isinstance(node, Mul):
+            return _eval(node.left, z0, order) * _eval(node.right, z0, order)
+        if isinstance(node, Div):
+            return _eval(node.left, z0, order) / _eval(node.right, z0, order)
+        if isinstance(node, Pow):
+            n = integer_exponent(node.exponent)
+            base = _eval(node.base, z0, order)
+            if n is not None:
                 return base ** n
-        expo = _eval(node.exponent, z0, order, path + "/pow")
-        with _ast_context(path + "/pow"):
-            return (expo * base.log()).exp()
-    if isinstance(node, Call):
-        arg = _eval(node.arg, z0, order, path + "/" + node.fn)
-        with _ast_context(path + "/" + node.fn):
-            return getattr(arg, node.fn)()
+            return (_eval(node.exponent, z0, order) * base.log()).exp()
+        if isinstance(node, Call):
+            return getattr(_eval(node.arg, z0, order), node.fn)()
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        # only Div, Pow and Call raise these, so prepending one tag per
+        # frame while the error unwinds spells the path from the root
+        # to the failing node
+        tag = node.fn if isinstance(node, Call) else _NODE_TAGS[type(node)]
+        exc.ast_path = f"/{tag}{getattr(exc, 'ast_path', '')}"
+        raise
     raise TypeError(f"not an AST node: {node!r}")
-
-
-class _ast_context:
-    """Attach the AST path to branch/division errors escaping a node."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(
-            exc, (DivisionByZeroConstantTerm, BranchPointAtCenter)
-        ):
-            if not getattr(exc, "ast_path", None):
-                exc.ast_path = self.path
-                exc.args = (f"{exc.args[0]} [ast {self.path}]",)
-        return False
 
 
 def eval_ast_jet(node, z0, order):
     if order < 0:
         raise ValueError("jet order must be >= 0")
-    return _eval(node, z0, order, "")
+    try:
+        return _eval(node, z0, order)
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        raise
+
+
+# ---------------------------------------------------------------------------
+# symbolic d/dz on the grammar (serialization plumbing: a sheared map's
+# h' = phi'/(1 - e^{2i theta} omega) must travel as expression text)
+
+
+def _ddz(node):
+    """AST of the derivative of ``node``; the result is not simplified."""
+    if isinstance(node, Const):
+        return Const(0j)
+    if isinstance(node, Var):
+        return Const(1 + 0j)
+    if isinstance(node, Neg):
+        return Neg(_ddz(node.operand))
+    if isinstance(node, Add):
+        return Add(_ddz(node.left), _ddz(node.right))
+    if isinstance(node, Sub):
+        return Sub(_ddz(node.left), _ddz(node.right))
+    if isinstance(node, Mul):
+        return Add(Mul(_ddz(node.left), node.right),
+                   Mul(node.left, _ddz(node.right)))
+    if isinstance(node, Div):
+        return Div(
+            Sub(Mul(_ddz(node.left), node.right),
+                Mul(node.left, _ddz(node.right))),
+            Pow(node.right, Const(2 + 0j)))
+    if isinstance(node, Pow):
+        n = integer_exponent(node.exponent)
+        if n is not None:
+            return Mul(
+                Mul(Const(complex(n)), Pow(node.base, Const(complex(n - 1)))),
+                _ddz(node.base))
+        # b^e = exp(e log b): derivative b^e * (e' log b + e b'/b)
+        return Mul(
+            Pow(node.base, node.exponent),
+            Add(Mul(_ddz(node.exponent), Call("log", node.base)),
+                Mul(node.exponent, Div(_ddz(node.base), node.base))))
+    if isinstance(node, Call):
+        darg = _ddz(node.arg)
+        if node.fn == "log":
+            return Div(darg, node.arg)
+        if node.fn == "exp":
+            return Mul(Call("exp", node.arg), darg)
+        if node.fn == "sqrt":
+            return Div(darg, Mul(Const(2 + 0j), Call("sqrt", node.arg)))
+    raise TypeError(f"cannot differentiate node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +456,7 @@ class AnalyticFunction:
 class ExprFunction(AnalyticFunction):
     """Analytic function backed by a parsed expression tree."""
 
-    def __init__(self, src, label=None, domain_note=None):
+    def __init__(self, src, label=None):
         if isinstance(src, str):
             self.ast = parse(src)
             self.source = src
@@ -429,7 +464,6 @@ class ExprFunction(AnalyticFunction):
             self.ast = src
             self.source = to_text(src)
         self.label = label if label is not None else self.source
-        self.domain_note = domain_note
 
     def jet(self, z, order):
         return eval_ast_jet(self.ast, z, order)
@@ -472,15 +506,3 @@ def eval_jet(f, z0, order=DEFAULT_ORDER):
         return f.jet(z0, order)
     return eval_ast_jet(f, z0, order)
 
-
-# Closed forms of the analytic catalog primitives.  These names are
-# available to catalog() and the CLI --map flag.
-BUILTIN_SOURCES = {
-    "k": "z/(1-z)^2",
-    "l": "z/(1-z)",
-    "s": "0.5*log((1+z)/(1-z))",
-    "q2": "z/(1-z^2)",
-}
-
-BUILTINS = {name: ExprFunction(src, label=name)
-            for name, src in BUILTIN_SOURCES.items()}

@@ -293,13 +293,14 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
                       angles=64, cond_threshold=1e8):
     """Recover c_{mn} (m+n <= degree) of F(z) = sum c_{mn} t^m conj(t)^n.
 
-    ``F`` is called with a complex ndarray of sample points (a pointwise
-    fallback is used if it only accepts scalars).  Sampling happens on
-    ``len(radii)`` circles around ``center`` with ``angles`` points each.
-    An FFT over the angle isolates each frequency m-n; a least-squares
-    solve over the radii separates the powers rho^(m+n).  A few powers
-    beyond ``degree`` are kept as nuisance terms so that higher-order
-    content of F does not leak into the reported coefficients.
+    ``F`` is called once with a complex ndarray of sample points and must
+    return values of the same shape (ValueError otherwise).  Sampling
+    happens on ``len(radii)`` circles around ``center`` with ``angles``
+    points each.  An FFT over the angle isolates each frequency m-n; a
+    least-squares solve over the radii separates the powers rho^(m+n).
+    A few powers beyond ``degree`` are kept as nuisance terms so that
+    higher-order content of F does not leak into the reported
+    coefficients.
 
     Raises IllConditioned when the (column-scaled) radial system has
     condition number above ``cond_threshold``.
@@ -316,13 +317,10 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
     rho = np.asarray(radii, dtype=float)
     theta = 2.0 * np.pi * np.arange(angles) / angles
     pts = center + rho[:, None] * np.exp(1j * theta)[None, :]
-    try:
-        vals = np.asarray(F(pts), dtype=np.complex128)
-        vectorized = vals.shape == pts.shape
-    except (TypeError, ValueError):
-        vectorized = False
-    if not vectorized:
-        vals = np.array([[F(p) for p in row] for row in pts], dtype=np.complex128)
+    vals = np.asarray(F(pts), dtype=np.complex128)
+    if vals.shape != pts.shape:
+        raise ValueError(f"F returned shape {vals.shape} for sample points "
+                         f"of shape {pts.shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFinite("non-finite sample in bivariate extraction")
 

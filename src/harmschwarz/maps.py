@@ -37,7 +37,7 @@ from .expr import (
     ExprFunction,
 )
 from .jets import Jet
-from .quadrature import integrate_segment, integrate_segments
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, integrate_segments
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -137,26 +137,18 @@ class AffineMap:
 class AntiderivativeFunction(AnalyticFunction):
     """h with known derivative: h(z) = value0 + integral of df over [0, z]."""
 
-    def __init__(self, df, value0=0.0, label=None, tol=1e-8, max_depth=12):
+    def __init__(self, df, value0=0.0, label=None):
         self.df = df
         self.value0 = complex(value0)
         self.label = label
-        self.tol = tol
-        self.max_depth = max_depth
 
     def derivative(self):
         return self.df
 
-    def value(self, z, tol=None, max_depth=None):
-        tol = self.tol if tol is None else tol
-        max_depth = self.max_depth if max_depth is None else max_depth
-        if np.ndim(z) == 0:
-            return self.value0 + integrate_segment(
-                self.df.value, 0.0, complex(z), tol=tol, max_depth=max_depth)
-        zs = np.asarray(z, dtype=np.complex128)
-        vals = integrate_segments(self.df.value, np.zeros_like(zs), zs,
-                                  tol=tol, max_depth=max_depth)
-        return self.value0 + vals
+    def value(self, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+        start = np.zeros(np.shape(z))  # one segment 0 -> z per point
+        return self.value0 + integrate_segments(self.df.value, start, z,
+                                                tol=tol, max_depth=max_depth)
 
     def jet(self, z, order):
         shape = np.shape(z)
@@ -201,9 +193,7 @@ class HarmonicMap:
         hp = hp if hp is not None else h.derivative()
         gp = gp if gp is not None else g.derivative()
         if omega is None:
-            omega = DerivedFunction(
-                lambda z, n: gp.jet(z, n) / hp.jet(z, n),
-                label="g'/h'")
+            omega = gp / hp
         return cls(h, g, hp, gp, omega, sense, label=label, form="parts",
                    sources=sources)
 
@@ -211,8 +201,7 @@ class HarmonicMap:
     def from_dilatation(cls, hp, omega, h0=0.0, sense=PRESERVING, label="",
                         sources=None):
         """Map defined by h' and omega; h(0) = h0 and g(0) = 0."""
-        gp = DerivedFunction(lambda z, n: omega.jet(z, n) * hp.jet(z, n),
-                             label="omega*h'")
+        gp = omega * hp
         h = AntiderivativeFunction(hp, value0=h0, label="h")
         g = AntiderivativeFunction(gp, value0=0.0, label="g")
         return cls(h, g, hp, gp, omega, sense, label=label, form="dilatation",
@@ -320,12 +309,10 @@ def catalog(name):
         h_src, g_src, w_src, hp_src = _CATALOG_HARMONIC[name]
         omega = ExprFunction(w_src, label=f"{name}.omega")
         hp = ExprFunction(hp_src, label=f"{name}.h'")
-        gp = DerivedFunction(lambda z, n, w=omega, d=hp: w.jet(z, n) * d.jet(z, n),
-                             label=f"{name}.g'")
         return HarmonicMap.from_parts(
             ExprFunction(h_src, label=f"{name}.h"),
             ExprFunction(g_src, label=f"{name}.g"),
-            omega=omega, hp=hp, gp=gp,
+            omega=omega, hp=hp, gp=omega * hp,
             label=name,
             sources=(("h", h_src), ("g", g_src)),
         )
@@ -408,9 +395,7 @@ def conjugate(f):
     """conj(f): swaps the canonical parts and flips the sense flag."""
     if f._conj_source is not None:
         return f._conj_source
-    omega_c = DerivedFunction(lambda z, n: f.hp.jet(z, n) / f.gp.jet(z, n),
-                              label="1/omega")
-    out = HarmonicMap(f.g, f.h, f.gp, f.hp, omega_c, _flip(f.sense),
+    out = HarmonicMap(f.g, f.h, f.gp, f.hp, f.hp / f.gp, _flip(f.sense),
                       label=f"conj({f.label})", form=f.form)
     out._conj_source = f
     return out
@@ -489,7 +474,7 @@ def partner_map(f, a, mu, lam, label=None):
         h0=0.0, label=label or f"partner({f.label})")
 
 
-def evaluate(f, z, tol=1e-8, max_depth=12):
+def evaluate(f, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
     """f(z) = h(z) + conj(g(z)).
 
     In dilatation form the parts are integrated along [0, z] with

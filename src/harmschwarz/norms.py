@@ -24,8 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, ParameterOutOfRange
+from .expr import ConstantFunction
 from .maps import HarmonicMap
-from .operators import pre_schwarzian, schwarzian
+from .operators import (
+    _one_minus_sq,
+    _pre_schwarzian_from_jets,
+    pre_schwarzian,
+    schwarzian,
+)
 
 # relative window inside which weighted-modulus values count as tied;
 # wide enough to absorb evaluation noise on flat ridges (measured at
@@ -115,9 +121,7 @@ def _weighted_modulus(f, op, zs):
         power = 2
     else:
         raise ParameterOutOfRange(f"unknown operator tag {op!r}; use 'P' or 'S'")
-    r = np.abs(zs)
-    weight = ((1.0 - r) * (1.0 + r)) ** power
-    w = np.abs(vals) * weight
+    w = np.abs(vals) * _one_minus_sq(np.abs(zs)) ** power
     if not np.all(np.isfinite(w)):
         bad = np.asarray(zs).reshape(-1)[~np.isfinite(np.atleast_1d(w)).reshape(-1)]
         raise NonFinite(f"non-finite weighted modulus at {bad.flat[0]}")
@@ -253,12 +257,9 @@ def becker_check(f, cfg=None):
 def becker_lhs(f, z):
     """The scaled left-hand side of the Becker inequality at z."""
     hpj, wj = f.derivative_data(z, order_h=1, order_w=1)
-    hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
-    w, wp = wj.coeffs[0], wj.coeffs[1]
-    one_minus_w2 = (1.0 - np.abs(w)) * (1.0 + np.abs(w))
-    P = hpp_over_hp - np.conjugate(w) * wp / one_minus_w2
-    r = np.abs(z)
-    return (np.abs(z * P) + np.abs(z * wp) / one_minus_w2) * ((1.0 - r) * (1.0 + r))
+    P, one_minus_w2 = _pre_schwarzian_from_jets(hpj, wj)
+    return ((np.abs(z * P) + np.abs(z * wj.coeffs[1]) / one_minus_w2)
+            * _one_minus_sq(np.abs(z)))
 
 
 def finite_norm_compare(f, cfg=None):
@@ -270,9 +271,10 @@ def finite_norm_compare(f, cfg=None):
     """
     cfg = cfg or SearchConfig()
     rep = f.preserving()
-    analytic_part = HarmonicMap.from_analytic(rep.h, label=f"{f.label}.h")
-    # reuse the exact derivative path of h (avoids re-deriving jets)
-    analytic_part.hp = rep.hp
+    zero = ConstantFunction(0.0)
+    # h + conj(0), on the exact derivative path of h (no re-derived jets)
+    analytic_part = HarmonicMap.from_parts(rep.h, zero, omega=zero, hp=rep.hp,
+                                           gp=zero, label=f"{f.label}.h")
     return hyperbolic_sup(f, "S", cfg), hyperbolic_sup(analytic_part, "S", cfg)
 
 
@@ -287,8 +289,7 @@ def omega_second_derivative_probe(f, cfg=None):
     rep = f.preserving()
     wj = rep.omega.jet(zs, 2)
     w, wpp = wj.coeffs[0], 2.0 * wj.coeffs[2]
-    r = np.abs(zs)
-    weight = ((1.0 - r) * (1.0 + r)) ** 2
-    vals = np.abs(wpp * w) * weight / ((1.0 - np.abs(w)) * (1.0 + np.abs(w)))
+    vals = (np.abs(wpp * w) * _one_minus_sq(np.abs(zs)) ** 2
+            / _one_minus_sq(np.abs(w)))
     i = int(np.argmax(vals))
     return float(vals[i]), complex(zs[i])

@@ -56,39 +56,41 @@ def classical_pre_schwarzian(phi, z):
     return 2.0 * j.coeffs[2] / d1
 
 
-def classical_schwarzian(phi, z):
-    """S(phi) = (P phi)' - (P phi)^2/2 for an analytic function."""
-    j = phi.jet(z, 3)
-    d1 = j.coeffs[1]
-    if np.any(d1 == 0):
-        raise CriticalPoint("phi' vanishes at the evaluation point")
-    p = 2.0 * j.coeffs[2] / d1  # phi''/phi'
-    return 6.0 * j.coeffs[3] / d1 - 1.5 * p * p
-
-
 def _schwarzian_from_derivative_jet(u):
-    """Classical Schwarzian from a jet of phi' (order >= 2)."""
+    """Classical Schwarzian from a jet of phi' (order >= 2); every S_h
+    in the package comes from here."""
     d1 = u.coeffs[0]
     d2 = u.coeffs[1]
     d3 = 2.0 * u.coeffs[2]
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
+def classical_schwarzian(phi, z):
+    """S(phi) = (P phi)' - (P phi)^2/2 for an analytic function."""
+    u = phi.jet(z, 3).derivative()
+    if np.any(u.coeffs[0] == 0):
+        raise CriticalPoint("phi' vanishes at the evaluation point")
+    return _schwarzian_from_derivative_jet(u)
+
+
+def _pre_schwarzian_from_jets(hpj, wj):
+    """(P_f, 1 - |w|^2) from the jets of h' and w (order >= 1)."""
+    w, wp = wj.coeffs[0], wj.coeffs[1]
+    denom = _one_minus_sq(np.abs(w))
+    return hpj.coeffs[1] / hpj.coeffs[0] - np.conjugate(w) * wp / denom, denom
+
+
 def pre_schwarzian(f, z):
     """P_f = (log J_f)_z; reduces to h''/h' for analytic maps."""
     hpj, wj = f.derivative_data(z, order_h=1, order_w=1)
-    hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
-    w, wp = wj.coeffs[0], wj.coeffs[1]
-    denom = _one_minus_sq(np.abs(w))
-    return hpp_over_hp - np.conjugate(w) * wp / denom
+    return _pre_schwarzian_from_jets(hpj, wj)[0]
 
 
 def schwarzian(f, z):
     """S_f = (P_f)_z - (P_f)^2/2 assembled from the canonical pair."""
     hpj, wj = f.derivative_data(z, order_h=2, order_w=2)
-    hp = hpj.coeffs[0]
-    hpp_over_hp = hpj.coeffs[1] / hp
-    Sh = 2.0 * hpj.coeffs[2] / hp - 1.5 * hpp_over_hp ** 2
+    hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
+    Sh = _schwarzian_from_derivative_jet(hpj)
     w, wp, wpp = wj.coeffs[0], wj.coeffs[1], 2.0 * wj.coeffs[2]
     A = np.conjugate(w) / _one_minus_sq(np.abs(w))
     return Sh + A * (hpp_over_hp * wp - wpp) - 1.5 * (A * wp) ** 2
@@ -103,9 +105,8 @@ def cdo_schwarzian(f, z, q=None):
     must satisfy q^2 = omega at z (checked on jets, rel. 1e-8).
     """
     hpj, wj = f.derivative_data(z, order_h=2, order_w=2)
-    hp = hpj.coeffs[0]
-    hpp_over_hp = hpj.coeffs[1] / hp
-    Sh = 2.0 * hpj.coeffs[2] / hp - 1.5 * hpp_over_hp ** 2
+    hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
+    Sh = _schwarzian_from_derivative_jet(hpj)
 
     if q is not None:
         qj = q.jet(z, 2)

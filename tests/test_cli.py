@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from harmschwarz import catalog, evaluate, map_from_json
 from harmschwarz.cli import main
 
@@ -225,3 +227,108 @@ class TestCatalogAndVerify:
         code, out, _ = run_cli(capsys, "verify", "norms")
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+
+def _single_error(code, out, err, want_code):
+    assert code == want_code
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert rec["code"] == want_code
+    return rec
+
+
+class TestNonFiniteNumbers:
+    def test_nan_point_is_usage_error(self, capsys):
+        rec = _single_error(*run_cli(capsys, "eval", "--map", "K", "--op", "schw",
+                                     "--at", "nan,0"), 1)
+        assert "not finite" in rec["message"]
+
+    def test_inf_point_is_usage_error(self, capsys):
+        rec = _single_error(*run_cli(capsys, "eval", "--map", "K", "--op", "schw",
+                                     "--at", "inf,0"), 1)
+        assert "not finite" in rec["message"]
+
+    def test_overflowing_theta_is_usage_error(self, capsys):
+        rec = _single_error(*run_cli(capsys, "shear", "--phi", "z", "--omega", "z",
+                                     "--theta", "1e308"), 1)
+        assert "theta" in rec["message"]
+
+
+class TestDeepExpressions:
+    def test_long_sum_is_parse_error(self, capsys):
+        h = "+".join(f"0.001*z^{k}" for k in range(1, 1001))
+        rec = _single_error(*run_cli(capsys, "eval", "--h", h, "--g", "0",
+                                     "--op", "pre", "--at", "0.1,0"), 2)
+        assert "nests too deeply" in rec["message"]
+
+    def test_nested_parentheses_are_parse_error(self, capsys):
+        h = "(" * 3000 + "z" + ")" * 3000
+        rec = _single_error(*run_cli(capsys, "eval", "--h", h, "--g", "0",
+                                     "--op", "pre", "--at", "0.1,0"), 2)
+        assert "nests too deeply" in rec["message"]
+
+    def test_800_terms_still_evaluate(self, capsys):
+        h = "+".join(f"0.001*z^{k}" for k in range(1, 801))
+        code, out, _ = run_cli(capsys, "eval", "--h", h, "--g", "0",
+                               "--op", "pre", "--at", "0.1,0")
+        assert code == 0
+        assert json.loads(out)["op"] == "pre"
+
+
+# recorded from the CLI before the operators and norms shared one copy of
+# P_f, S_h and 1 - x^2; any drift in those formulas changes these bytes
+_PINNED_BECKER = {
+    "K": '{"holds": false, "worst_margin": -6.999990000002, "witness": [0.999999, 0.0]}',
+    "L": '{"holds": false, "worst_margin": -4.999992000001999, "witness": [0.999999, 0.0]}',
+    "S1": '{"holds": false, "worst_margin": -2.999994000002, "witness": [0.999999, 0.0]}',
+    "S2": '{"holds": false, "worst_margin": -2.9999939999567564, "witness": [0.999999, 0.0]}',
+    "K2": '{"holds": false, "worst_margin": -6.999990000001, "witness": [0.999999, 0.0]}',
+    "k": '{"holds": false, "worst_margin": -4.999992000002, "witness": [0.999999, 0.0]}',
+    "l": '{"holds": false, "worst_margin": -2.999994000002, "witness": [0.999999, 0.0]}',
+    "s": '{"holds": false, "worst_margin": -0.9999960000019998, "witness": [0.999999, 0.0]}',
+    "q2": '{"holds": false, "worst_margin": -2.999993999956756, "witness": [0.999999, 0.0]}',
+}
+
+_PINNED_EVAL = {
+    ("K", "pre"): [
+        '{"z": [0.1, 0.2], "op": "pre", "value": [5.010030959752323, 0.9917027863777093]}',
+        '{"z": [-0.3, 0.1], "op": "pre", "value": [4.792156862745098, 0.14640522875816986]}',
+        '{"z": [0.25, -0.35], "op": "pre", "value": [4.8146533401492295, -2.2655283396675356]}'],
+    ("K", "schw"): [
+        '{"z": [0.1, 0.2], "op": "schw", "value": [-8.511051124807118, -2.6494607482099886]}',
+        '{"z": [-0.3, 0.1], "op": "schw", "value": [-11.165172369601438, 0.14419069588620087]}',
+        '{"z": [0.25, -0.35], "op": "schw", "value": [-5.690118094657127, 5.860621094467078]}'],
+    ("K", "lap"): [
+        '{"z": [0.1, 0.2], "op": "lap", "value": [5.783008517509683, 0.7581403948286464]}',
+        '{"z": [-0.3, 0.1], "op": "lap", "value": [-4.257204019346789, -0.9397335307882502]}',
+        '{"z": [0.25, -0.35], "op": "lap", "value": [13.211831241596945, -5.845175572831241]}'],
+    ("S2", "pre"): [
+        '{"z": [0.1, 0.2], "op": "pre", "value": [0.3476219961668878, 0.8106383606074009]}',
+        '{"z": [-0.3, 0.1], "op": "pre", "value": [-1.209982174688057, 0.5378490790255496]}',
+        '{"z": [0.25, -0.35], "op": "pre", "value": [0.6103234945526107, -1.5714172802529993]}'],
+    ("S2", "schw"): [
+        '{"z": [0.1, 0.2], "op": "schw", "value": [3.9576865205916167, 0.2321465760819566]}',
+        '{"z": [-0.3, 0.1], "op": "schw", "value": [4.250361007580258, -0.4129422567925243]}',
+        '{"z": [0.25, -0.35], "op": "schw", "value": [4.071281990347951, -1.0503830070625642]}'],
+    ("S2", "lap"): [
+        '{"z": [0.1, 0.2], "op": "lap", "value": [1.6139647687911534, 0.24736724255281944]}',
+        '{"z": [-0.3, 0.1], "op": "lap", "value": [3.3403339254245377, -0.9083015537852442]}',
+        '{"z": [0.25, -0.35], "op": "lap", "value": [6.471778900151241, -4.3193038804886115]}'],
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(_PINNED_BECKER))
+    def test_becker_json(self, capsys, name):
+        code, out, _ = run_cli(capsys, "becker", "--map", name)
+        assert code == 0
+        assert out == _PINNED_BECKER[name] + "\n"
+
+    @pytest.mark.parametrize("name, op", sorted(_PINNED_EVAL))
+    def test_eval_lines(self, capsys, name, op):
+        code, out, _ = run_cli(capsys, "eval", "--map", name, "--op", op,
+                               "--at=0.1,0.2", "--at=-0.3,0.1", "--at=0.25,-0.35")
+        assert code == 0
+        assert out.split("\n") == _PINNED_EVAL[name, op] + [""]

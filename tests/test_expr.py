@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmschwarz import ExprFunction, eval_jet, parse, to_text
+from harmschwarz import ExprFunction, catalog, eval_jet, parse, to_text
 from harmschwarz.errors import (
+    BranchPointAtCenter,
     DivisionByZeroConstantTerm,
     ExprSyntaxError,
+    ToolkitError,
     UnknownIdentifier,
 )
 from harmschwarz.expr import (
-    BUILTINS,
     Add,
     Call,
     Const,
@@ -22,6 +23,7 @@ from harmschwarz.expr import (
     Pow,
     Sub,
     Var,
+    _ddz,
     integer_exponent,
 )
 
@@ -115,7 +117,7 @@ class TestEvalJet:
 
     def test_strip_map_series(self):
         # arctanh series: (1/2) log((1+z)/(1-z)) = z + z^3/3 + ...
-        j = eval_jet(BUILTINS["s"], 0.0, 3)
+        j = eval_jet(catalog("s"), 0.0, 3)
         assert np.allclose(j.coeffs, [0, 1, 0, 1.0 / 3.0], atol=1e-15)
 
     def test_pole_at_origin(self):
@@ -151,11 +153,12 @@ class TestEvalJet:
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
     def test_builtins_registered(self):
-        assert set(BUILTINS) == {"k", "l", "s", "q2"}
+        assert all(isinstance(catalog(name), ExprFunction)
+                   for name in ("k", "l", "s", "q2"))
         # q2(z) = z/(1-z^2) doubles as sqrt(k(z^2))
         z = 0.3 + 0.1j
-        q = BUILTINS["q2"].value(z)
-        k_at_z2 = BUILTINS["k"].value(z * z)
+        q = catalog("q2").value(z)
+        k_at_z2 = catalog("k").value(z * z)
         assert abs(q * q - k_at_z2) < 1e-14
 
     def test_vectorized_eval(self, rng):
@@ -164,3 +167,48 @@ class TestEvalJet:
         vec = f.jet(zs, 2).coeffs
         for idx, z in enumerate(zs):
             assert np.allclose(vec[:, idx], f.jet(complex(z), 2).coeffs)
+
+
+class TestAstPath:
+    @pytest.mark.parametrize("text, kind, path, message", [
+        ("1+1/z", DivisionByZeroConstantTerm, "/add/div",
+         "jet division by zero constant term [ast /add/div]"),
+        ("exp(1+1/z)", DivisionByZeroConstantTerm, "/exp/add/div",
+         "jet division by zero constant term [ast /exp/add/div]"),
+        ("2*sqrt(z)", BranchPointAtCenter, "/mul/sqrt",
+         "sqrt of jet with zero constant term [ast /mul/sqrt]"),
+        ("z^0.5", BranchPointAtCenter, "/pow",
+         "log of jet with zero constant term [ast /pow]"),
+        ("z^-2", DivisionByZeroConstantTerm, "/pow",
+         "jet division by zero constant term [ast /pow]"),
+        ("(1/z)^2", DivisionByZeroConstantTerm, "/pow/div",
+         "jet division by zero constant term [ast /pow/div]"),
+        ("(1+z)^(1/z)", DivisionByZeroConstantTerm, "/pow/div",
+         "jet division by zero constant term [ast /pow/div]"),
+    ])
+    def test_path_and_message_name_the_failing_node(self, text, kind, path, message):
+        with pytest.raises(kind) as err:
+            eval_jet(parse(text), 0.0, 2)
+        assert err.value.ast_path == path
+        assert str(err.value) == message
+
+
+# the expression strategy of TestPrinter.test_printer_roundtrip_generated
+_EXPR_TEXT = st.recursive(
+    st.sampled_from(["z", "i", "1", "2.5", "0.25"]),
+    lambda inner: st.tuples(st.sampled_from("+-*/^"), inner, inner).map(
+        lambda t: f"({t[1]}){t[0]}({t[2]})"),
+    max_leaves=12)
+
+
+class TestSymbolicDerivative:
+    @given(_EXPR_TEXT, st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j]))
+    @settings(max_examples=300, deadline=None)
+    def test_ddz_matches_jet_derivative(self, text, z):
+        ast = parse(text)
+        try:
+            want = ExprFunction(ast).jet(z, 1).coeffs[1]
+            got = ExprFunction(_ddz(ast)).value(z)
+        except ToolkitError:
+            return  # undefined at z (pole, branch point, overflow)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

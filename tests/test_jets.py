@@ -220,3 +220,20 @@ class TestBivariate:
             bivariate_extract(lambda t: t, 0.0, degree=3, radii=(0.01,))
         with pytest.raises(ValueError):
             bivariate_extract(lambda t: t, 0.0, degree=3, angles=5)
+
+    def test_wrong_output_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            bivariate_extract(lambda t: t[0], 0.0, degree=3)
+        with pytest.raises(ValueError, match="shape"):
+            bivariate_extract(lambda t: 1.0, 0.0, degree=3)
+
+    def test_errors_inside_f_propagate(self):
+        calls = []
+
+        def F(t):
+            calls.append(np.shape(t))
+            raise TypeError("boom")
+
+        with pytest.raises(TypeError, match="boom"):
+            bivariate_extract(F, 0.0, degree=3)
+        assert calls == [(3, 64)]  # one vectorised call, no pointwise rerun
