@@ -6,8 +6,11 @@ floats in shortest round-trip form, CSV with the documented header.
 
 Exit codes: 0 success, 1 usage (including non-finite numbers), 2
 expression parse error (including expressions that nest too deeply),
-3 domain error, 4 numerical failure.  Every error path writes one
-machine parsable JSON record {"code", "message", "at"?} to stderr.
+3 domain error, 4 numerical failure.  A library error exits with the
+``exit_code`` its class declares in ``errors``.  Every error path
+writes one machine parsable JSON record {"code", "message", "at"?} to
+stderr and nothing else: numpy's floating-point warnings are silenced
+while a command runs (an overflow surfaces as NonFinite, exit 4).
 
 Map specification (exactly one style per invocation):
 
@@ -18,44 +21,28 @@ Map specification (exactly one style per invocation):
                         h(0) = g(0) = 0), omega is the dilatation
 
 The dilatation-form convention matches the JSON interchange emitted by
-``shear``: a sheared map's analytic part has no closed form, so its
-derivative phi'/(1 - e^{2i theta} omega) is what travels.
+``shear``, which serializes ``maps.shear``: a sheared map's analytic
+part has no closed form, so its derivative phi'/(1 - e^{2i theta} omega)
+is what travels.
 """
 
 import argparse
 import cmath
+import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import expr as ex
-from .errors import (
-    BranchPointAtCenter,
-    CenterMismatch,
-    CriticalPoint,
-    DegenerateJet,
-    DilatationZeroNeedsQ,
-    DivisionByZeroConstantTerm,
-    DomainError,
-    ExprSyntaxError,
-    IllConditioned,
-    NonFinite,
-    ParameterOutOfRange,
-    QMismatch,
-    QuadratureFailure,
-    ShearSingularity,
-    StencilOutsideDomain,
-    ToolkitError,
-    UnknownCatalogName,
-    UnknownIdentifier,
-)
+from .errors import DomainError, ToolkitError
 from .maps import (
     CATALOG_NAMES,
     HarmonicMap,
     catalog_map,
     map_from_json,
+    map_to_json,
+    shear,
 )
 from .norms import SearchConfig, becker_check, becker_lhs, hyperbolic_sup
 from .operators import (
@@ -71,27 +58,7 @@ from .operators import (
     tamanoi_schwarzian,
 )
 
-EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, EXIT_NUMERIC = 0, 1, 2, 3, 4
-
-_ERROR_CODES = (
-    (ExprSyntaxError, EXIT_PARSE),
-    (UnknownIdentifier, EXIT_PARSE),
-    (UnknownCatalogName, EXIT_USAGE),
-    (ParameterOutOfRange, EXIT_USAGE),
-    (DomainError, EXIT_DOMAIN),
-    (ShearSingularity, EXIT_DOMAIN),
-    (CriticalPoint, EXIT_DOMAIN),
-    (DilatationZeroNeedsQ, EXIT_DOMAIN),
-    (QMismatch, EXIT_DOMAIN),
-    (BranchPointAtCenter, EXIT_DOMAIN),
-    (DegenerateJet, EXIT_DOMAIN),
-    (DivisionByZeroConstantTerm, EXIT_DOMAIN),
-    (StencilOutsideDomain, EXIT_DOMAIN),
-    (QuadratureFailure, EXIT_NUMERIC),
-    (IllConditioned, EXIT_NUMERIC),
-    (NonFinite, EXIT_NUMERIC),
-    (CenterMismatch, EXIT_NUMERIC),
-)
+EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_NUMERIC = 0, 1, 2, 4
 
 
 class _UsageError(Exception):
@@ -109,13 +76,6 @@ def _emit_error(code, message, at=None):
         record["at"] = at
     print(json.dumps(record), file=sys.stderr)
     return code
-
-
-def _classify(exc):
-    for etype, code in _ERROR_CODES:
-        if isinstance(exc, etype):
-            return code
-    return EXIT_NUMERIC
 
 
 def _parse_point(text):
@@ -169,8 +129,9 @@ def _add_search_flags(p):
 
 def _search_config(args):
     return SearchConfig(rays=args.rays, radial_samples=args.radial,
-                        rmax=args.rmax, refine=not args.no_refine,
-                        refine_iterations=args.refine_iterations)
+                        rmax=args.rmax,
+                        refine_iterations=0 if args.no_refine
+                        else args.refine_iterations)
 
 
 def _jsonpair(v):
@@ -186,7 +147,6 @@ def _cmd_catalog(args):
     if args.name is None:
         print(json.dumps({"names": list(CATALOG_NAMES)}))
         return EXIT_OK
-    from .maps import map_to_json
     print(json.dumps(map_to_json(catalog_map(args.name))))
     return EXIT_OK
 
@@ -241,22 +201,10 @@ def _cmd_becker(args):
 
 
 def _cmd_shear(args):
-    if not math.isfinite(args.theta):
-        raise _UsageError("--theta must be finite (radians)")
-    if not math.isfinite(2.0 * args.theta):
-        raise _UsageError("--theta is too large: 2*theta is not finite")
-    phi_ast = ex.parse(args.phi)
-    omega_ast = ex.parse(args.omega)
-    cis = cmath.exp(2j * args.theta)
-    hp_ast = ex.Div(ex._ddz(phi_ast),
-                    ex.Sub(ex.Const(1 + 0j), ex.Mul(ex.Const(cis), omega_ast)))
-    hp_src = ex.to_text(hp_ast)
-    omega_src = ex.to_text(omega_ast)
-    # smoke-check evaluability at the origin before emitting
-    spec = {"label": f"shear(theta={args.theta!r})", "form": "dilatation",
-            "h": hp_src, "omega": omega_src, "sense": "preserving"}
-    map_from_json(spec).derivative_data(0.0)
-    print(json.dumps(spec))
+    f = shear(ex.ExprFunction(args.phi), ex.ExprFunction(args.omega),
+              args.theta, label=f"shear(theta={args.theta!r})")
+    f.derivative_data(0.0)  # smoke-check evaluability at the origin
+    print(json.dumps(map_to_json(f)))
     return EXIT_OK
 
 
@@ -472,17 +420,23 @@ def _merge_dash_expressions(argv):
     return out
 
 
+# parsing leaves the parser unchanged, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_dash_expressions(list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
     try:
-        return args.fn(args)
+        # the jets raise NonFinite on overflow, so numpy's warnings would
+        # only put extra lines before the one JSON error record
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
     except RecursionError:
@@ -491,7 +445,7 @@ def main(argv=None):
     except ToolkitError as exc:
         at = getattr(exc, "at", None)
         at_text = f"{complex(at).real},{complex(at).imag}" if at is not None else None
-        return _emit_error(_classify(exc), exc, at=at_text)
+        return _emit_error(exc.exit_code, exc, at=at_text)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
 """Exception hierarchy shared by all harmschwarz modules.
 
-Every failure mode has its own class so callers (and the CLI exit-code
-mapping) can discriminate without string matching.  Errors that refer to
-a point in the plane carry it in ``at``; parser errors carry a byte
-``offset`` into the source text.
+Every failure mode has its own class so callers can discriminate
+without string matching.  Errors that refer to a point in the plane
+carry it in ``at``; parser errors carry a byte ``offset`` into the
+source text.
+
+Each class declares the CLI exit code it maps to in ``exit_code``:
+1 usage (bad parameter or catalog name), 2 expression parse error,
+3 domain error, 4 numerical failure (also the base class, so a new
+subclass that declares nothing exits 4).
 """
 
 
 class ToolkitError(Exception):
     """Base class for all harmschwarz errors."""
+    exit_code = 4
 
 
 # ---------------------------------------------------------------------------
@@ -21,10 +27,12 @@ class CenterMismatch(ToolkitError):
 
 class DivisionByZeroConstantTerm(ToolkitError):
     """Jet division where the divisor's constant term vanishes."""
+    exit_code = 3
 
 
 class BranchPointAtCenter(ToolkitError):
     """sqrt/log/pow of a jet whose constant term is exactly 0."""
+    exit_code = 3
 
 
 class NonFinite(ToolkitError):
@@ -41,6 +49,7 @@ class IllConditioned(ToolkitError):
 
 class ExprSyntaxError(ToolkitError):
     """Malformed expression text.  ``offset`` is the byte position."""
+    exit_code = 2
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")
@@ -49,6 +58,7 @@ class ExprSyntaxError(ToolkitError):
 
 class UnknownIdentifier(ToolkitError):
     """Identifier other than log/exp/sqrt in an expression."""
+    exit_code = 2
 
     def __init__(self, name, offset):
         super().__init__(f"unknown identifier {name!r} (offset {offset})")
@@ -62,14 +72,12 @@ class UnknownIdentifier(ToolkitError):
 
 class UnknownCatalogName(ToolkitError):
     """Catalog lookup with an unrecognized map name."""
-
-
-class ShearSingularity(ToolkitError):
-    """1 - e^{2i theta} * omega vanished at an evaluation point."""
+    exit_code = 1
 
 
 class DomainError(ToolkitError):
     """Map is not sense-preserving / evaluable at the given point."""
+    exit_code = 3
 
     def __init__(self, message, at=None):
         super().__init__(message if at is None else f"{message} at {at}")
@@ -78,26 +86,32 @@ class DomainError(ToolkitError):
 
 class ParameterOutOfRange(ToolkitError):
     """Group/affine parameter violates its constraint."""
+    exit_code = 1
 
 
 class DegenerateJet(ToolkitError):
     """Best-Moebius construction with h'(z0) = 0."""
+    exit_code = 3
 
 
 class CriticalPoint(ToolkitError):
     """Classical operator at a point where the derivative vanishes."""
+    exit_code = 3
 
 
 class DilatationZeroNeedsQ(ToolkitError):
     """CDO Schwarzian at a zero of omega without an explicit square root."""
+    exit_code = 3
 
 
 class QMismatch(ToolkitError):
     """Supplied q does not satisfy q^2 = omega at the evaluation point."""
+    exit_code = 3
 
 
 class StencilOutsideDomain(ToolkitError):
     """Finite-difference stencil would leave the map's domain."""
+    exit_code = 3
 
 
 class QuadratureFailure(ToolkitError):

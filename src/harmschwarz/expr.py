@@ -335,8 +335,9 @@ def eval_ast_jet(node, z0, order):
 
 
 # ---------------------------------------------------------------------------
-# symbolic d/dz on the grammar (serialization plumbing: a sheared map's
-# h' = phi'/(1 - e^{2i theta} omega) must travel as expression text)
+# symbolic d/dz on the grammar (serialization plumbing: maps.shear builds
+# h' = phi'/(1 - e^{2i theta} omega) with it, so a sheared map travels as
+# expression text)
 
 
 def _ddz(node):
@@ -441,13 +442,7 @@ class AnalyticFunction:
         return DerivedFunction(lambda z, n: self.jet(z, n) / self._jet_of(other, z, n))
 
     def __rtruediv__(self, other):
-        def jet_fn(z, n):
-            denom = self.jet(z, n)
-            num = self._jet_of(other, z, n)
-            if not isinstance(num, Jet):
-                num = Jet.constant(num, n, center=z, shape=np.shape(denom.value))
-            return num / denom
-        return DerivedFunction(jet_fn)
+        return DerivedFunction(lambda z, n: self._jet_of(other, z, n) / self.jet(z, n))
 
     def __neg__(self):
         return DerivedFunction(lambda z, n: -self.jet(z, n))

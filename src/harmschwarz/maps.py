@@ -19,6 +19,7 @@ invariant under conjugation, the Jacobian flips sign).
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -27,14 +28,20 @@ from .errors import (
     DivisionByZeroConstantTerm,
     DomainError,
     ParameterOutOfRange,
-    ShearSingularity,
     UnknownCatalogName,
 )
 from .expr import (
     AnalyticFunction,
+    Const,
     ConstantFunction,
     DerivedFunction,
+    Div,
     ExprFunction,
+    Mul,
+    Sub,
+    _ddz,
+    parse,
+    to_text,
 )
 from .jets import Jet
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, integrate_segments
@@ -336,26 +343,28 @@ def shear(phi, omega, theta=0.0, label=None):
     """Shear construction: the harmonic map with h - e^{2i theta} g = phi
     and dilatation omega, normalized by g(0) = 0 (hence h(0) = phi(0)).
 
-    h' = phi'/(1 - e^{2i theta} omega); evaluation points where that
-    denominator vanishes raise ShearSingularity.
+    phi and omega must carry expression ``source`` text: h' =
+    phi'/(1 - e^{2i theta} omega) is built once as an expression, with
+    phi' differentiated symbolically, so the map serializes through
+    ``map_to_json`` (whose loader rebuilds it with h(0) = 0).  A point
+    where the denominator vanishes raises DivisionByZeroConstantTerm
+    with the AST path ``[ast /div]``.
     """
-    cis = cmath.exp(2j * float(theta))
-    phip = phi.derivative()
-
-    def hp_jet(z, n):
-        den = 1.0 - cis * omega.jet(z, n)
-        try:
-            return phip.jet(z, n) / den
-        except DivisionByZeroConstantTerm as exc:
-            raise ShearSingularity(
-                f"1 - e^(2i*theta)*omega vanishes at {_first_point(z)}"
-            ) from exc
-
-    hp = DerivedFunction(hp_jet, label="phi'/(1-e^(2i theta) omega)")
-    h0 = complex(phi.value(0.0))
+    theta = float(theta)
+    if not math.isfinite(2.0 * theta):
+        raise ParameterOutOfRange(
+            f"shear needs a theta with 2*theta finite, got {theta!r}")
+    if phi.source is None or omega.source is None:
+        raise ParameterOutOfRange(
+            "shear needs phi and omega with expression sources")
+    w = ExprFunction(parse(omega.source))
+    den = Sub(Const(1 + 0j), Mul(Const(cmath.exp(2j * theta)), w.ast))
+    # from the text, so the map equals the one map_from_json loads
+    hp = ExprFunction(to_text(Div(_ddz(parse(phi.source)), den)))
     return HarmonicMap.from_dilatation(
-        hp, omega, h0=h0,
-        label=label or f"shear({phi.label or 'phi'}, theta={float(theta)!r})")
+        hp, w, h0=complex(phi.value(0.0)),
+        label=label or f"shear({phi.label or 'phi'}, theta={theta!r})",
+        sources=(("h", hp.source), ("omega", w.source)))
 
 
 def affine_compose(A, f):

@@ -50,7 +50,6 @@ class SearchConfig:
     rays: int = 256
     radial_samples: int = 128
     rmax: float = 1.0 - 1e-6
-    refine: bool = True
     refine_iterations: int = 60
 
     def __post_init__(self):
@@ -200,20 +199,19 @@ def hyperbolic_sup(f, op, cfg=None):
     window = _TIE_REL * max(abs(grid_best), 1.0)
     candidates = [(grid_best, complex(zs[order[0]]))]
 
-    if cfg.refine:
-        seeds = []
-        for i in order:
-            if all(abs(zs[i] - zs[j]) > 1e-12 for j in seeds):
-                seeds.append(i)
-            if len(seeds) == 5:
-                break
-        best, zbest, patch_evals = _zoom(f, op, cfg, zs[seeds], w[seeds])
-        evals += patch_evals
-        # keep a refined point only when it genuinely improves on the
-        # grid; within the tie window the grid point stands for it
-        # (keeps flat ridges and rim maxima at their canonical points)
-        candidates.extend((float(v), complex(z)) for v, z in zip(best, zbest)
-                          if v > grid_best + window)
+    seeds = []
+    for i in order:
+        if all(abs(zs[i] - zs[j]) > 1e-12 for j in seeds):
+            seeds.append(i)
+        if len(seeds) == 5:
+            break
+    best, zbest, patch_evals = _zoom(f, op, cfg, zs[seeds], w[seeds])
+    evals += patch_evals
+    # keep a refined point only when it genuinely improves on the grid;
+    # within the tie window the grid point stands for it (keeps flat
+    # ridges and rim maxima at their canonical points)
+    candidates.extend((float(v), complex(z)) for v, z in zip(best, zbest)
+                      if v > grid_best + window)
 
     # include the grid ridge in the tie set so flat maxima resolve to
     # the canonical (smallest |z|) point

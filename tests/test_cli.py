@@ -2,10 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from harmschwarz import catalog, evaluate, map_from_json
+from harmschwarz import (
+    ExprFunction,
+    catalog,
+    errors,
+    evaluate,
+    map_from_json,
+    map_to_json,
+    shear,
+)
 from harmschwarz.cli import main
 
 
@@ -172,6 +184,33 @@ class TestShear:
         # h' = 1/(1-z)
         assert abs(loaded.hp.value(0.5) - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("phi, omega, theta", [
+        ("z/(1-z)^2", "z", 0.0),
+        ("z/(1-z)", "-z", 1.5707963267948966),
+        ("0.5*log((1+z)/(1-z))", "z^2", 0.3),
+        ("exp(z)+sqrt(1+z)", "0.2*i*z", -2.5),
+    ])
+    def test_library_shear_serializes_as_cli_output(self, capsys, phi, omega,
+                                                     theta):
+        code, out, _ = run_cli(capsys, "shear", "--phi", phi,
+                               "--omega", omega, "--theta", repr(theta))
+        assert code == 0
+        spec = json.loads(out)
+        lib = shear(ExprFunction(phi), ExprFunction(omega), theta)
+        d = map_to_json(lib)
+        for key in ("form", "h", "omega", "sense"):
+            assert d[key] == spec[key]
+        loaded = map_from_json(spec)
+        for z in (0.0, 0.3 - 0.2j, -0.45 + 0.1j):
+            for a, b in zip(lib.derivative_data(z), loaded.derivative_data(z)):
+                assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_vanishing_denominator_is_3(self, capsys):
+        rec = _single_error(*run_cli(capsys, "shear", "--phi", "z",
+                                     "--omega", "1"), 3)
+        assert "division by zero constant term [ast /div]" in rec["message"]
+        assert rec["at"] == "0.0,0.0"
+
 
 class TestRender:
     def test_identity_render_exact(self, capsys):
@@ -254,6 +293,47 @@ class TestNonFiniteNumbers:
         rec = _single_error(*run_cli(capsys, "shear", "--phi", "z", "--omega", "z",
                                      "--theta", "1e308"), 1)
         assert "theta" in rec["message"]
+
+    def test_overflow_writes_only_the_error_record(self):
+        # numpy warns on the overflow in exp and the jets raise NonFinite;
+        # a subprocess, since pytest would capture the warnings itself
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmschwarz.cli", "eval", "--h",
+             "exp(z*1000)", "--g", "0", "--op", "pre", "--at", "0.9,0"],
+            env=env, capture_output=True, text=True)
+        rec = _single_error(proc.returncode, proc.stdout, proc.stderr, 4)
+        assert "non-finite" in rec["message"]
+
+
+# the documented exit code of every error class; a new class must be
+# added here
+_EXIT_CODES = {
+    "ToolkitError": 4,
+    "CenterMismatch": 4,
+    "DivisionByZeroConstantTerm": 3,
+    "BranchPointAtCenter": 3,
+    "NonFinite": 4,
+    "IllConditioned": 4,
+    "ExprSyntaxError": 2,
+    "UnknownIdentifier": 2,
+    "UnknownCatalogName": 1,
+    "DomainError": 3,
+    "ParameterOutOfRange": 1,
+    "DegenerateJet": 3,
+    "CriticalPoint": 3,
+    "DilatationZeroNeedsQ": 3,
+    "QMismatch": 3,
+    "StencilOutsideDomain": 3,
+    "QuadratureFailure": 4,
+}
+
+
+def test_error_classes_declare_the_exit_codes():
+    declared = {name: cls.exit_code for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.ToolkitError)}
+    assert declared == _EXIT_CODES
 
 
 class TestDeepExpressions:

@@ -27,8 +27,8 @@ from harmschwarz import (
     shear,
 )
 from harmschwarz.errors import (
+    DivisionByZeroConstantTerm,
     ParameterOutOfRange,
-    ShearSingularity,
     UnknownCatalogName,
 )
 from harmschwarz.maps import PRESERVING, REVERSING, HarmonicMap
@@ -118,13 +118,26 @@ class TestShear:
 
     def test_shear_singularity(self):
         sh = shear(catalog("k"), ExprFunction("1-z"), 0.0)
-        with pytest.raises(ShearSingularity):
+        with pytest.raises(DivisionByZeroConstantTerm):
             sh.hp.jet(0.0, 2)
 
     def test_trivial_shear(self):
         sh = shear(ExprFunction("z"), ExprFunction("z"), 0.0)
         # h' = 1/(1-z)
         assert np.allclose(sh.hp.jet(0.0, 3).coeffs, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, float("nan"),
+                                       float("inf")])
+    def test_theta_with_infinite_double_rejected(self, theta):
+        with pytest.raises(ParameterOutOfRange, match="theta"):
+            shear(catalog("k"), ExprFunction("z"), theta)
+
+    def test_functions_without_source_rejected(self):
+        closure = catalog("k") * 1.0
+        with pytest.raises(ParameterOutOfRange, match="source"):
+            shear(closure, ExprFunction("z"), 0.0)
+        with pytest.raises(ParameterOutOfRange, match="source"):
+            shear(catalog("k"), closure, 0.0)
 
 
 class TestAffine:
@@ -357,6 +370,6 @@ class TestSerialization:
         assert map_to_json(f) == d
 
     def test_unserializable_map(self):
-        sh = shear(catalog("k"), ExprFunction("z"), 0.0)
+        F = partner_map(catalog("S2"), 0.5, 1.0, 2.0)
         with pytest.raises(ValueError):
-            map_to_json(sh)
+            map_to_json(F)

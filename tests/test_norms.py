@@ -79,9 +79,9 @@ class TestHyperbolicSup:
     def test_monotone_under_grid_doubling(self):
         for name in ("S2", "K2"):
             f = catalog(name)
-            small = SearchConfig(rays=32, radial_samples=16, refine=True,
+            small = SearchConfig(rays=32, radial_samples=16,
                                  refine_iterations=40)
-            big = SearchConfig(rays=64, radial_samples=32, refine=True,
+            big = SearchConfig(rays=64, radial_samples=32,
                                refine_iterations=40)
             v1 = hyperbolic_sup(f, "S", small).value
             v2 = hyperbolic_sup(f, "S", big).value
@@ -138,7 +138,7 @@ class TestHyperbolicSup:
 
 CATALOG_NAMES = ("K", "L", "S1", "S2", "K2", "k", "l", "s", "q2")
 
-# grid-only reports (default search flags, refine=False), recorded from
+# grid-only reports (default search flags, refine_iterations=0), recorded from
 # the estimator before the local zoom replaced Nelder-Mead; the grid
 # path must not change
 GRID_REPORTS = {
@@ -168,7 +168,7 @@ class TestZoomRefinement:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_refined_never_below_grid_best(self, name, op):
         f = catalog_map(name)
-        grid = hyperbolic_sup(f, op, SearchConfig(refine=False))
+        grid = hyperbolic_sup(f, op, SearchConfig(refine_iterations=0))
         refined = hyperbolic_sup(f, op)
         assert refined.value >= grid.value
         assert refined.samples_evaluated > grid.samples_evaluated
@@ -176,7 +176,7 @@ class TestZoomRefinement:
     @pytest.mark.parametrize("key", sorted(GRID_REPORTS))
     def test_grid_only_reports_unchanged(self, key):
         name, op = key
-        rep = hyperbolic_sup(catalog_map(name), op, SearchConfig(refine=False))
+        rep = hyperbolic_sup(catalog_map(name), op, SearchConfig(refine_iterations=0))
         assert json.dumps(rep.to_json()) == GRID_REPORTS[key]
 
     def test_repeat_runs_identical(self):
@@ -191,12 +191,6 @@ class TestZoomRefinement:
             assert rep.value == value
             assert rep.argmax == 0.0
             assert not rep.boundary_flag
-
-    def test_zero_levels_is_grid_only(self):
-        f = catalog("S2")
-        none = hyperbolic_sup(f, "P", SearchConfig(refine_iterations=0))
-        grid = hyperbolic_sup(f, "P", SearchConfig(refine=False))
-        assert none.to_json() == grid.to_json()
 
     def test_cli_import_leaves_scipy_out(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -223,7 +217,7 @@ class TestTieSet:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_norm_ridge(self, k):
-        f, cfg = self._ridge_map(k), SearchConfig(refine=False)
+        f, cfg = self._ridge_map(k), SearchConfig(refine_iterations=0)
         zs = norms._grid(cfg)
         w = norms._weighted_modulus(f, "P", zs)
         window = norms._TIE_REL * max(w.max(), 1.0)
