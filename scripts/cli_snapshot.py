@@ -1,0 +1,153 @@
+"""Byte snapshot of the CLI over a fixed command set.
+
+Runs 185 ``harmschwarz`` commands in one process through
+``harmschwarz.cli.main`` and writes one JSON line per command:
+``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
+every map style, the catalog, the error paths and their exit codes.
+Run it on two checkouts and diff the outputs to see exactly which bytes
+a change moves:
+
+    python3 scripts/cli_snapshot.py --src OLD/src > old.jsonl
+    python3 scripts/cli_snapshot.py > new.jsonl
+    diff old.jsonl new.jsonl
+
+``--src`` names the directory that holds the ``harmschwarz`` package
+(default: ``src`` next to this script).  A run takes about 2 s (Python
+3.11, numpy 2.4, one core of a 2-vCPU VM).
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+
+CATALOG = ("K", "L", "S1", "S2", "K2", "k", "l", "s", "q2")
+POINTS = ("0,0", "0.3,0.1", "-0.45,0.2", "0.1,-0.7")
+OPS = ("pre", "schw", "jac", "dbarpre", "lap")
+
+# maps given by expressions: parts form (--h/--g) and dilatation form
+# (--h is h', with --omega)
+EXPR_MAPS = (
+    ("--h", "z", "--g", "0.5*z"),
+    ("--h", "z/(1-z)^2", "--g", "(0.2+0.4*i)*(z/(1-z)^2)"),
+    ("--h", "exp(z)", "--g", "0.1*z^2"),
+    ("--h", "1/(1-z)^3", "--omega", "-z"),
+    ("--h", "exp(z^2)", "--omega", "0.5*z"),
+    ("--h", "(1+z)/(1-z)^3", "--omega", "z^2"),
+)
+
+SHEARS = (
+    ("z/(1-z)^2", "z", "0"),
+    ("z/(1-z)", "-z", "1.5707963267948966"),
+    ("z", "0.5*z", "0.3"),
+    ("0.5*log((1+z)/(1-z))", "z^2", "0"),
+    ("1+z/(1-z)^2", "z", "0"),
+    ("z/(1-z^2)", "(0.1+0.2*i)*z", "-0.7"),
+    ("exp(z)-1", "z^3", "2"),
+)
+
+ERRORS = (
+    ("catalog", "X9"),
+    ("eval", "--map", "K", "--op", "schw", "--at", "1.5,0"),
+    ("eval", "--map", "K", "--op", "schw", "--at", "nan,0"),
+    ("eval", "--map", "K", "--op", "schw", "--at", "inf,0"),
+    ("eval", "--map", "K", "--op", "schw", "--at", "0.1"),
+    ("eval", "--map", "K", "--op", "nope", "--at", "0,0"),
+    ("eval", "--map", "K", "--h", "z", "--op", "pre", "--at", "0,0"),
+    ("eval", "--op", "pre", "--at", "0,0"),
+    ("eval", "--h", "z+", "--g", "0", "--op", "pre", "--at", "0,0"),
+    ("eval", "--h", "z", "--g", "1.5*z", "--op", "pre", "--at", "0.1,0"),
+    ("eval", "--h", "z^2", "--g", "0", "--op", "pre", "--at", "0,0"),
+    ("eval", "--h", "log(z)", "--g", "0", "--op", "pre", "--at", "0,0"),
+    ("eval", "--h", "exp(exp(exp(z*50)))", "--g", "0", "--op", "schw",
+     "--at", "0.5,0"),
+    ("eval", "--map", "K2", "--op", "cdo", "--at", "0,0"),
+    ("norm", "--map", "K", "--op", "S", "--refine-iterations", "-1"),
+    ("norm", "--map", "K", "--op", "Q"),
+    ("becker", "--map", "K", "--rays", "0"),
+    ("shear", "--phi", "z", "--omega", "1"),
+    ("shear", "--phi", "log(z)", "--omega", "z"),
+    ("shear", "--phi", "z+", "--omega", "z"),
+    ("shear", "--phi", "z", "--omega", "z", "--theta", "nan"),
+    ("shear", "--phi", "z", "--omega", "z", "--theta", "inf"),
+    ("shear", "--phi", "z", "--omega", "z", "--theta", "1e308"),
+    ("render", "--map", "K", "--rmax", "1.2"),
+    ("render", "--map", "K", "--rays", "0"),
+    ("verify", "nope"),
+    ("eval", "--h", "+".join(["z"] * 1000), "--g", "0", "--op", "pre",
+     "--at", "0,0"),
+    ("eval", "--h", "(" * 2000 + "z" + ")" * 2000, "--g", "0", "--op", "pre",
+     "--at", "0,0"),
+)
+
+
+def commands():
+    """The fixed command set, in output order."""
+    out = [("catalog",)] + [("catalog", name) for name in CATALOG]
+    for name in CATALOG:
+        for op in OPS:
+            out.append(("eval", "--map", name, "--op", op,
+                        *[f"--at={p}" for p in POINTS]))
+    out += [
+        ("eval", "--map", "K", "--op", "cdo", "--at", "0.3,0.1"),
+        ("eval", "--map", "K2", "--op", "cdo", "--q", "z", "--at", "0,0",
+         "--at", "0.3,0.1"),
+        ("eval", "--map", "L", "--op", "schw", "--at", "0,0", "--at",
+         "0.5,0.5", "--format", "csv"),
+        ("eval", "--h", "z", "--omega", "0.5*z", "--op", "cdo", "--q",
+         "sqrt(0.5*z)", "--at", "0.2,0.1"),
+    ]
+    for spec in EXPR_MAPS:
+        for op in OPS:
+            out.append(("eval", *spec, "--op", op, f"--at={POINTS[1]}",
+                        f"--at={POINTS[2]}"))
+    for name in CATALOG:
+        for op in ("P", "S"):
+            out.append(("norm", "--map", name, "--op", op))
+        out.append(("becker", "--map", name))
+    for name in ("K", "L", "k", "s"):
+        out.append(("norm", "--map", name, "--op", "S", "--no-refine"))
+    out.append(("norm", "--map", "K", "--op", "S", "--rays", "64",
+                "--radial", "32", "--rmax", "0.9"))
+    out.append(("norm", "--map", "S2", "--op", "P", "--refine-iterations", "5"))
+    for spec in EXPR_MAPS:
+        out.append(("norm", *spec, "--op", "S", "--rays", "64", "--radial", "32"))
+        out.append(("becker", *spec, "--rays", "64", "--radial", "32"))
+    for phi, omega, theta in SHEARS:
+        out.append(("shear", "--phi", phi, "--omega", omega, "--theta", theta))
+    out.append(("shear", "--phi", "z/(1-z)^2", "--omega", "z"))
+    for name in ("K", "L", "k", "S2"):
+        out.append(("render", "--map", name, "--rays", "8", "--circles", "4"))
+    for spec in EXPR_MAPS:
+        out.append(("render", *spec, "--rays", "6", "--circles", "3",
+                    "--rmax", "0.95"))
+    for suite in ("oracles", "invariance", "norms", "becker", "all"):
+        out.append(("verify", suite))
+    return [list(argv) for argv in out + list(ERRORS)]
+
+
+def run(argv, main):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def cli_main():
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="directory holding the harmschwarz package")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from harmschwarz.cli import main
+    for argv in commands():
+        print(json.dumps(run(argv, main)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli_main())

@@ -1,13 +1,13 @@
 """Planar harmonic mappings f = h + conj(g) and their constructions.
 
 A map is held in canonical form: the analytic part ``h``, the
-co-analytic part ``g`` (with g(0) = 0 for dilatation-built maps), the
-dilatation omega = g'/h', and a sense flag.  Two concrete shapes occur:
+co-analytic part ``g``, their derivatives h' and g', the dilatation
+omega = g'/h', and a sense flag.  Two concrete shapes occur:
 
 * parts form - h and g are explicit analytic functions (the catalog);
 * dilatation form - h' and omega are explicit, h and g exist only as
-  antiderivatives and their values come from Gauss-Legendre integration
-  along [0, z] (the shear construction, partner maps).
+  antiderivatives with h(0) = g(0) = 0, valued by Gauss-Legendre
+  integration along [0, z] (the shear construction, partner maps).
 
 Derivative-only consumers (all the Schwarzian operators, the norm
 searches) never trigger integration: ``derivative_data`` serves jets of
@@ -142,11 +142,10 @@ class AffineMap:
 
 
 class AntiderivativeFunction(AnalyticFunction):
-    """h with known derivative: h(z) = value0 + integral of df over [0, z]."""
+    """h with known derivative: h(z) = integral of df over [0, z]."""
 
-    def __init__(self, df, value0=0.0, label=None):
+    def __init__(self, df, label=None):
         self.df = df
-        self.value0 = complex(value0)
         self.label = label
 
     def derivative(self):
@@ -154,8 +153,8 @@ class AntiderivativeFunction(AnalyticFunction):
 
     def value(self, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
         start = np.zeros(np.shape(z))  # one segment 0 -> z per point
-        return self.value0 + integrate_segments(self.df.value, start, z,
-                                                tol=tol, max_depth=max_depth)
+        return integrate_segments(self.df.value, start, z,
+                                  tol=tol, max_depth=max_depth)
 
     def jet(self, z, order):
         shape = np.shape(z)
@@ -173,10 +172,13 @@ class AntiderivativeFunction(AnalyticFunction):
 
 
 class HarmonicMap:
-    """Canonical pair (h, g) with dilatation omega and a sense flag."""
+    """Canonical pair (h, g) with h', g', dilatation omega and a sense flag.
 
-    def __init__(self, h, g, hp, gp, omega, sense, label="", form="parts",
-                 sources=None):
+    g' is kept apart from omega*h': it is the h' of a reversing map's
+    conjugate, and omega*h' is 0*inf where h' vanishes.
+    """
+
+    def __init__(self, h, g, hp, gp, omega, sense, label=""):
         self.h = h
         self.g = g
         self.hp = hp
@@ -186,41 +188,41 @@ class HarmonicMap:
             raise ParameterOutOfRange(f"unknown sense flag {sense!r}")
         self.sense = sense
         self.label = label
-        self.form = form
-        self.sources = sources  # (field, expr-text) pairs for serialization
         self._conj_source = None
+
+    @property
+    def form(self):
+        """What map_to_json writes: "dilatation" (h', omega) when h is an
+        antiderivative of h', else "parts" (h, g) - also for the maps that
+        affine_compose, precompose or Rp derive from a dilatation map.
+        """
+        if isinstance(self.h, AntiderivativeFunction):
+            return "dilatation"
+        return "parts"
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_parts(cls, h, g, omega=None, sense=PRESERVING, label="",
-                   hp=None, gp=None, sources=None):
-        if not isinstance(g, AnalyticFunction):
-            g = ConstantFunction(g) if np.isscalar(g) else g
-        hp = hp if hp is not None else h.derivative()
-        gp = gp if gp is not None else g.derivative()
+    def from_parts(cls, h, g, omega=None, sense=PRESERVING, label=""):
+        hp, gp = h.derivative(), g.derivative()
         if omega is None:
             omega = gp / hp
-        return cls(h, g, hp, gp, omega, sense, label=label, form="parts",
-                   sources=sources)
+        return cls(h, g, hp, gp, omega, sense, label=label)
 
     @classmethod
-    def from_dilatation(cls, hp, omega, h0=0.0, sense=PRESERVING, label="",
-                        sources=None):
-        """Map defined by h' and omega; h(0) = h0 and g(0) = 0."""
+    def from_dilatation(cls, hp, omega, sense=PRESERVING, label=""):
+        """Map defined by h' and omega, normalized by h(0) = g(0) = 0."""
         gp = omega * hp
-        h = AntiderivativeFunction(hp, value0=h0, label="h")
-        g = AntiderivativeFunction(gp, value0=0.0, label="g")
-        return cls(h, g, hp, gp, omega, sense, label=label, form="dilatation",
-                   sources=sources)
+        h = AntiderivativeFunction(hp, label="h")
+        g = AntiderivativeFunction(gp, label="g")
+        return cls(h, g, hp, gp, omega, sense, label=label)
 
     @classmethod
     def from_analytic(cls, fn, label=""):
         """Wrap an analytic function as the harmonic map fn + conj(0)."""
-        zero = ConstantFunction(0.0)
-        return cls.from_parts(fn, zero, omega=ConstantFunction(0.0),
-                              gp=zero, label=label or (fn.label or ""),
-                              sources=(("h", fn.source), ("g", "0")))
+        return cls.from_parts(fn, ExprFunction("0"),
+                              omega=ConstantFunction(0.0),
+                              label=label or (fn.label or ""))
 
     def __repr__(self):
         return f"HarmonicMap({self.label or self.form}, sense={self.sense})"
@@ -273,8 +275,12 @@ def _first_point(z, mask=None):
 # ---------------------------------------------------------------------------
 # catalog
 
+# k = z/(1-z)^2 = u^2 - 1/4 with u = (1+z)/(2-2z): the jet gives k' = 2u*u',
+# free of the cancellation near z = -1 that lifted ||S_k|| above 6; the
+# catalog, its JSON and the CLI differentiate this one text.  (s keeps
+# its text: one giving s' = 1/(1-z^2) lifts ||S_s|| above 2.)
 _CATALOG_ANALYTIC = {
-    "k": "z/(1-z)^2",
+    "k": "(0.5*(1+z)/(1-z))^2-0.25",
     "l": "z/(1-z)",
     "s": "0.5*log((1+z)/(1-z))",
     "q2": "z/(1-z^2)",
@@ -284,7 +290,7 @@ _CATALOG_ANALYTIC = {
 # analytic catalog, written out explicitly so evaluation never
 # integrates.  The factored h' avoids the quotient-rule cancellation of
 # differentiating h near the boundary (h' -> 0 at z = -1 for K while
-# the quotient pieces stay O(1)); g' is omega * h', also cancellation
+# the quotient pieces stay O(1)); g' = omega * h' is also cancellation
 # free.
 _CATALOG_HARMONIC = {
     "K": ("(z-0.5*z^2+z^3/6)/(1-z)^3", "(0.5*z^2+z^3/6)/(1-z)^3", "z",
@@ -314,15 +320,11 @@ def catalog(name):
         return ExprFunction(_CATALOG_ANALYTIC[name], label=name)
     if name in _CATALOG_HARMONIC:
         h_src, g_src, w_src, hp_src = _CATALOG_HARMONIC[name]
-        omega = ExprFunction(w_src, label=f"{name}.omega")
         hp = ExprFunction(hp_src, label=f"{name}.h'")
-        return HarmonicMap.from_parts(
-            ExprFunction(h_src, label=f"{name}.h"),
-            ExprFunction(g_src, label=f"{name}.g"),
-            omega=omega, hp=hp, gp=omega * hp,
-            label=name,
-            sources=(("h", h_src), ("g", g_src)),
-        )
+        omega = ExprFunction(w_src, label=f"{name}.omega")
+        return HarmonicMap(ExprFunction(h_src, label=f"{name}.h"),
+                           ExprFunction(g_src, label=f"{name}.g"),
+                           hp, omega * hp, omega, PRESERVING, label=name)
     raise UnknownCatalogName(f"unknown catalog name {name!r}; "
                              f"known: {', '.join(CATALOG_NAMES)}")
 
@@ -340,15 +342,15 @@ def catalog_map(name):
 
 
 def shear(phi, omega, theta=0.0, label=None):
-    """Shear construction: the harmonic map with h - e^{2i theta} g = phi
-    and dilatation omega, normalized by g(0) = 0 (hence h(0) = phi(0)).
+    """Shear construction (Clunie & Sheil-Small 1984): the harmonic map
+    with h - e^{2i theta} g = phi - phi(0) and dilatation omega,
+    normalized by h(0) = g(0) = 0 like every dilatation-form map.
 
     phi and omega must carry expression ``source`` text: h' =
     phi'/(1 - e^{2i theta} omega) is built once as an expression, with
-    phi' differentiated symbolically, so the map serializes through
-    ``map_to_json`` (whose loader rebuilds it with h(0) = 0).  A point
-    where the denominator vanishes raises DivisionByZeroConstantTerm
-    with the AST path ``[ast /div]``.
+    phi' differentiated symbolically, so ``map_from_json(map_to_json(f))``
+    rebuilds exactly this map.  A point where the denominator vanishes
+    raises DivisionByZeroConstantTerm with the AST path ``[ast /div]``.
     """
     theta = float(theta)
     if not math.isfinite(2.0 * theta):
@@ -362,9 +364,7 @@ def shear(phi, omega, theta=0.0, label=None):
     # from the text, so the map equals the one map_from_json loads
     hp = ExprFunction(to_text(Div(_ddz(parse(phi.source)), den)))
     return HarmonicMap.from_dilatation(
-        hp, w, h0=complex(phi.value(0.0)),
-        label=label or f"shear({phi.label or 'phi'}, theta={theta!r})",
-        sources=(("h", hp.source), ("omega", w.source)))
+        hp, w, label=label or f"shear({phi.label or 'phi'}, theta={theta!r})")
 
 
 def affine_compose(A, f):
@@ -384,7 +384,7 @@ def affine_compose(A, f):
     omega_F = (bc + ac * w) / (a + b * w)
     sense = f.sense if abs(a) > abs(b) else _flip(f.sense)
     return HarmonicMap(H, G, Hp, Gp, omega_F, sense,
-                       label=f"affine({f.label})", form=f.form)
+                       label=f"affine({f.label})")
 
 
 def precompose(f, phi):
@@ -396,8 +396,7 @@ def precompose(f, phi):
     Gp = f.gp.compose(phi) * phip
     omega_F = f.omega.compose(phi)
     return HarmonicMap(H, G, Hp, Gp, omega_F, f.sense,
-                       label=f"{f.label or 'f'}o{phi.label or 'phi'}",
-                       form=f.form)
+                       label=f"{f.label or 'f'}o{phi.label or 'phi'}")
 
 
 def conjugate(f):
@@ -405,7 +404,7 @@ def conjugate(f):
     if f._conj_source is not None:
         return f._conj_source
     out = HarmonicMap(f.g, f.h, f.gp, f.hp, f.hp / f.gp, _flip(f.sense),
-                      label=f"conj({f.label})", form=f.form)
+                      label=f"conj({f.label})")
     out._conj_source = f
     return out
 
@@ -421,16 +420,14 @@ def group_apply(f, kind, param):
     if kind == "Rp":
         if param == 0:
             raise ParameterOutOfRange("Rp requires lambda != 0")
-        return HarmonicMap(param * f.h, param * f.g,
-                           param * f.hp, param * f.gp,
-                           f.omega, f.sense,
-                           label=f"Rp({f.label})", form=f.form)
+        return HarmonicMap(param * f.h, param * f.g, param * f.hp,
+                           param * f.gp, f.omega, f.sense,
+                           label=f"Rp({f.label})")
     if kind == "Rq":
         if abs(abs(param) - 1.0) > 1e-12:
             raise ParameterOutOfRange("Rq requires |mu| = 1")
         return HarmonicMap(f.h, param * f.g, f.hp, param * f.gp,
-                           param * f.omega, f.sense,
-                           label=f"Rq({f.label})", form=f.form)
+                           param * f.omega, f.sense, label=f"Rq({f.label})")
     if kind == "I":
         if abs(param) >= 1:
             raise ParameterOutOfRange("I requires |a| < 1")
@@ -480,7 +477,7 @@ def partner_map(f, a, mu, lam, label=None):
     return HarmonicMap.from_dilatation(
         DerivedFunction(hp_jet, label="lam*h'/sqrt(phi_a' o omega)"),
         DerivedFunction(omega_jet, label="mu*(phi_a o omega)"),
-        h0=0.0, label=label or f"partner({f.label})")
+        label=label or f"partner({f.label})")
 
 
 def evaluate(f, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
@@ -488,10 +485,13 @@ def evaluate(f, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
 
     In dilatation form the parts are integrated along [0, z] with
     adaptive Gauss-Legendre to absolute tolerance ``tol``; the segment
-    must stay inside the unit disk.
+    must stay inside the unit disk.  A point (of an array, the first)
+    outside the open disk raises DomainError.
     """
-    if np.ndim(z) == 0 and abs(z) >= 1:
-        raise DomainError("evaluation point outside the open unit disk", at=z)
+    bad = np.abs(z) >= 1
+    if np.any(bad):
+        raise DomainError("evaluation point outside the open unit disk",
+                          at=_first_point(z, bad))
 
     def part_value(part):
         if isinstance(part, AntiderivativeFunction):
@@ -533,21 +533,21 @@ def best_harmonic_mobius(f, z0):
 def map_to_json(f):
     """Serializable dict {label, form, h, g|omega, sense}.
 
-    Parts form carries expression text for h and g.  Dilatation form
-    carries expression text for h' in the ``h`` field (h itself has no
-    closed form for a general shear) plus omega; the loader rebuilds the
-    map with h(0) = g(0) = 0.
+    Parts form carries the text of h and g.  Dilatation form (h an
+    antiderivative) carries the text of h' in the ``h`` field (h itself
+    has no closed form for a general shear) plus omega; the loader
+    rebuilds it with h(0) = g(0) = 0 like every dilatation-form map, so
+    the round trip is exact.  ValueError if a text is missing.
     """
-    if f.sources is None:
-        raise ValueError("map has no serializable expression sources")
-    src = dict(f.sources)
-    out = {"label": f.label, "form": f.form, "h": src["h"]}
     if f.form == "parts":
-        out["g"] = src["g"]
+        fields = {"h": f.h, "g": f.g}
     else:
-        out["omega"] = src["omega"]
-    out["sense"] = f.sense
-    return out
+        fields = {"h": f.hp, "omega": f.omega}
+    if any(fn.source is None for fn in fields.values()):
+        raise ValueError("map has no serializable expression sources")
+    return {"label": f.label, "form": f.form,
+            **{key: fn.source for key, fn in fields.items()},
+            "sense": f.sense}
 
 
 def map_from_json(d):
@@ -557,11 +557,9 @@ def map_from_json(d):
     if form == "parts":
         return HarmonicMap.from_parts(
             ExprFunction(d["h"]), ExprFunction(d["g"]),
-            sense=sense, label=label,
-            sources=(("h", d["h"]), ("g", d["g"])))
+            sense=sense, label=label)
     if form == "dilatation":
         return HarmonicMap.from_dilatation(
             ExprFunction(d["h"]), ExprFunction(d["omega"]),
-            h0=0.0, sense=sense, label=label,
-            sources=(("h", d["h"]), ("omega", d["omega"])))
+            sense=sense, label=label)
     raise ValueError(f"unknown map form {form!r}")

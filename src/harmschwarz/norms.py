@@ -271,8 +271,8 @@ def finite_norm_compare(f, cfg=None):
     rep = f.preserving()
     zero = ConstantFunction(0.0)
     # h + conj(0), on the exact derivative path of h (no re-derived jets)
-    analytic_part = HarmonicMap.from_parts(rep.h, zero, omega=zero, hp=rep.hp,
-                                           gp=zero, label=f"{f.label}.h")
+    analytic_part = HarmonicMap(rep.h, zero, rep.hp, zero, zero, rep.sense,
+                                label=f"{f.label}.h")
     return hyperbolic_sup(f, "S", cfg), hyperbolic_sup(analytic_part, "S", cfg)
 
 

@@ -365,7 +365,9 @@ _PINNED_BECKER = {
     "S1": '{"holds": false, "worst_margin": -2.999994000002, "witness": [0.999999, 0.0]}',
     "S2": '{"holds": false, "worst_margin": -2.9999939999567564, "witness": [0.999999, 0.0]}',
     "K2": '{"holds": false, "worst_margin": -6.999990000001, "witness": [0.999999, 0.0]}',
-    "k": '{"holds": false, "worst_margin": -4.999992000002, "witness": [0.999999, 0.0]}',
+    # k re-recorded when the catalog spelled k as (0.5*(1+z)/(1-z))^2 - 0.25,
+    # whose jet gives k' = (1+z)/(1-z)^3 without cancellation
+    "k": '{"holds": false, "worst_margin": -4.999992000001999, "witness": [0.999999, 0.0]}',
     "l": '{"holds": false, "worst_margin": -2.999994000002, "witness": [0.999999, 0.0]}',
     "s": '{"holds": false, "worst_margin": -0.9999960000019998, "witness": [0.999999, 0.0]}',
     "q2": '{"holds": false, "worst_margin": -2.999993999956756, "witness": [0.999999, 0.0]}',
@@ -399,6 +401,32 @@ _PINNED_EVAL = {
 }
 
 
+# recorded from the CLI while HarmonicMap still stored its form and its
+# expression text; map_to_json, which now reads both off the map's
+# functions, must reproduce these bytes
+_PINNED_CATALOG = {
+    "K": '{"label": "K", "form": "parts", "h": "(z-0.5*z^2+z^3/6)/(1-z)^3", "g": "(0.5*z^2+z^3/6)/(1-z)^3", "sense": "preserving"}',
+    "L": '{"label": "L", "form": "parts", "h": "(z-0.5*z^2)/(1-z)^2", "g": "-(0.5*z^2)/(1-z)^2", "sense": "preserving"}',
+    "S1": '{"label": "S1", "form": "parts", "h": "0.5*(z/(1-z)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z)-0.5*log((1+z)/(1-z)))", "sense": "preserving"}',
+    "S2": '{"label": "S2", "form": "parts", "h": "0.5*(z/(1-z^2)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z^2)-0.5*log((1+z)/(1-z)))", "sense": "preserving"}',
+    "K2": '{"label": "K2", "form": "parts", "h": "(1/(1-z)^3-1)/3", "g": "(z^2-z+1/3)/(1-z)^3-1/3", "sense": "preserving"}',
+    # k re-recorded when the catalog spelled k as (0.5*(1+z)/(1-z))^2 - 0.25
+    "k": '{"label": "k", "form": "parts", "h": "(0.5*(1+z)/(1-z))^2-0.25", "g": "0", "sense": "preserving"}',
+    "l": '{"label": "l", "form": "parts", "h": "z/(1-z)", "g": "0", "sense": "preserving"}',
+    "s": '{"label": "s", "form": "parts", "h": "0.5*log((1+z)/(1-z))", "g": "0", "sense": "preserving"}',
+    "q2": '{"label": "q2", "form": "parts", "h": "z/(1-z^2)", "g": "0", "sense": "preserving"}',
+}
+
+_PINNED_SHEAR = {
+    ("z/(1-z)^2", "z", "0"):
+        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "(1.0*(1.0-z)^2.0-z*(2.0*(1.0-z)^1.0*(0.0-1.0)))/((1.0-z)^2.0)^2.0/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
+    ("z", "0.5*z", "0.3"):
+        '{"label": "shear(theta=0.3)", "form": "dilatation", "h": "1.0/(1.0-(0.8253356149096783+0.5646424733950354*i)*(0.5*z))", "omega": "0.5*z", "sense": "preserving"}',
+    ("1+z/(1-z)^2", "z", "0"):
+        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "(0.0+(1.0*(1.0-z)^2.0-z*(2.0*(1.0-z)^1.0*(0.0-1.0)))/((1.0-z)^2.0)^2.0)/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
+}
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("name", sorted(_PINNED_BECKER))
     def test_becker_json(self, capsys, name):
@@ -412,3 +440,16 @@ class TestPinnedOutput:
                                "--at=0.1,0.2", "--at=-0.3,0.1", "--at=0.25,-0.35")
         assert code == 0
         assert out.split("\n") == _PINNED_EVAL[name, op] + [""]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_CATALOG))
+    def test_catalog_json(self, capsys, name):
+        code, out, _ = run_cli(capsys, "catalog", name)
+        assert code == 0
+        assert out == _PINNED_CATALOG[name] + "\n"
+
+    @pytest.mark.parametrize("phi, omega, theta", sorted(_PINNED_SHEAR))
+    def test_shear_json(self, capsys, phi, omega, theta):
+        code, out, _ = run_cli(capsys, "shear", "--phi", phi, "--omega", omega,
+                               "--theta", theta)
+        assert code == 0
+        assert out == _PINNED_SHEAR[phi, omega, theta] + "\n"

@@ -23,11 +23,14 @@ from harmschwarz import (
     map_from_json,
     map_to_json,
     partner_map,
+    pre_schwarzian,
     precompose,
+    schwarzian,
     shear,
 )
 from harmschwarz.errors import (
     DivisionByZeroConstantTerm,
+    DomainError,
     ParameterOutOfRange,
     UnknownCatalogName,
 )
@@ -170,6 +173,29 @@ class TestAffine:
         # value picks up the translation: A(K(0)) = 1+i
         assert abs(F.value(0.0) - (1.0 + 1.0j)) < 1e-15
 
+    def test_reversing_where_h_prime_vanishes(self):
+        # H' = (0.5 + z) K.h' vanishes at -0.5 and omega has a pole there;
+        # the preserving representative conj(F) has h' = G' = 0.75 K.h'
+        K = catalog("K")
+        F = affine_compose(AffineMap(0.5, 1.0, 0.0), K)
+        assert F.sense == REVERSING
+        hpj, wj = F.derivative_data(-0.5)
+        assert abs(hpj.value - 0.75 * K.hp.value(-0.5)) < 1e-15
+        assert wj.value == 0
+        for z in (-0.5, 0.2 - 0.3j):
+            assert abs(schwarzian(F, z) - schwarzian(K, z)) < 1e-10
+            assert abs(pre_schwarzian(F, z) - pre_schwarzian(K, z)) < 1e-10
+
+    def test_form_of_derived_dilatation_map(self):
+        # form names the fields map_to_json writes; the composite's h is
+        # a combination of antiderivatives, not an antiderivative of h'
+        sh = shear(ExprFunction("z/(1-z)"), ExprFunction("0.5*z"))
+        assert sh.form == "dilatation"
+        F = affine_compose(AffineMap(2.0, 0.5, 1.0), sh)
+        assert F.form == "parts"
+        with pytest.raises(ValueError):
+            map_to_json(F)
+
     def test_sense_flip(self):
         f = catalog("K")
         assert affine_compose(AffineMap(2.0, 0.5, 0.0), f).sense == PRESERVING
@@ -303,6 +329,18 @@ class TestEvaluate:
             integrate_segment(sh.hp.value, mid, z)
         assert abs(direct - elbow) < 1e-7
 
+    @pytest.mark.parametrize("f", [
+        catalog("K"),
+        HarmonicMap.from_dilatation(ExprFunction("1/(1-z)^4"),
+                                    ExprFunction("z^2")),
+    ], ids=["parts", "dilatation"])
+    def test_points_outside_disk_rejected(self, f):
+        for z, first in (([0.5, 1.5, -1.5], 1.5), (np.array([0.2j, -1.5]), -1.5),
+                         (1.0, 1.0)):
+            with pytest.raises(DomainError) as exc:
+                evaluate(f, z)
+            assert exc.value.at == first
+
 
 class TestBestHarmonicMobius:
     def test_mobius_fixed_point(self):
@@ -368,6 +406,45 @@ class TestSerialization:
         assert abs(f.hp.value(z) - K2.hp.value(z)) < 1e-13
         assert abs(evaluate(f, z) - evaluate(K2, z)) < 1e-8
         assert map_to_json(f) == d
+
+    def test_shear_roundtrip_is_bitwise(self):
+        # phi(0) = 1: the library shear and the loader both take h(0) = 0
+        f = shear(ExprFunction("1+z/(1-z)^2"), ExprFunction("z"))
+        g = map_from_json(map_to_json(f))
+        assert evaluate(f, 0.3) == 0.900874635568513
+        for z in (0.3, -0.2 + 0.45j, 0.1 - 0.6j):
+            assert evaluate(g, z) == evaluate(f, z)
+
+    def test_expression_parts_serialize(self):
+        f = HarmonicMap.from_parts(ExprFunction("z+z^2/3"),
+                                   ExprFunction("(0.2-0.1*i)*z^2"))
+        d = map_to_json(f)
+        assert d == {"label": "", "form": "parts", "h": "z+z^2/3",
+                     "g": "(0.2-0.1*i)*z^2", "sense": PRESERVING}
+        g = map_from_json(d)
+        for z in (0.3, -0.2 + 0.45j):
+            assert g.value(z) == f.value(z)
+
+    def test_conjugate_serializes(self):
+        K = catalog("K")
+        f = conjugate(K)
+        d = map_to_json(f)
+        assert d["sense"] == REVERSING
+        assert (d["h"], d["g"]) == (K.g.source, K.h.source)
+        g = map_from_json(d)
+        assert g.sense == REVERSING
+        for z in (0.3, -0.2 + 0.45j):
+            assert g.value(z) == f.value(z)
+
+    def test_loaded_conjugate_at_zero_of_h_prime(self):
+        # the loaded conj(K) has h = K.g, whose derivative vanishes at 0
+        K = catalog("K")
+        g = map_from_json(map_to_json(conjugate(K)))
+        hpj, wj = g.derivative_data(0.0)
+        assert hpj.value == 1.0 and wj.value == 0
+        for z in (0.0, 0.3 - 0.2j):
+            assert abs(schwarzian(g, z) - schwarzian(K, z)) < 1e-12
+            assert abs(pre_schwarzian(g, z) - pre_schwarzian(K, z)) < 1e-12
 
     def test_unserializable_map(self):
         F = partner_map(catalog("S2"), 0.5, 1.0, 2.0)

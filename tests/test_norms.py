@@ -19,6 +19,8 @@ from harmschwarz import (
     disk_automorphism,
     finite_norm_compare,
     hyperbolic_sup,
+    map_from_json,
+    map_to_json,
     omega_second_derivative_probe,
     precompose,
     pre_schwarzian,
@@ -152,8 +154,10 @@ GRID_REPORTS = {
     ("S2", "P"): '{"value": 2.9999979999663173, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
     ("K2", "S"): '{"value": 9.500000000051811, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "S"}',
     ("K2", "P"): '{"value": 6.999998000010561, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
-    ("k", "S"): '{"value": 6.000000003466396, "argmax": [-0.999999, 1.224645574500554e-16], "boundary": true, "samples": 32769, "op": "S"}',
-    ("k", "P"): '{"value": 5.999998000000001, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
+    # k re-recorded when the catalog spelled k as (0.5*(1+z)/(1-z))^2 - 0.25,
+    # whose jet gives k' = (1+z)/(1-z)^3 without cancellation
+    ("k", "S"): '{"value": 6.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
+    ("k", "P"): '{"value": 5.999998, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
     ("l", "S"): '{"value": 0.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
     ("l", "P"): '{"value": 3.9999979999999997, "argmax": [0.999999, 0.0], "boundary": true, "samples": 32769, "op": "P"}',
     ("s", "S"): '{"value": 2.0, "argmax": [0.0, 0.0], "boundary": false, "samples": 32769, "op": "S"}',
@@ -178,6 +182,15 @@ class TestZoomRefinement:
         name, op = key
         rep = hyperbolic_sup(catalog_map(name), op, SearchConfig(refine_iterations=0))
         assert json.dumps(rep.to_json()) == GRID_REPORTS[key]
+
+    @pytest.mark.parametrize("op", ["S", "P"])
+    def test_koebe_norm_survives_json(self, op):
+        # the catalog k and the k its JSON loads differentiate one text
+        k = catalog_map("k")
+        rep = hyperbolic_sup(map_from_json(map_to_json(k)), op)
+        assert rep.to_json() == hyperbolic_sup(k, op).to_json()
+        if op == "S":
+            assert rep.value == 6.0
 
     def test_repeat_runs_identical(self):
         for name, op in (("K2", "S"), ("q2", "P")):
