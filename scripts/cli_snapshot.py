@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 185 ``harmschwarz`` commands in one process through
+Runs 191 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -112,6 +112,13 @@ def commands():
     out.append(("norm", "--map", "K", "--op", "S", "--rays", "64",
                 "--radial", "32", "--rmax", "0.9"))
     out.append(("norm", "--map", "S2", "--op", "P", "--refine-iterations", "5"))
+    # the grid sweeps run in blocks of 4096 points: a grid of 128 full
+    # blocks and one point, and a grid smaller than one block
+    for size in (("1024", "512"), ("8", "8")):
+        grid = ("--rays", size[0], "--radial", size[1])
+        for op in ("S", "P"):
+            out.append(("norm", "--map", "K", "--op", op, *grid))
+        out.append(("becker", "--map", "K", *grid))
     for spec in EXPR_MAPS:
         out.append(("norm", *spec, "--op", "S", "--rays", "64", "--radial", "32"))
         out.append(("becker", *spec, "--rays", "64", "--radial", "32"))

@@ -442,6 +442,11 @@ def main(argv=None):
     except RecursionError:
         # the parser, the evaluator and the printers recurse over the AST
         return _emit_error(EXIT_PARSE, "expression nests too deeply")
+    except MemoryError:
+        # a grid too large to hold (norm, becker and render build theirs
+        # in one array)
+        return _emit_error(EXIT_USAGE, "out of memory: use a smaller grid "
+                           "(--rays, --radial, --circles)")
     except ToolkitError as exc:
         at = getattr(exc, "at", None)
         at_text = f"{complex(at).real},{complex(at).imag}" if at is not None else None

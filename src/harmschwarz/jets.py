@@ -170,13 +170,19 @@ class Jet:
             raise TypeError("use cpow() for non-integer exponents")
         if exponent < 0:
             return 1.0 / self.__pow__(-exponent)
-        result = Jet.constant(1.0, self.order, center=self.center,
-                              shape=self.coeffs.shape[1:])
+        if exponent == 0:
+            return Jet.constant(1.0, self.order, center=self.center,
+                                shape=self.coeffs.shape[1:])
+        if exponent == 1:
+            # no power has a -0 coefficient (a jet product never yields
+            # one); adding +0 turns -0 into +0 and changes nothing else
+            return self + 0.0
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
         return result

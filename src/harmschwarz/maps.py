@@ -11,7 +11,9 @@ omega = g'/h', and a sense flag.  Two concrete shapes occur:
 
 Derivative-only consumers (all the Schwarzian operators, the norm
 searches) never trigger integration: ``derivative_data`` serves jets of
-h' and omega directly in either form.
+h' and omega directly in either form.  Values (``HarmonicMap.value``,
+``values`` and ``evaluate``, one check) exist on the open disk only: a
+point outside raises DomainError.
 
 Sense-reversing maps are stored as such; anything that needs a
 sense-preserving representative conjugates on the fly (P and S are
@@ -234,8 +236,8 @@ class HarmonicMap:
         return self if self.sense == PRESERVING else conjugate(self)
 
     def value(self, z):
-        """f(z) = h(z) + conj(g(z))."""
-        return self.h.value(z) + np.conjugate(self.g.value(z))
+        """f(z) = h(z) + conj(g(z)); see ``evaluate``, which checks the disk."""
+        return evaluate(self, z)
 
     def values(self, zs):
         return self.value(np.asarray(zs, dtype=np.complex128))

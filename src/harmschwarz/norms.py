@@ -16,6 +16,13 @@ argmax with the boundary flag set.
 Ties (flat ridges such as the constant weighted modulus of the
 half-plane map) are broken deterministically: smaller |z| first, then
 smaller argument, independent of evaluation order.
+
+The grid sweeps (the norms, the Becker check and the omega probe)
+evaluate the grid in blocks of ``_BLOCK`` points, so their jet and
+operator temporaries take about 1 MB whatever the grid size; memory
+grows only by the grid, its values and their sort order, about 33 bytes
+per grid point.  A grid that fails to evaluate reports the first
+offending point of the first block that fails.
 """
 
 import math
@@ -43,6 +50,12 @@ _TIE_REL = 1e-12
 # below which refinement stops (both polar steps)
 _ZOOM_HALF = 2
 _ZOOM_STEP_MIN = 1e-14
+
+# points per block of a grid sweep, about 1 MB of temporaries.  The S
+# sweep of K over the 32,769-point default grid (numpy 2.4, 2-vCPU VM)
+# takes 4.6 ms in blocks of 4096, 6.9 in blocks of 8192 or in one, and
+# 10.9 in blocks of 512
+_BLOCK = 4096
 
 
 @dataclass
@@ -109,6 +122,12 @@ def _grid(cfg):
     angles = 2.0 * np.pi * np.arange(cfg.rays) / cfg.rays
     zs = (radii[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
     return np.concatenate(([0.0 + 0.0j], zs))
+
+
+def _blocked(fn, zs):
+    """fn over the 1-D point array zs, evaluated _BLOCK points at a time."""
+    return np.concatenate([fn(zs[i:i + _BLOCK])
+                           for i in range(0, zs.size, _BLOCK)])
 
 
 def _weighted_modulus(f, op, zs):
@@ -191,7 +210,7 @@ def hyperbolic_sup(f, op, cfg=None):
     """Lower-bound estimate of the hyperbolic sup-norm of P_f or S_f."""
     cfg = cfg or SearchConfig()
     zs = _grid(cfg)
-    w = _weighted_modulus(f, op, zs)
+    w = _blocked(lambda z: _weighted_modulus(f, op, z), zs)
     evals = zs.size
 
     order = np.argsort(w)[::-1]
@@ -240,7 +259,7 @@ def becker_check(f, cfg=None):
     """
     cfg = cfg or SearchConfig()
     zs = _grid(cfg)
-    lhs = becker_lhs(f, zs)
+    lhs = _blocked(lambda z: becker_lhs(f, z), zs)
     if not np.all(np.isfinite(lhs)):
         raise NonFinite("non-finite Becker quantity on the grid")
     margin = 1.0 - lhs
@@ -285,9 +304,13 @@ def omega_second_derivative_probe(f, cfg=None):
     cfg = cfg or SearchConfig()
     zs = _grid(cfg)
     rep = f.preserving()
-    wj = rep.omega.jet(zs, 2)
-    w, wpp = wj.coeffs[0], 2.0 * wj.coeffs[2]
-    vals = (np.abs(wpp * w) * _one_minus_sq(np.abs(zs)) ** 2
-            / _one_minus_sq(np.abs(w)))
+
+    def probe(z):
+        wj = rep.omega.jet(z, 2)
+        w, wpp = wj.coeffs[0], 2.0 * wj.coeffs[2]
+        return (np.abs(wpp * w) * _one_minus_sq(np.abs(z)) ** 2
+                / _one_minus_sq(np.abs(w)))
+
+    vals = _blocked(probe, zs)
     i = int(np.argmax(vals))
     return float(vals[i]), complex(zs[i])

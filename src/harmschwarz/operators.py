@@ -214,7 +214,8 @@ def tamanoi_schwarzian(f, z0, radii=(0.01, 0.02, 0.03), angles=64):
 
     The coefficients come from sampling F on small circles and running
     the bivariate extraction; accuracy is set by the default radii
-    (about 1e-7 on the catalog maps).
+    (about 1e-7 on the catalog maps).  The circles must stay inside the
+    disk (with the default radii, |z0| < 0.97), else DomainError.
     """
     z0 = complex(z0)
     f = f.preserving()

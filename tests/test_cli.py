@@ -16,9 +16,11 @@ from harmschwarz import (
     evaluate,
     map_from_json,
     map_to_json,
+    norms,
     shear,
 )
 from harmschwarz.cli import main
+from harmschwarz.maps import HarmonicMap
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +307,31 @@ class TestNonFiniteNumbers:
             env=env, capture_output=True, text=True)
         rec = _single_error(proc.returncode, proc.stdout, proc.stderr, 4)
         assert "non-finite" in rec["message"]
+
+
+class TestOversizedGrid:
+    """A grid too large to allocate is one usage-error record; the
+    allocation failure is simulated, nothing large is allocated."""
+
+    @staticmethod
+    def _out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--map", "K", "--op", "S", "--rays", "1000000",
+         "--radial", "1000000"),
+        ("becker", "--map", "K", "--rays", "1000000", "--radial", "1000000"),
+    ], ids=["norm", "becker"])
+    def test_norm_and_becker(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(norms, "_grid", self._out_of_memory)
+        rec = _single_error(*run_cli(capsys, *argv), 1)
+        assert "out of memory" in rec["message"]
+
+    def test_render(self, capsys, monkeypatch):
+        monkeypatch.setattr(HarmonicMap, "values", self._out_of_memory)
+        rec = _single_error(*run_cli(capsys, "render", "--map", "K",
+                                     "--rays", "8", "--circles", "4"), 1)
+        assert "out of memory" in rec["message"]
 
 
 # the documented exit code of every error class; a new class must be

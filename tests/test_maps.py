@@ -341,6 +341,21 @@ class TestEvaluate:
                 evaluate(f, z)
             assert exc.value.at == first
 
+    @pytest.mark.parametrize("f", [
+        catalog("K"),
+        HarmonicMap.from_dilatation(ExprFunction("1/(1-z)^4"),
+                                    ExprFunction("z^2")),
+    ], ids=["parts", "dilatation"])
+    def test_value_and_values_check_the_disk(self, f):
+        with pytest.raises(DomainError) as exc:
+            f.value(1.5)
+        assert exc.value.at == 1.5
+        with pytest.raises(DomainError) as exc:
+            f.values([0.5, -1.5j, 2.0])
+        assert exc.value.at == -1.5j
+        assert f.values([0.3, -0.2j]).tolist() == [evaluate(f, 0.3),
+                                                   evaluate(f, -0.2j)]
+
 
 class TestBestHarmonicMobius:
     def test_mobius_fixed_point(self):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,51 @@ class TestFiniteNormCompare:
         s_f, s_h = finite_norm_compare(catalog_map("s"), cfg)
         assert abs(s_f.value - 2.0) <= 1e-6
         assert abs(s_f.value - s_h.value) <= 1e-12
+
+
+class TestBlockedSweep:
+    def test_blocks_cover_the_grid_in_order(self):
+        # the default grid is 8 full blocks and a last block of one point
+        zs = norms._grid(SearchConfig())
+        sizes = []
+
+        def fn(z):
+            sizes.append(z.size)
+            return z.real
+
+        assert np.array_equal(norms._blocked(fn, zs), zs.real)
+        assert sizes == [norms._BLOCK] * 8 + [1]
+
+    @pytest.mark.parametrize("name", ["K", "S2", "K2"])
+    def test_blocked_values_match_one_array(self, name):
+        # numpy computes a * tmp as tmp *= a once tmp is 256 KiB or more,
+        # and its complex product is not bitwise commutative, so the S
+        # values of a block can differ from the whole grid's by a few ulps
+        f = catalog(name)
+        zs = norms._grid(SearchConfig())
+        for fn in (lambda z: norms._weighted_modulus(f, "S", z),
+                   lambda z: norms._weighted_modulus(f, "P", z),
+                   lambda z: becker_lhs(f, z)):
+            whole = fn(zs)
+            blocked = norms._blocked(fn, zs)
+            assert np.all(np.abs(blocked - whole) <= 8 * np.spacing(whole))
+
+    def test_memory_stays_bounded(self):
+        # without blocks the jet and operator temporaries of the whole grid
+        # are alive at once: 272 bytes per point for S, 192 for P and Becker
+        cfg = SearchConfig(rays=1024, radial_samples=512)
+        points = cfg.rays * cfg.radial_samples + 1
+        K = catalog("K")
+        for call in (lambda: hyperbolic_sup(K, "S", cfg),
+                     lambda: hyperbolic_sup(K, "P", cfg),
+                     lambda: becker_check(K, cfg)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * points
 
 
 class TestOmegaProbe:

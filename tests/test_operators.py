@@ -369,6 +369,12 @@ class TestTamanoi:
         z = 0.2 - 0.1j
         assert abs(tamanoi_schwarzian(g, z) - schwarzian(K, z)) < 1e-6
 
+    def test_sample_circles_must_stay_in_the_disk(self):
+        # the largest default circle has radius 0.03
+        assert np.isfinite(tamanoi_schwarzian(catalog("K"), 0.96))
+        with pytest.raises(DomainError):
+            tamanoi_schwarzian(catalog("K"), 0.97j)
+
 
 class TestIdentities:
     def test_conjugation_invariance(self, rng):
