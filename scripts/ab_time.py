@@ -1,0 +1,124 @@
+"""Command-by-command A/B timing of two source trees on one benchmark workload.
+
+    python3 scripts/ab_time.py OLD_SRC NEW_SRC --workload pointwise-eval
+    python3 scripts/ab_time.py OLD_SRC NEW_SRC --workload norm-sweep --rounds 9
+
+``OLD_SRC`` and ``NEW_SRC`` each name a directory that holds a
+``harmschwarz`` package (the ``src`` of a checkout).  Both packages are
+copied into one temporary directory as ``harmschwarz_old`` and
+``harmschwarz_new`` and imported side by side.  The command list of the
+workload comes from ``bench/workloads.py``, imported as it is (its
+references are computed with the old copy).  Each round runs every
+command on both copies, one right after the other, and flips which copy
+goes first from one round to the next, so a drift in the machine's speed
+hits both about equally.  A command's time covers ``cli.main(argv)`` and,
+where the workload has one, its library follow-up (the S_f oracles of
+``pointwise-eval``), run against the same copy.
+
+The script prints each round's total time per copy and their ratio, the
+median ratio, and whether stdout, stderr and exit codes agree between the
+copies on every command of every round.  It is a tool for finding where
+time goes between two versions; a claimed gain is measured with
+``bench/run.py``, which times whole runs in fresh processes.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("old", "new")
+
+
+def load_copies(srcs, tmp):
+    """Import each tree's package under its own name; {side: package}."""
+    for side, src in zip(SIDES, srcs):
+        pkg_dir = os.path.join(src, "harmschwarz")
+        if not os.path.isfile(os.path.join(pkg_dir, "__init__.py")):
+            raise SystemExit(f"no harmschwarz package in {src}")
+        shutil.copytree(pkg_dir, os.path.join(tmp, f"harmschwarz_{side}"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, tmp)
+    pkgs = {}
+    for side in SIDES:
+        pkgs[side] = importlib.import_module(f"harmschwarz_{side}")
+        importlib.import_module(f"harmschwarz_{side}.cli")
+    return pkgs
+
+
+def run_one(pkg, workloads, cmd):
+    """Time one command on one copy: (seconds, (exit, stdout, stderr))."""
+    # the follow-up looks maps and operators up on the workloads module
+    workloads.maps, workloads.operators = pkg.maps, pkg.operators
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = pkg.cli.main(list(cmd.argv))
+        if cmd.extra is not None:
+            cmd.extra()
+        elapsed = time.perf_counter() - start
+    return elapsed, (code, out.getvalue(), err.getvalue())
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=5)
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pkgs = load_copies((args.old_src, args.new_src), tmp)
+        # bench/workloads.py imports ``harmschwarz``: give it the old copy
+        sys.modules["harmschwarz"] = pkgs["old"]
+        sys.path.insert(0, os.path.join(ROOT, "bench"))
+        workloads = importlib.import_module("workloads")
+        if args.workload not in workloads.BUILDERS:
+            p.error(f"unknown workload {args.workload!r}; "
+                    f"known: {', '.join(workloads.BUILDERS)}")
+        commands = workloads.BUILDERS[args.workload](args.seed)
+
+        for cmd in commands:  # untimed warm-up: imports, caches
+            for side in SIDES:
+                run_one(pkgs[side], workloads, cmd)
+
+        ratios, differing = [], set()
+        for rnd in range(args.rounds):
+            order = SIDES if rnd % 2 == 0 else SIDES[::-1]
+            totals = dict.fromkeys(SIDES, 0.0)
+            for cmd in commands:
+                results = {}
+                for side in order:
+                    elapsed, results[side] = run_one(pkgs[side], workloads, cmd)
+                    totals[side] += elapsed
+                if results["old"] != results["new"]:
+                    differing.add(cmd.name)
+            ratio = totals["new"] / totals["old"]
+            ratios.append(ratio)
+            print(f"round {rnd + 1} ({order[0]} first): "
+                  f"old {totals['old'] * 1e3:.1f} ms, "
+                  f"new {totals['new'] * 1e3:.1f} ms, new/old {ratio:.3f}")
+
+    print(f"{args.workload} seed {args.seed}: {len(commands)} commands, "
+          f"{args.rounds} rounds, median new/old {statistics.median(ratios):.3f}")
+    if differing:
+        print(f"outputs differ (stdout, stderr or exit) on {len(differing)} "
+              f"commands: {', '.join(sorted(differing))}")
+        return 1
+    print("stdout, stderr and exit codes agree on every command")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 191 ``harmschwarz`` commands in one process through
+Runs 197 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -80,6 +80,15 @@ ERRORS = (
      "--at", "0,0"),
     ("eval", "--h", "(" * 2000 + "z" + ")" * 2000, "--g", "0", "--op", "pre",
      "--at", "0,0"),
+    # h' overflows only in its order-3 jet, which lap needs, and g' has
+    # a pole: the pole is reported, as h' through order 2 comes first
+    ("eval", "--h", "exp(1000*z)", "--g", "1e-3/(z-0.688)", "--op", "lap",
+     "--at", "0.688,0"),
+    # the grid holds 0.5 exactly: the error names that point
+    ("norm", "--h", "1/(z-0.5)", "--g", "0", "--op", "S", "--rays", "8",
+     "--radial", "8", "--rmax", "0.5"),
+    ("becker", "--h", "1/(z-0.5)", "--g", "0", "--rays", "8", "--radial", "8",
+     "--rmax", "0.5"),
 )
 
 
@@ -102,6 +111,10 @@ def commands():
     for spec in EXPR_MAPS:
         for op in OPS:
             out.append(("eval", *spec, "--op", op, f"--at={POINTS[1]}",
+                        f"--at={POINTS[2]}"))
+    for spec in EXPR_MAPS:
+        if spec[2] == "--g":
+            out.append(("eval", *spec, "--op", "cdo", f"--at={POINTS[1]}",
                         f"--at={POINTS[2]}"))
     for name in CATALOG:
         for op in ("P", "S"):

@@ -11,6 +11,12 @@ coefficient.  Trailing axes, if any, are broadcast point batches, so the
 same recurrences evaluate one expansion point or a whole grid of them.
 Jets are immutable by convention: no method mutates ``coeffs``.
 
+Every Jet checks, when it is built, that its coefficients and then its
+centre are finite (NonFinite otherwise), so an overflow raises at the
+expression node where it happens.  Binary operations require equal
+orders and equal centres.  The compiled Taylor tape planned in ROADMAP
+item 3 would move the finiteness checks to the operator boundaries.
+
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
 ``F(z) = sum c_{mn} (z-z0)^m conj(z-z0)^n`` by sampling ``F`` on small
@@ -47,9 +53,9 @@ class Jet:
 
     def __init__(self, center, coeffs):
         coeffs = _as_coeff_array(coeffs)
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise NonFinite("non-finite jet coefficient")
-        if not np.all(np.isfinite(np.asarray(center))):
+        if not np.isfinite(center).all():
             raise NonFinite("non-finite jet center")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", coeffs)
@@ -146,10 +152,11 @@ class Jet:
     def __truediv__(self, other):
         other = self._lift(other)
         b0 = other.coeffs[0]
-        if np.any(b0 == 0):
-            raise DivisionByZeroConstantTerm(
-                "jet division by zero constant term"
-            )
+        zero = b0 == 0
+        if zero.any():
+            exc = DivisionByZeroConstantTerm("jet division by zero constant term")
+            exc.mask = zero  # where the divisor vanishes, for the caller to name
+            raise exc
         n = self.order
         a, b = self.coeffs, other.coeffs
         out = np.zeros_like(a)
@@ -240,6 +247,8 @@ class Jet:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
+        if order == self.order:
+            return self
         return Jet(self.center, self.coeffs[: order + 1])
 
     def derivative(self):

@@ -30,6 +30,7 @@ from .errors import (
     DivisionByZeroConstantTerm,
     DomainError,
     ParameterOutOfRange,
+    ToolkitError,
     UnknownCatalogName,
 )
 from .expr import (
@@ -178,6 +179,10 @@ class HarmonicMap:
 
     g' is kept apart from omega*h': it is the h' of a reversing map's
     conjugate, and omega*h' is 0*inf where h' vanishes.
+
+    When omega is the quotient g'/h' (``from_parts`` without an omega,
+    and every ``conjugate``), the jets of h' and omega come from one
+    evaluation of h': see ``derivative_data``.
     """
 
     def __init__(self, h, g, hp, gp, omega, sense, label=""):
@@ -191,6 +196,7 @@ class HarmonicMap:
         self.sense = sense
         self.label = label
         self._conj_source = None
+        self._omega_is_quotient = False  # omega is gp/hp: from_parts, conjugate
 
     @property
     def form(self):
@@ -207,9 +213,10 @@ class HarmonicMap:
     @classmethod
     def from_parts(cls, h, g, omega=None, sense=PRESERVING, label=""):
         hp, gp = h.derivative(), g.derivative()
-        if omega is None:
-            omega = gp / hp
-        return cls(h, g, hp, gp, omega, sense, label=label)
+        out = cls(h, g, hp, gp, gp / hp if omega is None else omega, sense,
+                  label=label)
+        out._omega_is_quotient = omega is None
+        return out
 
     @classmethod
     def from_dilatation(cls, hp, omega, sense=PRESERVING, label=""):
@@ -242,19 +249,45 @@ class HarmonicMap:
     def values(self, zs):
         return self.value(np.asarray(zs, dtype=np.complex128))
 
+    def _hp_omega_jets(self, z, order_h, order_w):
+        """Jets of h' and omega at z, unchecked.
+
+        A quotient omega = g'/h' reuses the jet of h': it is evaluated
+        once, at the higher order, and truncated.  Truncation is exact,
+        bit for bit, because every jet recurrence is causal (coefficient
+        k reads only coefficients <= k).
+        """
+        if not self._omega_is_quotient:
+            return self.hp.jet(z, order_h), self.omega.jet(z, order_w)
+        n = max(order_h, order_w)
+        try:
+            hpj = self.hp.jet(z, n)
+        except ToolkitError:
+            if n > order_h:
+                # fail as the separate evaluations did: h' through
+                # order_h, then g', then h' through n (only the last
+                # can overflow where the first does not)
+                self.hp.jet(z, order_h)
+                self.gp.jet(z, order_w)
+            raise
+        wj = self.gp.jet(z, order_w) / hpj.truncate(order_w)
+        return hpj.truncate(order_h), wj
+
     def derivative_data(self, z, order_h=2, order_w=2):
         """Jets of h' and omega of the preserving representative at z.
 
+        A quotient omega = g'/h' costs one evaluation of h', not two.
         Checks local univalence lazily: raises DomainError naming the
-        first offending point when h' = 0 or |omega| >= 1.
+        first offending point when h' = 0 or |omega| >= 1, and the first
+        point where a jet division meets a zero divisor.
         """
         rep = self.preserving()
         try:
-            hpj = rep.hp.jet(z, order_h)
-            wj = rep.omega.jet(z, order_w)
+            hpj, wj = rep._hp_omega_jets(z, order_h, order_w)
         except DivisionByZeroConstantTerm as exc:
+            mask = exc.mask if np.shape(exc.mask) == np.shape(z) else None
             raise DomainError(f"derivative data unavailable: {exc}",
-                              at=_first_point(z)) from exc
+                              at=_first_point(z, mask)) from exc
         bad = hpj.value == 0
         if np.any(bad):
             raise DomainError("h' vanishes", at=_first_point(z, bad))
@@ -408,6 +441,7 @@ def conjugate(f):
     out = HarmonicMap(f.g, f.h, f.gp, f.hp, f.hp / f.gp, _flip(f.sense),
                       label=f"conj({f.label})")
     out._conj_source = f
+    out._omega_is_quotient = True
     return out
 
 
@@ -512,8 +546,7 @@ def best_harmonic_mobius(f, z0):
     = h''(z0), realized as T(t) = a0 + a1 t/(1 - (a2/a1) t).
     """
     f = f.preserving()
-    hpj = f.hp.jet(z0, 1)
-    wj = f.omega.jet(z0, 0)
+    hpj, wj = f._hp_omega_jets(z0, 1, 0)
     hp = complex(hpj.value)
     hpp = complex(hpj.coeffs[1])  # h'' (first coefficient of the h' jet)
     if hp == 0:

@@ -133,9 +133,7 @@ def cdo_schwarzian(f, z, q=None):
 
 def jacobian(f, z):
     """J_f = |h'|^2 - |g'|^2, via |h'|^2 (1-|w|)(1+|w|); sign follows sense."""
-    rep = f.preserving()
-    hpj = rep.hp.jet(z, 0)
-    wj = rep.omega.jet(z, 0)
+    hpj, wj = f.preserving()._hp_omega_jets(z, 0, 0)
     wabs = np.abs(wj.coeffs[0])
     J = np.abs(hpj.coeffs[0]) ** 2 * _one_minus_sq(wabs)
     return J if f.sense == PRESERVING else -J

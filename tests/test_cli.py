@@ -116,6 +116,24 @@ class TestExitCodes:
                              "--at", "0,0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--h", "1/(z-0.5)", "--g", "0", "--op", "S"),
+        ("becker", "--h", "1/(z-0.5)", "--g", "0"),
+    ])
+    def test_grid_division_error_names_the_pole(self, capsys, argv):
+        # the 8x8 grid of radius 0.5 holds the pole 0.5 but not as its first point
+        rec = _single_error(*run_cli(capsys, *argv, "--rays", "8", "--radial",
+                                     "8", "--rmax", "0.5"), 3)
+        assert rec["at"] == "0.5,0.0"
+
+    def test_lower_order_failure_is_reported_first(self, capsys):
+        # lap needs the order-3 jet of h', which overflows at 0.688, where
+        # g' has a pole; h' through order 2 and g' are evaluated first
+        rec = _single_error(*run_cli(capsys, "eval", "--h", "exp(1000*z)",
+                                     "--g", "1e-3/(z-0.688)", "--op", "lap",
+                                     "--at", "0.688,0"), 3)
+        assert rec["at"] == "0.688,0.0"
+
     def test_numerical_failure_is_4(self, capsys):
         # pole of h' on the integration path: quadrature cannot converge
         code, _, err = run_cli(capsys, "render", "--h", "1/(1-2*z)",
@@ -309,6 +327,14 @@ class TestNonFiniteNumbers:
         assert "non-finite" in rec["message"]
 
 
+    def test_non_finite_node_is_4(self, capsys):
+        # exp(900) overflows at its own node; 1/inf = 0 would make J = 0
+        rec = _single_error(*run_cli(capsys, "eval", "--h", "1/exp(1000*z)",
+                                     "--omega", "0", "--op", "jac", "--at",
+                                     "0.9,0"), 4)
+        assert rec["message"] == "non-finite jet coefficient"
+
+
 class TestOversizedGrid:
     """A grid too large to allocate is one usage-error record; the
     allocation failure is simulated, nothing large is allocated."""
@@ -431,6 +457,35 @@ _PINNED_EVAL = {
 # recorded from the CLI while HarmonicMap still stored its form and its
 # expression text; map_to_json, which now reads both off the map's
 # functions, must reproduce these bytes
+# the six eval ops of one parts-form map (omega = g'/h'), recorded while
+# derivative_data still evaluated h' once for h' and again for omega
+_PINNED_PARTS_EVAL = {
+    "pre": [
+        '{"z": [0.1, 0.2], "op": "pre", "value": [0.9983598528159657, 0.006560588736137003]}',
+        '{"z": [-0.3, 0.1], "op": "pre", "value": [1.0293679483696612, 0.007341987092415297]}',
+        '{"z": [0.25, -0.35], "op": "pre", "value": [0.9984159103726896, -0.00852971337782524]}'],
+    "schw": [
+        '{"z": [0.1, 0.2], "op": "schw", "value": [-0.4933788844011938, -0.01964948521498746]}',
+        '{"z": [-0.3, 0.1], "op": "schw", "value": [-0.581974715442035, -0.022672818570828195]}',
+        '{"z": [0.25, -0.35], "op": "schw", "value": [-0.49063379832710613, 0.02554860464201853]}'],
+    "cdo": [
+        '{"z": [0.1, 0.2], "op": "cdo", "value": [-0.3411902033463086, 0.6343690742614261]}',
+        '{"z": [-0.3, 0.1], "op": "cdo", "value": [-0.31750391661001964, -0.1281532569685075]}',
+        '{"z": [0.25, -0.35], "op": "cdo", "value": [-0.5068543434873907, -0.4033447967733504]}'],
+    "jac": [
+        '{"z": [0.1, 0.2], "op": "jac", "value": [1.2194027581601699, 0.0]}',
+        '{"z": [-0.3, 0.1], "op": "jac", "value": [0.5448116360940265, 0.0]}',
+        '{"z": [0.25, -0.35], "op": "jac", "value": [1.641321270700127, 0.0]}'],
+    "dbarpre": [
+        '{"z": [0.1, 0.2], "op": "dbarpre", "value": [0.027928233535932274, 0.0]}',
+        '{"z": [-0.3, 0.1], "op": "dbarpre", "value": [0.12573016173696827, 0.0]}',
+        '{"z": [0.25, -0.35], "op": "dbarpre", "value": [0.016769132961141745, 0.0]}'],
+    "lap": [
+        '{"z": [0.1, 0.2], "op": "lap", "value": [-0.14336857027667083, -0.023006699673504664]}',
+        '{"z": [-0.3, 0.1], "op": "lap", "value": [-0.5998940532182895, -0.0392916184763005]}',
+        '{"z": [0.25, -0.35], "op": "lap", "value": [-0.08752577172548077, 0.028275078067674347]}'],
+}
+
 _PINNED_CATALOG = {
     "K": '{"label": "K", "form": "parts", "h": "(z-0.5*z^2+z^3/6)/(1-z)^3", "g": "(0.5*z^2+z^3/6)/(1-z)^3", "sense": "preserving"}',
     "L": '{"label": "L", "form": "parts", "h": "(z-0.5*z^2)/(1-z)^2", "g": "-(0.5*z^2)/(1-z)^2", "sense": "preserving"}',
@@ -467,6 +522,14 @@ class TestPinnedOutput:
                                "--at=0.1,0.2", "--at=-0.3,0.1", "--at=0.25,-0.35")
         assert code == 0
         assert out.split("\n") == _PINNED_EVAL[name, op] + [""]
+
+    @pytest.mark.parametrize("op", sorted(_PINNED_PARTS_EVAL))
+    def test_parts_form_eval_lines(self, capsys, op):
+        code, out, _ = run_cli(capsys, "eval", "--h", "exp(z)", "--g", "0.1*z^2",
+                               "--op", op, "--at=0.1,0.2", "--at=-0.3,0.1",
+                               "--at=0.25,-0.35")
+        assert code == 0
+        assert out.split("\n") == _PINNED_PARTS_EVAL[op] + [""]
 
     @pytest.mark.parametrize("name", sorted(_PINNED_CATALOG))
     def test_catalog_json(self, capsys, name):

@@ -212,3 +212,24 @@ class TestSymbolicDerivative:
         except ToolkitError:
             return  # undefined at z (pole, branch point, overflow)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestTruncation:
+    # every jet recurrence is causal: coefficient k reads only
+    # coefficients <= k, so a jet through order n + 1 cut to order n is
+    # the order-n jet bit for bit (maps.HarmonicMap relies on this)
+    @given(_EXPR_TEXT, st.integers(0, 3), st.booleans(),
+           st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, "array"]))
+    @settings(max_examples=300, deadline=None)
+    def test_higher_order_jet_truncates_bitwise(self, text, n, derivative, z):
+        if z == "array":
+            z = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0])
+        fn = ExprFunction(text)
+        if derivative:
+            fn = fn.derivative()
+        try:
+            high = fn.jet(z, n + 1)
+        except ToolkitError:
+            return  # undefined at z (pole, branch point, overflow)
+        low = fn.jet(z, n)
+        assert high.coeffs[: n + 1].tobytes() == low.coeffs.tobytes()

@@ -58,6 +58,25 @@ class TestArithmetic:
         with pytest.raises(NonFinite):
             jet_of([float("nan"), 1.0])
 
+    def test_nonfinite_center_rejected(self):
+        with pytest.raises(NonFinite, match="^non-finite jet center$"):
+            Jet(float("nan"), np.ones(2, dtype=complex))
+        with pytest.raises(NonFinite, match="^non-finite jet center$"):
+            Jet(np.array([0.1, np.inf]), np.ones((2, 2), dtype=complex))
+
+    def test_equal_centers_held_apart_match(self):
+        a = Jet.variable(np.array([0.1, 0.2]), 2)
+        total = a + Jet.variable(np.array([0.1, 0.2]), 2)
+        assert total.coeffs[:, 1].tolist() == [0.4, 2, 0]
+        with pytest.raises(CenterMismatch):
+            a + Jet.variable(np.array([0.1, 0.3]), 2)
+
+    def test_division_error_carries_the_zero_mask(self):
+        z = Jet.variable(np.array([0.5, 0.0, 0.2]), 2)
+        with pytest.raises(DivisionByZeroConstantTerm) as err:
+            (1.0 + z) / z
+        assert err.value.mask.tolist() == [False, True, False]
+
     def test_negative_integer_power(self):
         z = Jet.variable(0.0, 3)
         assert_coeffs((1.0 - z) ** -1, [1, 1, 1, 1])

@@ -465,3 +465,34 @@ class TestSerialization:
         F = partner_map(catalog("S2"), 0.5, 1.0, 2.0)
         with pytest.raises(ValueError):
             map_to_json(F)
+
+
+class _CountedExpr(ExprFunction):
+    """An expression that counts its jet evaluations."""
+
+    calls = 0
+
+    def jet(self, z, order):
+        self.calls += 1
+        return super().jet(z, order)
+
+
+class TestDerivativeData:
+    @pytest.mark.parametrize("sense", [PRESERVING, REVERSING])
+    @pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (2, 3)])
+    def test_quotient_omega_evaluates_each_part_once(self, sense, orders):
+        h, g = _CountedExpr("z/(1-z)^2"), _CountedExpr("0.3*z^2+0.1*z")
+        if sense == PRESERVING:
+            f = HarmonicMap.from_parts(h, g)
+        else:  # served by its conjugate h + conj(g), whose omega is g'/h'
+            f = HarmonicMap.from_parts(g, h, sense=REVERSING)
+        for z in (0.3 + 0.1j, np.array([0.3 + 0.1j, -0.2 + 0.5j])):
+            h.calls = g.calls = 0
+            f.derivative_data(z, *orders)
+            assert (h.calls, g.calls) == (1, 1)
+
+    def test_division_error_names_the_failing_point(self):
+        f = HarmonicMap.from_parts(ExprFunction("1/(z-0.5)"), ExprFunction("0"))
+        with pytest.raises(DomainError) as err:
+            f.derivative_data(np.array([0.1, 0.5, 0.2j]))
+        assert err.value.at == 0.5
