@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 197 ``harmschwarz`` commands in one process through
+Runs 201 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -66,6 +66,8 @@ ERRORS = (
     ("eval", "--map", "K2", "--op", "cdo", "--at", "0,0"),
     ("norm", "--map", "K", "--op", "S", "--refine-iterations", "-1"),
     ("norm", "--map", "K", "--op", "Q"),
+    ("norm", "--map", "K", "--op", "S", "--rmax", "-1e-3"),
+    ("eval", "--map", "K", "--op", "-x", "--at", "0,0"),
     ("becker", "--map", "K", "--rays", "0"),
     ("shear", "--phi", "z", "--omega", "1"),
     ("shear", "--phi", "log(z)", "--omega", "z"),
@@ -107,6 +109,8 @@ def commands():
          "0.5,0.5", "--format", "csv"),
         ("eval", "--h", "z", "--omega", "0.5*z", "--op", "cdo", "--q",
          "sqrt(0.5*z)", "--at", "0.2,0.1"),
+        # a value that starts with '-', spelled with a space
+        ("eval", "--map", "K", "--op", "pre", "--at", "-0.3,0.1"),
     ]
     for spec in EXPR_MAPS:
         for op in OPS:
@@ -138,6 +142,7 @@ def commands():
     for phi, omega, theta in SHEARS:
         out.append(("shear", "--phi", phi, "--omega", omega, "--theta", theta))
     out.append(("shear", "--phi", "z/(1-z)^2", "--omega", "z"))
+    out.append(("shear", "--phi", "z", "--omega", "0.5*z", "--theta", "-1e-3"))
     for name in ("K", "L", "k", "S2"):
         out.append(("render", "--map", name, "--rays", "8", "--circles", "4"))
     for spec in EXPR_MAPS:

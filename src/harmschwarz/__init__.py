@@ -20,14 +20,13 @@ from . import errors
 from .errors import ToolkitError
 from .expr import (
     AnalyticFunction,
-    ConstantFunction,
     DerivedFunction,
     ExprFunction,
     eval_jet,
     parse,
     to_text,
 )
-from .jets import DEFAULT_ORDER, BivariateCoeffs, Jet, bivariate_extract
+from .jets import DEFAULT_ORDER, Jet, bivariate_extract
 from .maps import (
     AffineMap,
     AntiderivativeFunction,

@@ -333,10 +333,7 @@ def _cmd_verify(args):
     elif args.suite in _SUITES:
         details = _SUITES[args.suite]()
     else:
-        print(json.dumps({"code": EXIT_USAGE,
-                          "message": f"unknown suite {args.suite!r}"}),
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"unknown suite {args.suite!r}")
     passed = sum(1 for d in details if d["passed"])
     failed = len(details) - passed
     print(json.dumps({"suite": args.suite, "passed": passed,
@@ -396,22 +393,22 @@ def build_parser():
     return parser
 
 
-_EXPR_FLAGS = ("--h", "--g", "--omega", "--phi", "--q")
+# every flag that takes a value: a new one must be listed here too
+_VALUE_FLAGS = ("--map", "--h", "--g", "--omega", "--phi", "--q", "--op",
+                "--at", "--format", "--rays", "--radial", "--rmax",
+                "--refine-iterations", "--theta", "--circles")
 
 
 def _merge_dash_expressions(argv):
-    """Join expression flags with values that start with '-' (e.g.
-    ``--omega -z``), which argparse would otherwise read as options."""
+    """Join a value flag with a value that starts with '-' (``--omega -z``,
+    ``--at -0.3,0.1``), which argparse would otherwise read as an option."""
     out = []
     i = 0
-    known = {"--map", "--op", "--at", "--format", "--rays", "--radial",
-             "--rmax", "--no-refine", "--refine-iterations", "--theta",
-             "--circles", *_EXPR_FLAGS}
     while i < len(argv):
         tok = argv[i]
-        if tok in _EXPR_FLAGS and i + 1 < len(argv):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv):
             nxt = argv[i + 1]
-            if nxt.startswith("-") and nxt not in known:
+            if nxt.startswith("-") and nxt not in (*_VALUE_FLAGS, "--no-refine"):
                 out.append(f"{tok}={nxt}")
                 i += 2
                 continue

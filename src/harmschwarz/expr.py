@@ -393,7 +393,6 @@ class AnalyticFunction:
     simplified, the jets carry all derivative information.
     """
 
-    label = None
     source = None  # expression text when available (serialization)
 
     def jet(self, z, order):
@@ -406,8 +405,7 @@ class AnalyticFunction:
         return self.value(z)
 
     def derivative(self):
-        lab = f"({self.label})'" if self.label else None
-        return DerivedFunction(lambda z, n: self.jet(z, n + 1).derivative(), label=lab)
+        return DerivedFunction(lambda z, n: self.jet(z, n + 1).derivative())
 
     def compose(self, inner):
         def jet_fn(z, n):
@@ -451,14 +449,13 @@ class AnalyticFunction:
 class ExprFunction(AnalyticFunction):
     """Analytic function backed by a parsed expression tree."""
 
-    def __init__(self, src, label=None):
+    def __init__(self, src):
         if isinstance(src, str):
             self.ast = parse(src)
             self.source = src
         else:
             self.ast = src
             self.source = to_text(src)
-        self.label = label if label is not None else self.source
 
     def jet(self, z, order):
         return eval_ast_jet(self.ast, z, order)
@@ -470,25 +467,11 @@ class ExprFunction(AnalyticFunction):
 class DerivedFunction(AnalyticFunction):
     """Analytic function defined by a jet-producing closure."""
 
-    def __init__(self, jet_fn, label=None):
+    def __init__(self, jet_fn):
         self._jet_fn = jet_fn
-        self.label = label
 
     def jet(self, z, order):
         return self._jet_fn(z, order)
-
-    def __repr__(self):
-        return f"DerivedFunction({self.label or '<closure>'})"
-
-
-class ConstantFunction(AnalyticFunction):
-    def __init__(self, value, label=None):
-        self.constant = complex(value)
-        self.label = label if label is not None else repr(value)
-        self.source = to_text(Const(complex(value)))
-
-    def jet(self, z, order):
-        return Jet.constant(self.constant, order, center=z, shape=np.shape(z))
 
 
 def eval_jet(f, z0, order=DEFAULT_ORDER):

@@ -285,28 +285,11 @@ class Jet:
 # bivariate (z, conj z) coefficient extraction
 
 
-class BivariateCoeffs:
-    """Table of c_{mn} with m+n <= degree for a smooth map around center."""
-
-    def __init__(self, center, degree, table):
-        self.center = center
-        self.degree = degree
-        self.table = dict(table)
-        for m in range(degree + 1):
-            for n in range(degree + 1 - m):
-                if (m, n) not in self.table:
-                    raise ValueError(f"incomplete coefficient table: missing {(m, n)}")
-
-    def __getitem__(self, mn):
-        return self.table[mn]
-
-    def get(self, m, n):
-        return self.table[(m, n)]
-
-
 def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
                       angles=64, cond_threshold=1e8):
     """Recover c_{mn} (m+n <= degree) of F(z) = sum c_{mn} t^m conj(t)^n.
+
+    Returns a dict mapping every (m, n) with m + n <= degree to c_{mn}.
 
     ``F`` is called once with a complex ndarray of sample points and must
     return values of the same shape (ValueError otherwise).  Sampling
@@ -341,7 +324,7 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
 
     dft = np.fft.fft(vals, axis=1) / angles
 
-    table = {}
+    table = {}  # complete: the radii check leaves no frequency short of terms
     for k in range(-degree, degree + 1):
         rhs = dft[:, k % angles]
         needed = (degree - abs(k)) // 2 + 1
@@ -361,4 +344,4 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
                 m = (e + k) // 2
                 n = (e - k) // 2
                 table[(m, n)] = complex(c)
-    return BivariateCoeffs(center, degree, table)
+    return table

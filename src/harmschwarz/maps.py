@@ -16,8 +16,8 @@ h' and omega directly in either form.  Values (``HarmonicMap.value``,
 point outside raises DomainError.
 
 Sense-reversing maps are stored as such; anything that needs a
-sense-preserving representative conjugates on the fly (P and S are
-invariant under conjugation, the Jacobian flips sign).
+sense-preserving representative uses the conjugate, built once per map
+(P and S are invariant under conjugation, the Jacobian flips sign).
 """
 
 import cmath
@@ -36,7 +36,6 @@ from .errors import (
 from .expr import (
     AnalyticFunction,
     Const,
-    ConstantFunction,
     DerivedFunction,
     Div,
     ExprFunction,
@@ -76,14 +75,6 @@ class MobiusMap:
     def inverse(self):
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other):
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def as_function(self):
         num = f"(({_cfmt(self.a)})*z+({_cfmt(self.b)}))"
         den = f"(({_cfmt(self.c)})*z+({_cfmt(self.d)}))"
@@ -122,7 +113,8 @@ class HarmonicMobius:
         t = self.T.as_function()
         return HarmonicMap.from_parts(
             t, np.conjugate(self.alpha) * t,
-            omega=ConstantFunction(np.conjugate(self.alpha)), label=label)
+            omega=ExprFunction(Const(complex(np.conjugate(self.alpha)))),
+            label=label)
 
 
 class AffineMap:
@@ -147,9 +139,8 @@ class AffineMap:
 class AntiderivativeFunction(AnalyticFunction):
     """h with known derivative: h(z) = integral of df over [0, z]."""
 
-    def __init__(self, df, label=None):
+    def __init__(self, df):
         self.df = df
-        self.label = label
 
     def derivative(self):
         return self.df
@@ -180,23 +171,23 @@ class HarmonicMap:
     g' is kept apart from omega*h': it is the h' of a reversing map's
     conjugate, and omega*h' is 0*inf where h' vanishes.
 
-    When omega is the quotient g'/h' (``from_parts`` without an omega,
-    and every ``conjugate``), the jets of h' and omega come from one
-    evaluation of h': see ``derivative_data``.
+    ``omega=None`` makes omega the quotient g'/h' (``from_parts``
+    without an omega, every ``conjugate``); then the jets of h' and omega
+    come from one evaluation of h': see ``derivative_data``.
     """
 
     def __init__(self, h, g, hp, gp, omega, sense, label=""):
+        if sense not in (PRESERVING, REVERSING):
+            raise ParameterOutOfRange(f"unknown sense flag {sense!r}")
         self.h = h
         self.g = g
         self.hp = hp
         self.gp = gp
-        self.omega = omega
-        if sense not in (PRESERVING, REVERSING):
-            raise ParameterOutOfRange(f"unknown sense flag {sense!r}")
+        self._omega_is_quotient = omega is None
+        self.omega = gp / hp if omega is None else omega
         self.sense = sense
         self.label = label
-        self._conj_source = None
-        self._omega_is_quotient = False  # omega is gp/hp: from_parts, conjugate
+        self._conjugate = None  # conj(self) once built; see conjugate()
 
     @property
     def form(self):
@@ -212,26 +203,22 @@ class HarmonicMap:
 
     @classmethod
     def from_parts(cls, h, g, omega=None, sense=PRESERVING, label=""):
-        hp, gp = h.derivative(), g.derivative()
-        out = cls(h, g, hp, gp, gp / hp if omega is None else omega, sense,
-                  label=label)
-        out._omega_is_quotient = omega is None
-        return out
+        return cls(h, g, h.derivative(), g.derivative(), omega, sense,
+                   label=label)
 
     @classmethod
     def from_dilatation(cls, hp, omega, sense=PRESERVING, label=""):
         """Map defined by h' and omega, normalized by h(0) = g(0) = 0."""
         gp = omega * hp
-        h = AntiderivativeFunction(hp, label="h")
-        g = AntiderivativeFunction(gp, label="g")
-        return cls(h, g, hp, gp, omega, sense, label=label)
+        return cls(AntiderivativeFunction(hp), AntiderivativeFunction(gp),
+                   hp, gp, omega, sense, label=label)
 
     @classmethod
     def from_analytic(cls, fn, label=""):
         """Wrap an analytic function as the harmonic map fn + conj(0)."""
-        return cls.from_parts(fn, ExprFunction("0"),
-                              omega=ConstantFunction(0.0),
-                              label=label or (fn.label or ""))
+        zero = ExprFunction("0")
+        return cls.from_parts(fn, zero, omega=zero,
+                              label=label or fn.source or "")
 
     def __repr__(self):
         return f"HarmonicMap({self.label or self.form}, sense={self.sense})"
@@ -352,13 +339,11 @@ def catalog(name):
     return the AnalyticFunction itself.
     """
     if name in _CATALOG_ANALYTIC:
-        return ExprFunction(_CATALOG_ANALYTIC[name], label=name)
+        return ExprFunction(_CATALOG_ANALYTIC[name])
     if name in _CATALOG_HARMONIC:
         h_src, g_src, w_src, hp_src = _CATALOG_HARMONIC[name]
-        hp = ExprFunction(hp_src, label=f"{name}.h'")
-        omega = ExprFunction(w_src, label=f"{name}.omega")
-        return HarmonicMap(ExprFunction(h_src, label=f"{name}.h"),
-                           ExprFunction(g_src, label=f"{name}.g"),
+        hp, omega = ExprFunction(hp_src), ExprFunction(w_src)
+        return HarmonicMap(ExprFunction(h_src), ExprFunction(g_src),
                            hp, omega * hp, omega, PRESERVING, label=name)
     raise UnknownCatalogName(f"unknown catalog name {name!r}; "
                              f"known: {', '.join(CATALOG_NAMES)}")
@@ -399,7 +384,7 @@ def shear(phi, omega, theta=0.0, label=None):
     # from the text, so the map equals the one map_from_json loads
     hp = ExprFunction(to_text(Div(_ddz(parse(phi.source)), den)))
     return HarmonicMap.from_dilatation(
-        hp, w, label=label or f"shear({phi.label or 'phi'}, theta={theta!r})")
+        hp, w, label=label or f"shear({phi.source}, theta={theta!r})")
 
 
 def affine_compose(A, f):
@@ -431,18 +416,20 @@ def precompose(f, phi):
     Gp = f.gp.compose(phi) * phip
     omega_F = f.omega.compose(phi)
     return HarmonicMap(H, G, Hp, Gp, omega_F, f.sense,
-                       label=f"{f.label or 'f'}o{phi.label or 'phi'}")
+                       label=f"{f.label or 'f'}o{phi.source or 'phi'}")
 
 
 def conjugate(f):
-    """conj(f): swaps the canonical parts and flips the sense flag."""
-    if f._conj_source is not None:
-        return f._conj_source
-    out = HarmonicMap(f.g, f.h, f.gp, f.hp, f.hp / f.gp, _flip(f.sense),
-                      label=f"conj({f.label})")
-    out._conj_source = f
-    out._omega_is_quotient = True
-    return out
+    """conj(f): swaps the canonical parts and flips the sense flag.
+
+    A pair is built once: the conjugate is stored on f and f on it, so
+    ``conjugate(f) is conjugate(f)`` and ``conjugate(conjugate(f)) is f``.
+    """
+    if f._conjugate is None:
+        out = HarmonicMap(f.g, f.h, f.gp, f.hp, None, _flip(f.sense),
+                          label=f"conj({f.label})")
+        f._conjugate, out._conjugate = out, f
+    return f._conjugate
 
 
 def group_apply(f, kind, param):
@@ -472,13 +459,13 @@ def group_apply(f, kind, param):
     raise ParameterOutOfRange(f"unknown group element kind {kind!r}")
 
 
-def disk_automorphism(a, label=None):
+def disk_automorphism(a):
     """phi_a(z) = (a + z)/(1 + conj(a) z), an automorphism of the disk."""
     if abs(a) >= 1:
         raise ParameterOutOfRange("disk automorphism requires |a| < 1")
     a = complex(a)
     src = f"(({_cfmt(a)})+z)/(1+({_cfmt(np.conjugate(a))})*z)"
-    return ExprFunction(src, label=label or "phi_a")
+    return ExprFunction(src)
 
 
 def partner_map(f, a, mu, lam, label=None):
@@ -511,8 +498,7 @@ def partner_map(f, a, mu, lam, label=None):
         return f.hp.jet(z, n) * lam / dphi.sqrt()
 
     return HarmonicMap.from_dilatation(
-        DerivedFunction(hp_jet, label="lam*h'/sqrt(phi_a' o omega)"),
-        DerivedFunction(omega_jet, label="mu*(phi_a o omega)"),
+        DerivedFunction(hp_jet), DerivedFunction(omega_jet),
         label=label or f"partner({f.label})")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, ParameterOutOfRange
-from .expr import ConstantFunction
+from .expr import ExprFunction
 from .maps import HarmonicMap
 from .operators import (
     _one_minus_sq,
@@ -292,7 +292,7 @@ def finite_norm_compare(f, cfg=None):
     """
     cfg = cfg or SearchConfig()
     rep = f.preserving()
-    zero = ConstantFunction(0.0)
+    zero = ExprFunction("0")
     # h + conj(0), on the exact derivative path of h (no re-derived jets)
     analytic_part = HarmonicMap(rep.h, zero, rep.hp, zero, zero, rep.sense,
                                 label=f"{f.label}.h")

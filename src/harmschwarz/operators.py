@@ -224,6 +224,4 @@ def tamanoi_schwarzian(f, z0, radii=(0.01, 0.02, 0.03), angles=64):
 
     coeffs = bivariate_extract(deviation, 0.0, degree=3,
                                radii=radii, angles=angles)
-    c20 = coeffs.get(2, 0)
-    c30 = coeffs.get(3, 0)
-    return 6.0 * (c30 - c20 ** 2)
+    return 6.0 * (coeffs[(3, 0)] - coeffs[(2, 0)] ** 2)

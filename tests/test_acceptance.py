@@ -216,10 +216,10 @@ def test_criterion_10_kernel_and_characterizations():
         for z in sample_disk(rng, 3, 0.5):
             assert abs(schwarzian(f, complex(z))) <= 1e-10
 
-    from harmschwarz import ConstantFunction
+    from harmschwarz.expr import Const
     h = ExprFunction("z/(1-z)^2")
     f = HarmonicMap.from_parts(h, ExprFunction("(0.2+0.4*i)*(z/(1-z)^2)"),
-                               omega=ConstantFunction(0.2 + 0.4j))
+                               omega=ExprFunction(Const(0.2 + 0.4j)))
     for z in sample_disk(rng, 5, 0.6):
         z = complex(z)
         assert dbar_pre_schwarzian(f, z) == 0.0

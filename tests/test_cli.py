@@ -1,5 +1,6 @@
 """CLI contract: commands, output schemas, exit codes, determinism."""
 
+import importlib.util
 import json
 import math
 import os
@@ -133,6 +134,16 @@ class TestExitCodes:
                                      "--g", "1e-3/(z-0.688)", "--op", "lap",
                                      "--at", "0.688,0"), 3)
         assert rec["at"] == "0.688,0.0"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--map", "K", "--op", "pre", "--at", "-0.3,0.1"),
+        ("shear", "--phi", "z", "--omega", "0.5*z", "--theta", "-1e-3"),
+        ("norm", "--map", "K", "--op", "S", "--rmax", "-1e-3"),
+    ])
+    def test_value_starting_with_dash(self, capsys, argv):
+        spaced = run_cli(capsys, *argv)
+        assert "expected one argument" not in spaced[2]
+        assert spaced == run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
 
     def test_numerical_failure_is_4(self, capsys):
         # pole of h' on the integration path: quadrature cannot converge
@@ -286,6 +297,26 @@ class TestCatalogAndVerify:
         code, out, _ = run_cli(capsys, "verify", "norms")
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+
+def test_snapshot_commands_keep_the_exit_code_contract():
+    # every command of the CLI byte snapshot exits 0-4; an error writes
+    # exactly one JSON record {"code", "message", "at"?} and nothing else
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "cli_snapshot.py")
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    for argv in snapshot.commands():
+        rec = snapshot.run(argv, main)
+        assert rec["exit"] in range(5), argv
+        if rec["exit"] == 0:
+            assert rec["stderr"] == "", argv
+            continue
+        assert rec["stderr"].count("\n") == 1, argv
+        err = json.loads(rec["stderr"])
+        assert err["code"] == rec["exit"], argv
+        assert set(err) <= {"code", "message", "at"}, argv
 
 
 def _single_error(code, out, err, want_code):

@@ -209,9 +209,9 @@ class TestBivariate:
             return t + np.conjugate(t) ** 2
 
         coeffs = bivariate_extract(F, 0.0, degree=2)
-        assert abs(coeffs.get(1, 0) - 1.0) < 1e-9
-        assert abs(coeffs.get(0, 2) - 1.0) < 1e-9
-        others = [v for mn, v in coeffs.table.items() if mn not in ((1, 0), (0, 2))]
+        assert abs(coeffs[(1, 0)] - 1.0) < 1e-9
+        assert abs(coeffs[(0, 2)] - 1.0) < 1e-9
+        others = [v for mn, v in coeffs.items() if mn not in ((1, 0), (0, 2))]
         assert max(abs(v) for v in others) < 1e-9
 
     def test_analytic_map_has_no_antianalytic_content(self):
@@ -224,10 +224,17 @@ class TestBivariate:
         z = Jet.variable(0.2, 3)
         taylor = (z / (1.0 - z) ** 2).coeffs
         for m in range(4):
-            assert abs(coeffs.get(m, 0) - taylor[m]) < 1e-8
-        for (m, n), v in coeffs.table.items():
+            assert abs(coeffs[(m, 0)] - taylor[m]) < 1e-8
+        for (m, n), v in coeffs.items():
             if n >= 1:
                 assert abs(v) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_returns_every_coefficient_as_a_dict(self, degree):
+        coeffs = bivariate_extract(lambda t: t, 0.0, degree=degree)
+        assert type(coeffs) is dict
+        assert set(coeffs) == {(m, n) for m in range(degree + 1)
+                               for n in range(degree + 1 - m)}
 
     def test_ill_conditioned_radii(self):
         with pytest.raises(IllConditioned):

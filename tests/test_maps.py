@@ -238,6 +238,23 @@ class TestConjugate:
             z = complex(z)
             assert abs(g.value(z) - np.conjugate(f.value(z))) < 1e-13
 
+    @pytest.mark.parametrize("build", [
+        lambda: affine_compose(AffineMap(0.5, 1, 0), catalog("K")),
+        lambda: HarmonicMap.from_parts(ExprFunction("0.3*z^2+0.1*z"),
+                                       ExprFunction("z/(1-z)^2"),
+                                       sense=REVERSING),
+    ], ids=["affine_compose", "from_parts"])
+    def test_reversing_map_conjugate_is_built_once(self, build):
+        F = build()
+        assert F.sense == REVERSING
+        assert F.preserving() is F.preserving()
+        assert conjugate(F) is conjugate(F) is F.preserving()
+        assert conjugate(conjugate(F)) is F
+
+    def test_from_analytic_label_is_the_source(self):
+        f = HarmonicMap.from_analytic(ExprFunction("z"))
+        assert f.label == "z"
+
 
 class TestGroup:
     def test_rp_identity(self):

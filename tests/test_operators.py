@@ -361,7 +361,7 @@ class TestTamanoi:
         f = catalog("S2")
         M = best_harmonic_mobius(f, 0.0)
         coeffs = bivariate_extract(lambda t: M.invert(f.values(t)), 0.0, degree=3)
-        assert abs(coeffs.get(2, 0)) < 1e-8
+        assert abs(coeffs[(2, 0)]) < 1e-8
 
     def test_works_on_reversing_maps(self):
         K = catalog("K")
