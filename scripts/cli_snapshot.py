@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 201 ``harmschwarz`` commands in one process through
+Runs 205 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -93,6 +93,17 @@ ERRORS = (
      "--rmax", "0.5"),
 )
 
+# a sum or a product of any length is one AST node; an error inside one
+# names the binary steps that enclose the failing operand
+CHAINS = (
+    ("eval", "--h", "*".join(["(1+0.001*z)"] * 1000), "--g", "0", "--op",
+     "pre", "--at", "0.3,0"),
+    ("shear", "--phi", "+".join(f"0.001*z^{1 + k % 500}" for k in range(600)),
+     "--omega", "0.5*z", "--theta", "0.3"),
+    ("eval", "--h", "2+1/z+3", "--g", "0", "--op", "pre", "--at", "0,0"),
+    ("eval", "--h", "z", "--g", "2*3*sqrt(z)*4", "--op", "jac", "--at", "0,0"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -150,7 +161,7 @@ def commands():
                     "--rmax", "0.95"))
     for suite in ("oracles", "invariance", "norms", "becker", "all"):
         out.append(("verify", suite))
-    return [list(argv) for argv in out + list(ERRORS)]
+    return [list(argv) for argv in out + list(ERRORS) + list(CHAINS)]
 
 
 def run(argv, main):

@@ -5,8 +5,10 @@ deterministic for fixed inputs: JSON objects with fixed field order and
 floats in shortest round-trip form, CSV with the documented header.
 
 Exit codes: 0 success, 1 usage (including non-finite numbers), 2
-expression parse error (including expressions that nest too deeply),
-3 domain error, 4 numerical failure.  A library error exits with the
+expression parse error (including nesting too deep: more than about 196
+parentheses, 980 unary minus signs, 489 chained '^' or a shear of a
+product of 195 factors; sums and products of any length evaluate), 3
+domain error, 4 numerical failure.  A library error exits with the
 ``exit_code`` its class declares in ``errors``.  Every error path
 writes one machine parsable JSON record {"code", "message", "at"?} to
 stderr and nothing else: numpy's floating-point warnings are silenced
@@ -437,7 +439,7 @@ def main(argv=None):
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
     except RecursionError:
-        # the parser, the evaluator and the printers recurse over the AST
+        # the parser and the AST walkers recurse per nesting level, not per term
         return _emit_error(EXIT_PARSE, "expression nests too deeply")
     except MemoryError:
         # a grid too large to hold (norm, becker and render build theirs

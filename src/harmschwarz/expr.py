@@ -17,7 +17,8 @@ token; the offset of an unexpected end of input is len(text).
 
 Evaluation produces :class:`~harmschwarz.jets.Jet` objects by structural
 recursion, so every registered function is differentiable to any order
-at any point of its domain.  Integer-constant exponents are evaluated by
+at any point of its domain.  A sum or a product is one node, evaluated
+left to right in a loop.  Integer-constant exponents are evaluated by
 repeated multiplication (exact, and valid at zeros of the base); all
 other powers go through exp(e*log(base)) on the principal branch.
 """
@@ -50,27 +51,15 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Sum:
+    first: object
+    rest: tuple  # ((op, operand), ...) with op '+' or '-', left to right
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Prod:
+    first: object
+    rest: tuple  # ((op, operand), ...) with op '*' or '/', left to right
 
 
 @dataclass(frozen=True)
@@ -108,6 +97,17 @@ def integer_exponent(node):
             n = int(v.real)
             return -n if neg else n
     return None
+
+
+def _chain(first, *steps):
+    """The Sum or Prod of ``first`` and the (op, operand) ``steps``; a first
+    operand of the same kind is spliced in, so "(a+b)+c" is "a+b+c"."""
+    if not steps:
+        return first
+    kind = Sum if steps[0][0] in "+-" else Prod
+    if isinstance(first, kind):
+        return kind(first.first, first.rest + steps)
+    return kind(first, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +163,24 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        first, steps = self.term(), []
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                steps.append((val, self.term()))
             else:
-                return node
+                return _chain(first, *steps)
 
     def term(self):
-        node = self.factor()
+        first, steps = self.factor(), []
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+                steps.append((val, self.factor()))
             else:
-                return node
+                return _chain(first, *steps)
 
     def factor(self):
         kind, val, _ = self.peek()
@@ -258,14 +256,10 @@ def _render(node):
         return "z", _PREC_ATOM
     if isinstance(node, Neg):
         return "-" + _wrap(node.operand, _PREC_NEG), _PREC_NEG
-    if isinstance(node, Add):
-        return _wrap(node.left, _PREC_ADD) + "+" + _wrap(node.right, _PREC_ADD + 1), _PREC_ADD
-    if isinstance(node, Sub):
-        return _wrap(node.left, _PREC_ADD) + "-" + _wrap(node.right, _PREC_ADD + 1), _PREC_ADD
-    if isinstance(node, Mul):
-        return _wrap(node.left, _PREC_MUL) + "*" + _wrap(node.right, _PREC_MUL + 1), _PREC_MUL
-    if isinstance(node, Div):
-        return _wrap(node.left, _PREC_MUL) + "/" + _wrap(node.right, _PREC_MUL + 1), _PREC_MUL
+    if isinstance(node, (Sum, Prod)):
+        prec = _PREC_ADD if isinstance(node, Sum) else _PREC_MUL
+        rest = "".join(op + _wrap(operand, prec + 1) for op, operand in node.rest)
+        return _wrap(node.first, prec) + rest, prec
     if isinstance(node, Pow):
         return _wrap(node.base, _PREC_ATOM) + "^" + _wrap(node.exponent, _PREC_NEG), _PREC_POW
     if isinstance(node, Call):
@@ -287,7 +281,7 @@ def to_text(node):
 # jet evaluation
 
 
-_NODE_TAGS = {Neg: "neg", Add: "add", Sub: "sub", Mul: "mul", Div: "div", Pow: "pow"}
+_OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
 
 
 def _eval(node, z0, order):
@@ -298,14 +292,20 @@ def _eval(node, z0, order):
             return Jet.variable(z0, order)
         if isinstance(node, Neg):
             return -_eval(node.operand, z0, order)
-        if isinstance(node, Add):
-            return _eval(node.left, z0, order) + _eval(node.right, z0, order)
-        if isinstance(node, Sub):
-            return _eval(node.left, z0, order) - _eval(node.right, z0, order)
-        if isinstance(node, Mul):
-            return _eval(node.left, z0, order) * _eval(node.right, z0, order)
-        if isinstance(node, Div):
-            return _eval(node.left, z0, order) / _eval(node.right, z0, order)
+        if isinstance(node, (Sum, Prod)):
+            step = 0
+            acc = _eval(node.first, z0, order)
+            for step, (op, operand) in enumerate(node.rest):
+                rhs = _eval(operand, z0, order)
+                if op == "+":
+                    acc = acc + rhs
+                elif op == "-":
+                    acc = acc - rhs
+                elif op == "*":
+                    acc = acc * rhs
+                else:
+                    acc = acc / rhs
+            return acc
         if isinstance(node, Pow):
             n = integer_exponent(node.exponent)
             base = _eval(node.base, z0, order)
@@ -315,11 +315,14 @@ def _eval(node, z0, order):
         if isinstance(node, Call):
             return getattr(_eval(node.arg, z0, order), node.fn)()
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
-        # only Div, Pow and Call raise these, so prepending one tag per
-        # frame while the error unwinds spells the path from the root
-        # to the failing node
-        tag = node.fn if isinstance(node, Call) else _NODE_TAGS[type(node)]
-        exc.ast_path = f"/{tag}{getattr(exc, 'ast_path', '')}"
+        # prepending the tags of the enclosing nodes while the error unwinds
+        # spells the path from the root; a chain stands for the binary nodes
+        # of its steps, the last down to the failing one enclosing it
+        if isinstance(node, (Sum, Prod)):
+            tags = "".join(_OP_TAGS[op] for op, _ in reversed(node.rest[step:]))
+        else:  # Neg, Pow or Call
+            tags = "/" + (node.fn if isinstance(node, Call) else type(node).__name__.lower())
+        exc.ast_path = tags + getattr(exc, "ast_path", "")
         raise
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -348,37 +351,38 @@ def _ddz(node):
         return Const(1 + 0j)
     if isinstance(node, Neg):
         return Neg(_ddz(node.operand))
-    if isinstance(node, Add):
-        return Add(_ddz(node.left), _ddz(node.right))
-    if isinstance(node, Sub):
-        return Sub(_ddz(node.left), _ddz(node.right))
-    if isinstance(node, Mul):
-        return Add(Mul(_ddz(node.left), node.right),
-                   Mul(node.left, _ddz(node.right)))
-    if isinstance(node, Div):
-        return Div(
-            Sub(Mul(_ddz(node.left), node.right),
-                Mul(node.left, _ddz(node.right))),
-            Pow(node.right, Const(2 + 0j)))
+    if isinstance(node, Sum):
+        return Sum(_ddz(node.first), tuple((op, _ddz(x)) for op, x in node.rest))
+    if isinstance(node, Prod):
+        # product and quotient rule, one step of the chain at a time
+        acc, dacc = node.first, _ddz(node.first)
+        for op, x in node.rest:
+            dacc = _chain(_chain(dacc, ("*", x)),
+                          ("+" if op == "*" else "-", _chain(acc, ("*", _ddz(x)))))
+            if op == "/":
+                dacc = _chain(dacc, ("/", Pow(x, Const(2 + 0j))))
+            acc = _chain(acc, (op, x))
+        return dacc
     if isinstance(node, Pow):
         n = integer_exponent(node.exponent)
         if n is not None:
-            return Mul(
-                Mul(Const(complex(n)), Pow(node.base, Const(complex(n - 1)))),
-                _ddz(node.base))
+            return _chain(Const(complex(n)),
+                          ("*", Pow(node.base, Const(complex(n - 1)))),
+                          ("*", _ddz(node.base)))
         # b^e = exp(e log b): derivative b^e * (e' log b + e b'/b)
-        return Mul(
-            Pow(node.base, node.exponent),
-            Add(Mul(_ddz(node.exponent), Call("log", node.base)),
-                Mul(node.exponent, Div(_ddz(node.base), node.base))))
+        b, e = node.base, node.exponent
+        inner = _chain(_chain(_ddz(e), ("*", Call("log", b))),
+                       ("+", _chain(e, ("*", _chain(_ddz(b), ("/", b))))))
+        return _chain(Pow(b, e), ("*", inner))
     if isinstance(node, Call):
         darg = _ddz(node.arg)
         if node.fn == "log":
-            return Div(darg, node.arg)
+            return _chain(darg, ("/", node.arg))
         if node.fn == "exp":
-            return Mul(Call("exp", node.arg), darg)
+            return _chain(Call("exp", node.arg), ("*", darg))
         if node.fn == "sqrt":
-            return Div(darg, Mul(Const(2 + 0j), Call("sqrt", node.arg)))
+            return _chain(darg, ("/", _chain(Const(2 + 0j),
+                                             ("*", Call("sqrt", node.arg)))))
     raise TypeError(f"cannot differentiate node {node!r}")
 
 

@@ -285,23 +285,22 @@ class Jet:
 # bivariate (z, conj z) coefficient extraction
 
 
-def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
-                      angles=64, cond_threshold=1e8):
-    """Recover c_{mn} (m+n <= degree) of F(z) = sum c_{mn} t^m conj(t)^n.
+def bivariate_extract(F, degree=3, radii=(0.01, 0.02, 0.03), angles=64):
+    """Recover c_{mn} (m+n <= degree) of F(t) = sum c_{mn} t^m conj(t)^n.
 
     Returns a dict mapping every (m, n) with m + n <= degree to c_{mn}.
 
     ``F`` is called once with a complex ndarray of sample points and must
     return values of the same shape (ValueError otherwise).  Sampling
-    happens on ``len(radii)`` circles around ``center`` with ``angles``
-    points each.  An FFT over the angle isolates each frequency m-n; a
+    happens on ``len(radii)`` circles around 0 with ``angles`` points
+    each.  An FFT over the angle isolates each frequency m-n; a
     least-squares solve over the radii separates the powers rho^(m+n).
     A few powers beyond ``degree`` are kept as nuisance terms so that
     higher-order content of F does not leak into the reported
     coefficients.
 
     Raises IllConditioned when the (column-scaled) radial system has
-    condition number above ``cond_threshold``.
+    condition number above 1e8.
     """
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
@@ -314,7 +313,7 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
 
     rho = np.asarray(radii, dtype=float)
     theta = 2.0 * np.pi * np.arange(angles) / angles
-    pts = center + rho[:, None] * np.exp(1j * theta)[None, :]
+    pts = rho[:, None] * np.exp(1j * theta)[None, :]
     vals = np.asarray(F(pts), dtype=np.complex128)
     if vals.shape != pts.shape:
         raise ValueError(f"F returned shape {vals.shape} for sample points "
@@ -333,7 +332,7 @@ def bivariate_extract(F, center, degree=3, radii=(0.01, 0.02, 0.03),
         A = rho[:, None] ** np.asarray(exps)[None, :]
         colscale = np.linalg.norm(A, axis=0)
         As = A / colscale
-        if np.linalg.cond(As) > cond_threshold:
+        if np.linalg.cond(As) > 1e8:
             raise IllConditioned(
                 f"radial solve for frequency {k} exceeds condition threshold"
             )

@@ -37,16 +37,14 @@ from .expr import (
     AnalyticFunction,
     Const,
     DerivedFunction,
-    Div,
     ExprFunction,
-    Mul,
-    Sub,
+    _chain,
     _ddz,
     parse,
     to_text,
 )
 from .jets import Jet
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, integrate_segments
+from .quadrature import DEFAULT_TOL, integrate_segments
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -109,12 +107,12 @@ class HarmonicMobius:
         u = (w - a * np.conjugate(w)) / (1.0 - abs(a) ** 2)
         return self.T.inverse()(u)
 
-    def as_harmonic_map(self, label="harmonic-mobius"):
+    def as_harmonic_map(self):
         t = self.T.as_function()
         return HarmonicMap.from_parts(
             t, np.conjugate(self.alpha) * t,
             omega=ExprFunction(Const(complex(np.conjugate(self.alpha)))),
-            label=label)
+            label="harmonic-mobius")
 
 
 class AffineMap:
@@ -145,10 +143,9 @@ class AntiderivativeFunction(AnalyticFunction):
     def derivative(self):
         return self.df
 
-    def value(self, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    def value(self, z, tol=DEFAULT_TOL):
         start = np.zeros(np.shape(z))  # one segment 0 -> z per point
-        return integrate_segments(self.df.value, start, z,
-                                  tol=tol, max_depth=max_depth)
+        return integrate_segments(self.df.value, start, z, tol=tol)
 
     def jet(self, z, order):
         shape = np.shape(z)
@@ -380,9 +377,10 @@ def shear(phi, omega, theta=0.0, label=None):
         raise ParameterOutOfRange(
             "shear needs phi and omega with expression sources")
     w = ExprFunction(parse(omega.source))
-    den = Sub(Const(1 + 0j), Mul(Const(cmath.exp(2j * theta)), w.ast))
+    den = _chain(Const(1 + 0j),
+                 ("-", _chain(Const(cmath.exp(2j * theta)), ("*", w.ast))))
     # from the text, so the map equals the one map_from_json loads
-    hp = ExprFunction(to_text(Div(_ddz(parse(phi.source)), den)))
+    hp = ExprFunction(to_text(_chain(_ddz(parse(phi.source)), ("/", den))))
     return HarmonicMap.from_dilatation(
         hp, w, label=label or f"shear({phi.source}, theta={theta!r})")
 
@@ -468,7 +466,7 @@ def disk_automorphism(a):
     return ExprFunction(src)
 
 
-def partner_map(f, a, mu, lam, label=None):
+def partner_map(f, a, mu, lam):
     """The equal-pre-Schwarzian partner of f for parameters (a, mu, lam):
     omega_F = mu*(phi_a o omega), H' = lam*h'/sqrt(phi_a' o omega).
 
@@ -499,10 +497,10 @@ def partner_map(f, a, mu, lam, label=None):
 
     return HarmonicMap.from_dilatation(
         DerivedFunction(hp_jet), DerivedFunction(omega_jet),
-        label=label or f"partner({f.label})")
+        label=f"partner({f.label})")
 
 
-def evaluate(f, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+def evaluate(f, z, tol=DEFAULT_TOL):
     """f(z) = h(z) + conj(g(z)).
 
     In dilatation form the parts are integrated along [0, z] with
@@ -517,7 +515,7 @@ def evaluate(f, z, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
 
     def part_value(part):
         if isinstance(part, AntiderivativeFunction):
-            return part.value(z, tol=tol, max_depth=max_depth)
+            return part.value(z, tol=tol)
         return part.value(z)
 
     return part_value(f.h) + np.conjugate(part_value(f.g))

@@ -36,11 +36,11 @@ from .errors import (
 from .jets import bivariate_extract
 from .maps import PRESERVING, best_harmonic_mobius
 
-DEFAULT_FD_STEP = 1e-3
+_FD_STEP = 1e-3
 
-# fourth-order central-difference stencils on offsets [-2,-1,0,1,2]
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# fourth-order central differences for f' and f'' on offsets -2..2, step _FD_STEP
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0 / _FD_STEP
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0 / _FD_STEP ** 2
 
 
 def _one_minus_sq(wabs):
@@ -167,27 +167,25 @@ def mixed_laplacian_schwarzian(f, z):
             - 9.0 * wp ** 3 * wb ** 2 * wpb / D ** 4)
 
 
-def schwarzian_via_jacobian_fd(f, z, step=DEFAULT_FD_STEP):
+def schwarzian_via_jacobian_fd(f, z):
     """Oracle: delta_zz - delta_z^2/2 for delta = log J_f by central
     finite differences (fourth order, 5x5 stencil in x and y)."""
     z = complex(z)
     f = f.preserving()
     offsets = np.arange(-2, 3)
-    pts = z + step * (offsets[:, None] + 1j * offsets[None, :])
+    pts = z + _FD_STEP * (offsets[:, None] + 1j * offsets[None, :])
     if np.any(np.abs(pts) >= 1.0):
         raise StencilOutsideDomain(
-            f"stencil of half-width {2 * step} leaves the unit disk at {z}")
+            f"stencil of half-width {2 * _FD_STEP} leaves the unit disk at {z}")
     J = jacobian(f, pts)
     if np.any(J <= 0):
         raise DomainError("log J_f undefined: Jacobian not positive", at=z)
     delta = np.log(J)
-    c1 = _D1 / step
-    c2 = _D2 / step ** 2
-    dx = c1 @ delta[:, 2]
-    dy = c1 @ delta[2, :]
-    dxx = c2 @ delta[:, 2]
-    dyy = c2 @ delta[2, :]
-    dxy = c1 @ delta @ c1
+    dx = _D1 @ delta[:, 2]
+    dy = _D1 @ delta[2, :]
+    dxx = _D2 @ delta[:, 2]
+    dyy = _D2 @ delta[2, :]
+    dxy = _D1 @ delta @ _D1
     delta_z = 0.5 * (dx - 1j * dy)
     delta_zz = 0.25 * (dxx - dyy - 2j * dxy)
     return delta_zz - 0.5 * delta_z ** 2
@@ -206,14 +204,14 @@ def lemma1_schwarzian(f, z0):
     return _schwarzian_from_derivative_jet(u)
 
 
-def tamanoi_schwarzian(f, z0, radii=(0.01, 0.02, 0.03), angles=64):
+def tamanoi_schwarzian(f, z0):
     """Oracle: 6(c30 - c20^2) of the deviation F = M^{-1} o f(z0 + .)
     from the best harmonic Moebius approximation M at z0.
 
-    The coefficients come from sampling F on small circles and running
-    the bivariate extraction; accuracy is set by the default radii
+    The coefficients come from sampling F on circles of radii 0.01, 0.02
+    and 0.03 (bivariate_extract's defaults), which set the accuracy
     (about 1e-7 on the catalog maps).  The circles must stay inside the
-    disk (with the default radii, |z0| < 0.97), else DomainError.
+    disk (|z0| < 0.97), else DomainError.
     """
     z0 = complex(z0)
     f = f.preserving()
@@ -222,6 +220,5 @@ def tamanoi_schwarzian(f, z0, radii=(0.01, 0.02, 0.03), angles=64):
     def deviation(t):
         return M.invert(f.values(z0 + t))
 
-    coeffs = bivariate_extract(deviation, 0.0, degree=3,
-                               radii=radii, angles=angles)
+    coeffs = bivariate_extract(deviation, degree=3)
     return 6.0 * (coeffs[(3, 0)] - coeffs[(2, 0)] ** 2)

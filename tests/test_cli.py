@@ -1,5 +1,6 @@
 """CLI contract: commands, output schemas, exit codes, determinism."""
 
+import argparse
 import importlib.util
 import json
 import math
@@ -20,7 +21,7 @@ from harmschwarz import (
     norms,
     shear,
 )
-from harmschwarz.cli import main
+from harmschwarz.cli import _VALUE_FLAGS, build_parser, main
 from harmschwarz.maps import HarmonicMap
 
 
@@ -420,12 +421,74 @@ def test_error_classes_declare_the_exit_codes():
     assert declared == _EXIT_CODES
 
 
+def test_value_flags_are_every_option_that_takes_a_value():
+    # main() joins these flags with a following value that starts with '-'
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in commands.choices.values() for a in p._actions
+             if a.nargs != 0 for opt in a.option_strings if opt.startswith("--")}
+    assert flags == set(_VALUE_FLAGS)
+
+
 class TestDeepExpressions:
-    def test_long_sum_is_parse_error(self, capsys):
+    def test_1000_terms_evaluate(self, capsys):
         h = "+".join(f"0.001*z^{k}" for k in range(1, 1001))
-        rec = _single_error(*run_cli(capsys, "eval", "--h", h, "--g", "0",
-                                     "--op", "pre", "--at", "0.1,0"), 2)
-        assert "nests too deeply" in rec["message"]
+        code, out, err = run_cli(capsys, "eval", "--h", h, "--g", "0",
+                                 "--op", "pre", "--at", "0.1,0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["op"] == "pre"
+
+    @staticmethod
+    def _value_and_jacobian(capsys, h):
+        # render on the one-point grid {0.3} prints h(0.3); jac is |h'(0.3)|^2
+        code, out, _ = run_cli(capsys, "render", "--h", h, "--g", "0",
+                               "--rays", "1", "--circles", "1", "--rmax", "0.3")
+        assert code == 0
+        value = float(out.split("\n")[1].split(",")[2])
+        code, out, _ = run_cli(capsys, "eval", "--h", h, "--g", "0",
+                               "--op", "jac", "--at", "0.3,0")
+        assert code == 0
+        return value, json.loads(out)["value"][0]
+
+    def test_5000_term_sum_evaluates(self, capsys):
+        # z summed 5000 times has the jet [1500, 5000, 0] at 0.3
+        h = "+".join(["z"] * 5000)
+        value, jac = self._value_and_jacobian(capsys, h)
+        assert abs(value - 1500.0) <= 1e-12 * 1500.0
+        assert jac == 5000.0 ** 2
+        code, out, _ = run_cli(capsys, "eval", "--h", h, "--g", "0",
+                               "--op", "pre", "--at", "0.3,0")
+        assert code == 0 and json.loads(out)["value"] == [0.0, 0.0]
+
+    def test_5000_factor_product_evaluates(self, capsys):
+        got = self._value_and_jacobian(capsys, "*".join(["(1+0.001*z)"] * 5000))
+        want = self._value_and_jacobian(capsys, "(1+0.001*z)^5000")
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_shear_of_600_term_sum_round_trips(self):
+        # exponents stay within 512, the cap of the exact integer powers:
+        # z^513 and up go through exp(e*log(z)), undefined at 0
+        phi = ExprFunction("+".join(f"0.001*z^{1 + k % 500}" for k in range(600)))
+        f = shear(phi, ExprFunction("0.5*z"), 0.3)
+        loaded = map_from_json(json.loads(json.dumps(map_to_json(f))))
+        assert map_to_json(loaded) == map_to_json(f)
+        for z in (0.0, 0.3 - 0.2j, -0.45 + 0.1j):
+            for a, b in zip(f.derivative_data(z), loaded.derivative_data(z)):
+                assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_190_nested_parentheses_evaluate(self):
+        # a subprocess, since pytest's own frames lower the limit by a few
+        # levels
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        h = "(" * 190 + "z" + ")" * 190
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmschwarz.cli", "eval", "--h", h,
+             "--g", "0", "--op", "jac", "--at", "0.1,0"],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["value"] == [1.0, 0.0]
 
     def test_nested_parentheses_are_parse_error(self, capsys):
         h = "(" * 3000 + "z" + ")" * 3000

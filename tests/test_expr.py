@@ -14,14 +14,12 @@ from harmschwarz.errors import (
     UnknownIdentifier,
 )
 from harmschwarz.expr import (
-    Add,
     Call,
     Const,
-    Div,
-    Mul,
     Neg,
     Pow,
-    Sub,
+    Prod,
+    Sum,
     Var,
     _ddz,
     integer_exponent,
@@ -31,13 +29,14 @@ from harmschwarz.expr import (
 class TestParse:
     def test_koebe_ast(self):
         ast = parse("z/(1-z)^2")
-        assert ast == Div(Var(), Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
+        assert ast == Prod(Var(), (
+            ("/", Pow(Sum(Const(1 + 0j), (("-", Var()),)), Const(2 + 0j))),))
 
     def test_strip_map_parses(self):
         ast = parse("0.5*log((1+z)/(1-z))")
-        assert ast == Mul(Const(0.5 + 0j),
-                          Call("log", Div(Add(Const(1 + 0j), Var()),
-                                          Sub(Const(1 + 0j), Var()))))
+        assert ast == Prod(Const(0.5 + 0j), (
+            ("*", Call("log", Prod(Sum(Const(1 + 0j), (("+", Var()),)), (
+                ("/", Sum(Const(1 + 0j), (("-", Var()),))),)))),))
 
     def test_unbalanced_paren_offset(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -53,7 +52,8 @@ class TestParse:
             parse("2z")
 
     def test_imaginary_literal(self):
-        assert parse("1+2*i") == Add(Const(1 + 0j), Mul(Const(2 + 0j), Const(1j)))
+        assert parse("1+2*i") == Sum(Const(1 + 0j), (
+            ("+", Prod(Const(2 + 0j), (("*", Const(1j)),))),))
 
     def test_unary_minus_binds_looser_than_power(self):
         assert parse("-z^2") == Neg(Pow(Var(), Const(2 + 0j)))
@@ -97,6 +97,13 @@ class TestPrinter:
     @pytest.mark.parametrize("text", _EXPR_SAMPLES)
     def test_parse_print_parse_idempotent(self, text):
         ast = parse(text)
+        assert parse(to_text(ast)) == ast
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["z"] * 5000), "*".join(["(1+0.001*z)"] * 5000)])
+    def test_long_chains_round_trip(self, text):
+        ast = parse(text)
+        assert len(ast.rest) == 4999
         assert parse(to_text(ast)) == ast
 
     @given(st.recursive(
@@ -185,6 +192,22 @@ class TestAstPath:
          "jet division by zero constant term [ast /pow/div]"),
         ("(1+z)^(1/z)", DivisionByZeroConstantTerm, "/pow/div",
          "jet division by zero constant term [ast /pow/div]"),
+        # a failure inside a sum or product names the binary steps of the
+        # left-to-right chain from the last one down to the failing one
+        ("2+1/z+3", DivisionByZeroConstantTerm, "/add/add/div",
+         "jet division by zero constant term [ast /add/add/div]"),
+        ("1+2-3/z", DivisionByZeroConstantTerm, "/sub/div",
+         "jet division by zero constant term [ast /sub/div]"),
+        ("z*2/z/3", DivisionByZeroConstantTerm, "/div/div",
+         "jet division by zero constant term [ast /div/div]"),
+        ("1/z*2*3", DivisionByZeroConstantTerm, "/mul/mul/div",
+         "jet division by zero constant term [ast /mul/mul/div]"),
+        ("2*3*sqrt(z)*4", BranchPointAtCenter, "/mul/mul/sqrt",
+         "sqrt of jet with zero constant term [ast /mul/mul/sqrt]"),
+        ("1-z-(1/z)-2", DivisionByZeroConstantTerm, "/sub/sub/div",
+         "jet division by zero constant term [ast /sub/sub/div]"),
+        ("exp(1+z+z^-1)", DivisionByZeroConstantTerm, "/exp/add/pow",
+         "jet division by zero constant term [ast /exp/add/pow]"),
     ])
     def test_path_and_message_name_the_failing_node(self, text, kind, path, message):
         with pytest.raises(kind) as err:

@@ -208,7 +208,7 @@ class TestBivariate:
         def F(t):
             return t + np.conjugate(t) ** 2
 
-        coeffs = bivariate_extract(F, 0.0, degree=2)
+        coeffs = bivariate_extract(F, degree=2)
         assert abs(coeffs[(1, 0)] - 1.0) < 1e-9
         assert abs(coeffs[(0, 2)] - 1.0) < 1e-9
         others = [v for mn, v in coeffs.items() if mn not in ((1, 0), (0, 2))]
@@ -219,7 +219,7 @@ class TestBivariate:
             w = 0.2 + t
             return w / (1.0 - w) ** 2
 
-        coeffs = bivariate_extract(koebe, 0.0, degree=3)
+        coeffs = bivariate_extract(koebe, degree=3)
         # c_{m0} are the Taylor coefficients of k around 0.2
         z = Jet.variable(0.2, 3)
         taylor = (z / (1.0 - z) ** 2).coeffs
@@ -231,27 +231,27 @@ class TestBivariate:
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_returns_every_coefficient_as_a_dict(self, degree):
-        coeffs = bivariate_extract(lambda t: t, 0.0, degree=degree)
+        coeffs = bivariate_extract(lambda t: t, degree=degree)
         assert type(coeffs) is dict
         assert set(coeffs) == {(m, n) for m in range(degree + 1)
                                for n in range(degree + 1 - m)}
 
     def test_ill_conditioned_radii(self):
         with pytest.raises(IllConditioned):
-            bivariate_extract(lambda t: t, 0.0, degree=3,
+            bivariate_extract(lambda t: t, degree=3,
                               radii=(0.01, 0.01, 0.01))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            bivariate_extract(lambda t: t, 0.0, degree=3, radii=(0.01,))
+            bivariate_extract(lambda t: t, degree=3, radii=(0.01,))
         with pytest.raises(ValueError):
-            bivariate_extract(lambda t: t, 0.0, degree=3, angles=5)
+            bivariate_extract(lambda t: t, degree=3, angles=5)
 
     def test_wrong_output_shape_raises(self):
         with pytest.raises(ValueError, match="shape"):
-            bivariate_extract(lambda t: t[0], 0.0, degree=3)
+            bivariate_extract(lambda t: t[0], degree=3)
         with pytest.raises(ValueError, match="shape"):
-            bivariate_extract(lambda t: 1.0, 0.0, degree=3)
+            bivariate_extract(lambda t: 1.0, degree=3)
 
     def test_errors_inside_f_propagate(self):
         calls = []
@@ -261,5 +261,5 @@ class TestBivariate:
             raise TypeError("boom")
 
         with pytest.raises(TypeError, match="boom"):
-            bivariate_extract(F, 0.0, degree=3)
+            bivariate_extract(F, degree=3)
         assert calls == [(3, 64)]  # one vectorised call, no pointwise rerun

@@ -360,7 +360,7 @@ class TestTamanoi:
         from harmschwarz import best_harmonic_mobius, bivariate_extract
         f = catalog("S2")
         M = best_harmonic_mobius(f, 0.0)
-        coeffs = bivariate_extract(lambda t: M.invert(f.values(t)), 0.0, degree=3)
+        coeffs = bivariate_extract(lambda t: M.invert(f.values(t)), degree=3)
         assert abs(coeffs[(2, 0)]) < 1e-8
 
     def test_works_on_reversing_maps(self):
