@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 205 ``harmschwarz`` commands in one process through
+Runs 215 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -28,7 +28,8 @@ POINTS = ("0,0", "0.3,0.1", "-0.45,0.2", "0.1,-0.7")
 OPS = ("pre", "schw", "jac", "dbarpre", "lap")
 
 # maps given by expressions: parts form (--h/--g) and dilatation form
-# (--h is h', with --omega)
+# (--h is h', with --omega); the last one spells the h' of the one
+# before it as d(h)
 EXPR_MAPS = (
     ("--h", "z", "--g", "0.5*z"),
     ("--h", "z/(1-z)^2", "--g", "(0.2+0.4*i)*(z/(1-z)^2)"),
@@ -36,6 +37,7 @@ EXPR_MAPS = (
     ("--h", "1/(1-z)^3", "--omega", "-z"),
     ("--h", "exp(z^2)", "--omega", "0.5*z"),
     ("--h", "(1+z)/(1-z)^3", "--omega", "z^2"),
+    ("--h", "d(z/(1-z)^2)", "--omega", "z^2"),
 )
 
 SHEARS = (
@@ -104,6 +106,13 @@ CHAINS = (
     ("eval", "--h", "z", "--g", "2*3*sqrt(z)*4", "--op", "jac", "--at", "0,0"),
 )
 
+# derivatives of constant terms and integer powers of any size are exact
+# jet operations, valid at the origin
+POWERS = (
+    ("shear", "--phi", "z^0+z", "--omega", "0.5*z"),
+    ("eval", "--h", "z+z^513", "--g", "0", "--op", "jac", "--at", "0,0"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -161,7 +170,7 @@ def commands():
                     "--rmax", "0.95"))
     for suite in ("oracles", "invariance", "norms", "becker", "all"):
         out.append(("verify", suite))
-    return [list(argv) for argv in out + list(ERRORS) + list(CHAINS)]
+    return [list(argv) for argv in out + list(ERRORS) + list(CHAINS) + list(POWERS)]
 
 
 def run(argv, main):

@@ -6,13 +6,13 @@ floats in shortest round-trip form, CSV with the documented header.
 
 Exit codes: 0 success, 1 usage (including non-finite numbers), 2
 expression parse error (including nesting too deep: more than about 196
-parentheses, 980 unary minus signs, 489 chained '^' or a shear of a
-product of 195 factors; sums and products of any length evaluate), 3
-domain error, 4 numerical failure.  A library error exits with the
-``exit_code`` its class declares in ``errors``.  Every error path
-writes one machine parsable JSON record {"code", "message", "at"?} to
-stderr and nothing else: numpy's floating-point warnings are silenced
-while a command runs (an overflow surfaces as NonFinite, exit 4).
+parentheses, 980 unary minus signs or 489 chained '^'; sums and products
+of any length evaluate), 3 domain error, 4 numerical failure.  A library
+error exits with the ``exit_code`` its class declares in ``errors``.
+Every error path writes one machine parsable JSON record {"code",
+"message", "at"?} to stderr and nothing else: numpy's floating-point
+warnings are silenced while a command runs (an overflow surfaces as
+NonFinite, exit 4).
 
 Map specification (exactly one style per invocation):
 

@@ -7,20 +7,22 @@ The grammar is a stable public contract:
     factor := '-' factor | power
     power  := atom ('^' factor)?
     atom   := number | 'i' | 'z' | ident '(' expr ')' | '(' expr ')'
-    ident  := 'log' | 'exp' | 'sqrt'
+    ident  := 'log' | 'exp' | 'sqrt' | 'd'
 
-'^' is right-associative and binds tighter than unary minus ("-z^2" is
--(z^2)).  There is no implicit multiplication ("2z" is a syntax error),
-'i' is the imaginary literal, and numbers are decimal with an optional
-exponent part.  Syntax errors carry the byte offset of the offending
-token; the offset of an unexpected end of input is len(text).
+d(u) is the derivative du/dz.  '^' is right-associative and binds
+tighter than unary minus ("-z^2" is -(z^2)).  There is no implicit
+multiplication ("2z" is a syntax error), 'i' is the imaginary literal,
+and numbers are decimal with an optional exponent part.  Syntax errors
+carry the byte offset of the offending token; the offset of an
+unexpected end of input is len(text).
 
 Evaluation produces :class:`~harmschwarz.jets.Jet` objects by structural
 recursion, so every registered function is differentiable to any order
 at any point of its domain.  A sum or a product is one node, evaluated
-left to right in a loop.  Integer-constant exponents are evaluated by
-repeated multiplication (exact, and valid at zeros of the base); all
-other powers go through exp(e*log(base)) on the principal branch.
+left to right in a loop.  d(u) through order n is the jet of u through
+order n + 1, differentiated.  Integer-constant exponents of any size are
+evaluated by repeated squaring (exact, and valid at zeros of the base);
+all other powers go through exp(e*log(base)) on the principal branch.
 """
 
 import re
@@ -79,7 +81,7 @@ class Call:
     arg: object
 
 
-KNOWN_FUNCTIONS = ("log", "exp", "sqrt")
+KNOWN_FUNCTIONS = ("log", "exp", "sqrt", "d")
 
 
 def integer_exponent(node):
@@ -93,7 +95,7 @@ def integer_exponent(node):
         node, neg = node.operand, True
     if isinstance(node, Const):
         v = complex(node.value)
-        if v.imag == 0 and float(v.real).is_integer() and abs(v.real) <= 512:
+        if v.imag == 0 and float(v.real).is_integer():
             n = int(v.real)
             return -n if neg else n
     return None
@@ -313,6 +315,8 @@ def _eval(node, z0, order):
                 return base ** n
             return (_eval(node.exponent, z0, order) * base.log()).exp()
         if isinstance(node, Call):
+            if node.fn == "d":
+                return _eval(node.arg, z0, order + 1).derivative()
             return getattr(_eval(node.arg, z0, order), node.fn)()
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         # prepending the tags of the enclosing nodes while the error unwinds
@@ -335,55 +339,6 @@ def eval_ast_jet(node, z0, order):
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
         raise
-
-
-# ---------------------------------------------------------------------------
-# symbolic d/dz on the grammar (serialization plumbing: maps.shear builds
-# h' = phi'/(1 - e^{2i theta} omega) with it, so a sheared map travels as
-# expression text)
-
-
-def _ddz(node):
-    """AST of the derivative of ``node``; the result is not simplified."""
-    if isinstance(node, Const):
-        return Const(0j)
-    if isinstance(node, Var):
-        return Const(1 + 0j)
-    if isinstance(node, Neg):
-        return Neg(_ddz(node.operand))
-    if isinstance(node, Sum):
-        return Sum(_ddz(node.first), tuple((op, _ddz(x)) for op, x in node.rest))
-    if isinstance(node, Prod):
-        # product and quotient rule, one step of the chain at a time
-        acc, dacc = node.first, _ddz(node.first)
-        for op, x in node.rest:
-            dacc = _chain(_chain(dacc, ("*", x)),
-                          ("+" if op == "*" else "-", _chain(acc, ("*", _ddz(x)))))
-            if op == "/":
-                dacc = _chain(dacc, ("/", Pow(x, Const(2 + 0j))))
-            acc = _chain(acc, (op, x))
-        return dacc
-    if isinstance(node, Pow):
-        n = integer_exponent(node.exponent)
-        if n is not None:
-            return _chain(Const(complex(n)),
-                          ("*", Pow(node.base, Const(complex(n - 1)))),
-                          ("*", _ddz(node.base)))
-        # b^e = exp(e log b): derivative b^e * (e' log b + e b'/b)
-        b, e = node.base, node.exponent
-        inner = _chain(_chain(_ddz(e), ("*", Call("log", b))),
-                       ("+", _chain(e, ("*", _chain(_ddz(b), ("/", b))))))
-        return _chain(Pow(b, e), ("*", inner))
-    if isinstance(node, Call):
-        darg = _ddz(node.arg)
-        if node.fn == "log":
-            return _chain(darg, ("/", node.arg))
-        if node.fn == "exp":
-            return _chain(Call("exp", node.arg), ("*", darg))
-        if node.fn == "sqrt":
-            return _chain(darg, ("/", _chain(Const(2 + 0j),
-                                             ("*", Call("sqrt", node.arg)))))
-    raise TypeError(f"cannot differentiate node {node!r}")
 
 
 # ---------------------------------------------------------------------------

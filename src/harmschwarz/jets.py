@@ -197,8 +197,11 @@ class Jet:
     # -- transcendental compositions ------------------------------------
 
     def _require_nonzero_constant(self, what):
-        if np.any(self.coeffs[0] == 0):
-            raise BranchPointAtCenter(f"{what} of jet with zero constant term")
+        zero = self.coeffs[0] == 0
+        if zero.any():
+            exc = BranchPointAtCenter(f"{what} of jet with zero constant term")
+            exc.mask = zero  # where the argument vanishes, as for a division
+            raise exc
 
     def sqrt(self):
         self._require_nonzero_constant("sqrt")

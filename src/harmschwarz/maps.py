@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .errors import (
+    BranchPointAtCenter,
     DegenerateJet,
     DivisionByZeroConstantTerm,
     DomainError,
@@ -35,11 +36,11 @@ from .errors import (
 )
 from .expr import (
     AnalyticFunction,
+    Call,
     Const,
     DerivedFunction,
     ExprFunction,
     _chain,
-    _ddz,
     parse,
     to_text,
 )
@@ -234,27 +235,34 @@ class HarmonicMap:
         return self.value(np.asarray(zs, dtype=np.complex128))
 
     def _hp_omega_jets(self, z, order_h, order_w):
-        """Jets of h' and omega at z, unchecked.
+        """Jets of h' and omega at z; local univalence is not checked.
 
         A quotient omega = g'/h' reuses the jet of h': it is evaluated
         once, at the higher order, and truncated.  Truncation is exact,
         bit for bit, because every jet recurrence is causal (coefficient
-        k reads only coefficients <= k).
+        k reads only coefficients <= k).  A jet division by zero or a
+        branch point at the centre raises DomainError naming the first
+        point where it happens.
         """
-        if not self._omega_is_quotient:
-            return self.hp.jet(z, order_h), self.omega.jet(z, order_w)
-        n = max(order_h, order_w)
         try:
-            hpj = self.hp.jet(z, n)
-        except ToolkitError:
-            if n > order_h:
-                # fail as the separate evaluations did: h' through
-                # order_h, then g', then h' through n (only the last
-                # can overflow where the first does not)
-                self.hp.jet(z, order_h)
-                self.gp.jet(z, order_w)
-            raise
-        wj = self.gp.jet(z, order_w) / hpj.truncate(order_w)
+            if not self._omega_is_quotient:
+                return self.hp.jet(z, order_h), self.omega.jet(z, order_w)
+            n = max(order_h, order_w)
+            try:
+                hpj = self.hp.jet(z, n)
+            except ToolkitError:
+                if n > order_h:
+                    # fail as the separate evaluations did: h' through
+                    # order_h, then g', then h' through n (only the last
+                    # can overflow where the first does not)
+                    self.hp.jet(z, order_h)
+                    self.gp.jet(z, order_w)
+                raise
+            wj = self.gp.jet(z, order_w) / hpj.truncate(order_w)
+        except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+            mask = exc.mask if np.shape(exc.mask) == np.shape(z) else None
+            raise DomainError(f"derivative data unavailable: {exc}",
+                              at=_first_point(z, mask)) from exc
         return hpj.truncate(order_h), wj
 
     def derivative_data(self, z, order_h=2, order_w=2):
@@ -263,15 +271,10 @@ class HarmonicMap:
         A quotient omega = g'/h' costs one evaluation of h', not two.
         Checks local univalence lazily: raises DomainError naming the
         first offending point when h' = 0 or |omega| >= 1, and the first
-        point where a jet division meets a zero divisor.
+        point where a jet division meets a zero divisor or a branch
+        point sits at the centre.
         """
-        rep = self.preserving()
-        try:
-            hpj, wj = rep._hp_omega_jets(z, order_h, order_w)
-        except DivisionByZeroConstantTerm as exc:
-            mask = exc.mask if np.shape(exc.mask) == np.shape(z) else None
-            raise DomainError(f"derivative data unavailable: {exc}",
-                              at=_first_point(z, mask)) from exc
+        hpj, wj = self.preserving()._hp_omega_jets(z, order_h, order_w)
         bad = hpj.value == 0
         if np.any(bad):
             raise DomainError("h' vanishes", at=_first_point(z, bad))
@@ -364,8 +367,9 @@ def shear(phi, omega, theta=0.0, label=None):
     normalized by h(0) = g(0) = 0 like every dilatation-form map.
 
     phi and omega must carry expression ``source`` text: h' =
-    phi'/(1 - e^{2i theta} omega) is built once as an expression, with
-    phi' differentiated symbolically, so ``map_from_json(map_to_json(f))``
+    phi'/(1 - e^{2i theta} omega) is built once as the expression
+    ``d(phi)/(1-c*(omega))`` with c = e^{2i theta}, so
+    ``map_from_json(map_to_json(f))``
     rebuilds exactly this map.  A point where the denominator vanishes
     raises DivisionByZeroConstantTerm with the AST path ``[ast /div]``.
     """
@@ -380,7 +384,7 @@ def shear(phi, omega, theta=0.0, label=None):
     den = _chain(Const(1 + 0j),
                  ("-", _chain(Const(cmath.exp(2j * theta)), ("*", w.ast))))
     # from the text, so the map equals the one map_from_json loads
-    hp = ExprFunction(to_text(_chain(_ddz(parse(phi.source)), ("/", den))))
+    hp = ExprFunction(to_text(_chain(Call("d", parse(phi.source)), ("/", den))))
     return HarmonicMap.from_dilatation(
         hp, w, label=label or f"shear({phi.source}, theta={theta!r})")
 

@@ -12,7 +12,7 @@ cells.  Every reported value is the weighted modulus re-evaluated at
 the reported argmax.  It is meant as a lower bound of the supremum, but
 rounding near the rim can lift it above: ``norm --op S`` reads
 1.5000000000044573 for L (supremum 1.5), 9.500000000131093 for K2 (9.5)
-and 6.000000002305662 for q2 (6).  ROADMAP item 1 (an error bound on
+and 6.000000002305662 for q2 (6).  ROADMAP item 2 (an error bound on
 every reported value) addresses this.  Maxima attained only in the
 limit |z| -> 1 (e.g. the K2 example) surface as a near-boundary argmax
 with the boundary flag set.

@@ -128,6 +128,16 @@ class TestExitCodes:
                                      "8", "--rmax", "0.5"), 3)
         assert rec["at"] == "0.5,0.0"
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--h", "log(z)", "--g", "0", "--op", "pre", "--at", "0,0"),
+        ("eval", "--h", "z", "--g", "2*3*sqrt(z)*4", "--op", "jac", "--at", "0,0"),
+        ("shear", "--phi", "log(z)", "--omega", "z"),
+    ])
+    def test_branch_point_error_names_the_point(self, capsys, argv):
+        rec = _single_error(*run_cli(capsys, *argv), 3)
+        assert "of jet with zero constant term" in rec["message"]
+        assert rec["at"] == "0.0,0.0"
+
     def test_lower_order_failure_is_reported_first(self, capsys):
         # lap needs the order-3 jet of h', which overflows at 0.688, where
         # g' has a pole; h' through order 2 and g' are evaluated first
@@ -236,6 +246,16 @@ class TestShear:
         for z in (0.0, 0.3 - 0.2j, -0.45 + 0.1j):
             for a, b in zip(lib.derivative_data(z), loaded.derivative_data(z)):
                 assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_constant_power_term_differentiates_at_the_origin(self, capsys):
+        # d/dz z^0 is 0 at the origin too
+        code, out, _ = run_cli(capsys, "shear", "--phi", "z^0+z",
+                               "--omega", "0.5*z")
+        assert code == 0
+        spec = json.loads(out)
+        assert spec["h"] == "d(z^0.0+z)/(1.0-1.0*(0.5*z))"
+        hpj, _ = map_from_json(spec).derivative_data(0.0)
+        assert hpj.coeffs[0] == 1.0
 
     def test_vanishing_denominator_is_3(self, capsys):
         rec = _single_error(*run_cli(capsys, "shear", "--phi", "z",
@@ -466,9 +486,15 @@ class TestDeepExpressions:
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12 * abs(b)
 
+    def test_integer_powers_above_512_are_exact(self, capsys):
+        # z^513 is a jet power like z^2, so it is defined at the origin
+        code, out, _ = run_cli(capsys, "eval", "--h", "z+z^513", "--g", "0",
+                               "--op", "jac", "--at", "0,0")
+        assert code == 0
+        assert json.loads(out)["value"] == [1.0, 0.0]
+
     def test_shear_of_600_term_sum_round_trips(self):
-        # exponents stay within 512, the cap of the exact integer powers:
-        # z^513 and up go through exp(e*log(z)), undefined at 0
+        # h' is d(phi)/(1-c*(omega)): its text grows with phi alone
         phi = ExprFunction("+".join(f"0.001*z^{1 + k % 500}" for k in range(600)))
         f = shear(phi, ExprFunction("0.5*z"), 0.3)
         loaded = map_from_json(json.loads(json.dumps(map_to_json(f))))
@@ -595,11 +621,11 @@ _PINNED_CATALOG = {
 
 _PINNED_SHEAR = {
     ("z/(1-z)^2", "z", "0"):
-        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "(1.0*(1.0-z)^2.0-z*(2.0*(1.0-z)^1.0*(0.0-1.0)))/((1.0-z)^2.0)^2.0/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
+        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "d(z/(1.0-z)^2.0)/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
     ("z", "0.5*z", "0.3"):
-        '{"label": "shear(theta=0.3)", "form": "dilatation", "h": "1.0/(1.0-(0.8253356149096783+0.5646424733950354*i)*(0.5*z))", "omega": "0.5*z", "sense": "preserving"}',
+        '{"label": "shear(theta=0.3)", "form": "dilatation", "h": "d(z)/(1.0-(0.8253356149096783+0.5646424733950354*i)*(0.5*z))", "omega": "0.5*z", "sense": "preserving"}',
     ("1+z/(1-z)^2", "z", "0"):
-        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "(0.0+(1.0*(1.0-z)^2.0-z*(2.0*(1.0-z)^1.0*(0.0-1.0)))/((1.0-z)^2.0)^2.0)/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
+        '{"label": "shear(theta=0.0)", "form": "dilatation", "h": "d(1.0+z/(1.0-z)^2.0)/(1.0-1.0*z)", "omega": "z", "sense": "preserving"}',
 }
 
 

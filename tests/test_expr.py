@@ -21,7 +21,6 @@ from harmschwarz.expr import (
     Prod,
     Sum,
     Var,
-    _ddz,
     integer_exponent,
 )
 
@@ -208,6 +207,8 @@ class TestAstPath:
          "jet division by zero constant term [ast /sub/sub/div]"),
         ("exp(1+z+z^-1)", DivisionByZeroConstantTerm, "/exp/add/pow",
          "jet division by zero constant term [ast /exp/add/pow]"),
+        ("1+d(1/z)", DivisionByZeroConstantTerm, "/add/d/div",
+         "jet division by zero constant term [ast /add/d/div]"),
     ])
     def test_path_and_message_name_the_failing_node(self, text, kind, path, message):
         with pytest.raises(kind) as err:
@@ -224,17 +225,31 @@ _EXPR_TEXT = st.recursive(
     max_leaves=12)
 
 
-class TestSymbolicDerivative:
-    @given(_EXPR_TEXT, st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j]))
+class TestDerivativeBuiltin:
+    # d(u) is the order n + 1 jet of u, differentiated: the recurrence of
+    # AnalyticFunction.derivative
+    @given(_EXPR_TEXT, st.integers(0, 3),
+           st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0, "array"]))
     @settings(max_examples=300, deadline=None)
-    def test_ddz_matches_jet_derivative(self, text, z):
-        ast = parse(text)
+    def test_d_is_the_jet_derivative_bitwise(self, text, n, z):
+        if z == "array":
+            z = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j])
         try:
-            want = ExprFunction(ast).jet(z, 1).coeffs[1]
-            got = ExprFunction(_ddz(ast)).value(z)
-        except ToolkitError:
-            return  # undefined at z (pole, branch point, overflow)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            want = ExprFunction(text).jet(z, n + 1).derivative()
+        except ToolkitError as exc:
+            with pytest.raises(type(exc)) as err:
+                ExprFunction(f"d({text})").jet(z, n)
+            if hasattr(exc, "ast_path"):
+                assert err.value.ast_path == "/d" + exc.ast_path
+            return
+        got = ExprFunction(f"d({text})").jet(z, n)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @given(_EXPR_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_d_round_trips_through_the_printer(self, text):
+        ast = parse(f"2*d({text})-d(d({text}))")
+        assert parse(to_text(ast)) == ast
 
 
 class TestTruncation:

@@ -132,6 +132,13 @@ class TestTranscend:
             with pytest.raises(BranchPointAtCenter):
                 getattr(z, fn)()
 
+    def test_branch_point_error_carries_the_zero_mask(self):
+        z = Jet.variable(np.array([0.5, 0.0, 0.2]), 2)
+        for fn in ("sqrt", "log"):
+            with pytest.raises(BranchPointAtCenter) as err:
+                getattr(z, fn)()
+            assert err.value.mask.tolist() == [False, True, False]
+
     def test_cpow_matches_integer_power(self):
         z = Jet.variable(0.2 + 0.1j, 4)
         exact = (1.0 + z) ** 3

@@ -513,3 +513,10 @@ class TestDerivativeData:
         with pytest.raises(DomainError) as err:
             f.derivative_data(np.array([0.1, 0.5, 0.2j]))
         assert err.value.at == 0.5
+
+    def test_branch_point_error_names_the_failing_point(self):
+        f = HarmonicMap.from_dilatation(ExprFunction("sqrt(z-0.5)"),
+                                        ExprFunction("0.5*z"))
+        with pytest.raises(DomainError) as err:
+            f.derivative_data(np.array([0.1, 0.5, 0.2j]))
+        assert err.value.at == 0.5
