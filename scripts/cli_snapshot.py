@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 215 ``harmschwarz`` commands in one process through
+Runs 227 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -113,6 +113,23 @@ POWERS = (
     ("eval", "--h", "z+z^513", "--g", "0", "--op", "jac", "--at", "0,0"),
 )
 
+# the h' and omega that `catalog NAME` prints for each harmonic map: as
+# --h/--omega they give the bytes of --map NAME
+CATALOG_HP_OMEGA = (
+    ("K", "(1+z)/(1-z)^4", "z"),
+    ("L", "1/(1-z)^3", "-z"),
+    ("S1", "1/((1-z)^2*(1+z))", "z"),
+    ("S2", "1/(1-z^2)^2", "z^2"),
+    ("K2", "1/(1-z)^4", "z^2"),
+)
+
+# an overflow exits 4: 0.1^512 underflows, so 1/0.1^512 overflows; the
+# jets of exp(700*z) are finite at 0.5, |h'|^2 is not
+OVERFLOWS = (
+    ("eval", "--h", "z+z^-512", "--g", "0", "--op", "jac", "--at", "0.1,0"),
+    ("eval", "--h", "exp(700*z)", "--g", "0", "--op", "jac", "--at", "0.5,0"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -170,7 +187,11 @@ def commands():
                     "--rmax", "0.95"))
     for suite in ("oracles", "invariance", "norms", "becker", "all"):
         out.append(("verify", suite))
-    return [list(argv) for argv in out + list(ERRORS) + list(CHAINS) + list(POWERS)]
+    out += list(ERRORS) + list(CHAINS) + list(POWERS)
+    for _, hp, omega in CATALOG_HP_OMEGA:
+        out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
+        out.append(("becker", "--h", hp, "--omega", omega))
+    return [list(argv) for argv in out + list(OVERFLOWS)]
 
 
 def run(argv, main):

@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError, ToolkitError
+from .errors import DomainError, NonFinite, ToolkitError
 from .maps import (
     CATALOG_NAMES,
     HarmonicMap,
@@ -146,10 +146,8 @@ def _jsonpair(v):
 
 
 def _cmd_catalog(args):
-    if args.name is None:
-        print(json.dumps({"names": list(CATALOG_NAMES)}))
-        return EXIT_OK
-    print(json.dumps(map_to_json(catalog_map(args.name))))
+    print(json.dumps({"names": list(CATALOG_NAMES)} if args.name is None
+                     else map_to_json(catalog_map(args.name))))
     return EXIT_OK
 
 
@@ -175,6 +173,11 @@ def _cmd_eval(args):
             val = cdo_schwarzian(f, z, q=q)
         else:
             val = _EVAL_OPS[args.op](f, z)
+        if not cmath.isfinite(val):
+            # finite jets can still overflow in an op, as |h'|^2 in jac
+            exc = NonFinite(f"non-finite {args.op} value at {z}")
+            exc.at = z
+            raise exc
         records.append({"z": _jsonpair(z), "op": args.op,
                         "value": _jsonpair(val)})
     if args.format == "csv":

@@ -176,7 +176,15 @@ class Jet:
         if not isinstance(exponent, int):
             raise TypeError("use cpow() for non-integer exponents")
         if exponent < 0:
-            return 1.0 / self.__pow__(-exponent)
+            power = self.__pow__(-exponent)
+            # base^n underflows to 0 where the base does not: 1/base^n overflows
+            lost = (power.coeffs[0] == 0) & (self.coeffs[0] != 0)
+            if lost.any():
+                at = complex(np.broadcast_to(self.center, lost.shape)[lost][0])
+                exc = NonFinite(f"jet power {exponent} overflows at {at}")
+                exc.at = at  # the point, as a DomainError carries it
+                raise exc
+            return 1.0 / power
         if exponent == 0:
             return Jet.constant(1.0, self.order, center=self.center,
                                 shape=self.coeffs.shape[1:])

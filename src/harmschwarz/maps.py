@@ -4,7 +4,8 @@ A map is held in canonical form: the analytic part ``h``, the
 co-analytic part ``g``, their derivatives h' and g', the dilatation
 omega = g'/h', and a sense flag.  Two concrete shapes occur:
 
-* parts form - h and g are explicit analytic functions (the catalog);
+* parts form - h and g are explicit, and h' and omega may be (the
+  catalog: a table of map JSON that ``map_from_json`` loads);
 * dilatation form - h' and omega are explicit, h and g exist only as
   antiderivatives with h(0) = g(0) = 0, valued by Gauss-Legendre
   integration along [0, z] (the shear construction, partner maps).
@@ -211,13 +212,6 @@ class HarmonicMap:
         return cls(AntiderivativeFunction(hp), AntiderivativeFunction(gp),
                    hp, gp, omega, sense, label=label)
 
-    @classmethod
-    def from_analytic(cls, fn, label=""):
-        """Wrap an analytic function as the harmonic map fn + conj(0)."""
-        zero = ExprFunction("0")
-        return cls.from_parts(fn, zero, omega=zero,
-                              label=label or fn.source or "")
-
     def __repr__(self):
         return f"HarmonicMap({self.label or self.form}, sense={self.sense})"
 
@@ -297,64 +291,48 @@ def _first_point(z, mask=None):
 # ---------------------------------------------------------------------------
 # catalog
 
-# k = z/(1-z)^2 = u^2 - 1/4 with u = (1+z)/(2-2z): the jet gives k' = 2u*u',
-# free of the cancellation near z = -1 that lifted ||S_k|| above 6; the
-# catalog, its JSON and the CLI differentiate this one text.  (s keeps
-# its text: one giving s' = 1/(1-z^2) lifts ||S_s|| above 2.)
-_CATALOG_ANALYTIC = {
-    "k": "(0.5*(1+z)/(1-z))^2-0.25",
-    "l": "z/(1-z)",
-    "s": "0.5*log((1+z)/(1-z))",
-    "q2": "z/(1-z^2)",
+# K, L, S1, S2, K2 are shears of k, l, s in closed form, so evaluation
+# never integrates; the factored hp avoids the quotient-rule cancellation
+# of differentiating h near the rim (h' -> 0 at z = -1 for K), and
+# g' = omega*hp is cancellation free too.  The analytic maps have
+# g = omega = 0.  k = u^2 - 1/4 with u = (1+z)/(2-2z) gives k' = 2u*u',
+# free of the cancellation near z = -1 that lifted ||S_k|| above 6 (s
+# keeps its text: one giving s' = 1/(1-z^2) lifts ||S_s|| above 2).
+_CATALOG = {
+    "K": {"h": "(z-0.5*z^2+z^3/6)/(1-z)^3", "g": "(0.5*z^2+z^3/6)/(1-z)^3",
+          "hp": "(1+z)/(1-z)^4", "omega": "z"},
+    "L": {"h": "(z-0.5*z^2)/(1-z)^2", "g": "-(0.5*z^2)/(1-z)^2",
+          "hp": "1/(1-z)^3", "omega": "-z"},
+    "S1": {"h": "0.5*(z/(1-z)+0.5*log((1+z)/(1-z)))",
+           "g": "0.5*(z/(1-z)-0.5*log((1+z)/(1-z)))",
+           "hp": "1/((1-z)^2*(1+z))", "omega": "z"},
+    "S2": {"h": "0.5*(z/(1-z^2)+0.5*log((1+z)/(1-z)))",
+           "g": "0.5*(z/(1-z^2)-0.5*log((1+z)/(1-z)))",
+           "hp": "1/(1-z^2)^2", "omega": "z^2"},
+    "K2": {"h": "(1/(1-z)^3-1)/3", "g": "(z^2-z+1/3)/(1-z)^3-1/3",
+           "hp": "1/(1-z)^4", "omega": "z^2"},
+    "k": {"h": "(0.5*(1+z)/(1-z))^2-0.25", "g": "0", "omega": "0"},
+    "l": {"h": "z/(1-z)", "g": "0", "omega": "0"},
+    "s": {"h": "0.5*log((1+z)/(1-z))", "g": "0", "omega": "0"},
+    "q2": {"h": "z/(1-z^2)", "g": "0", "omega": "0"},
 }
 
-# (h, g, omega, h') closed forms; horizontal/vertical shears of the
-# analytic catalog, written out explicitly so evaluation never
-# integrates.  The factored h' avoids the quotient-rule cancellation of
-# differentiating h near the boundary (h' -> 0 at z = -1 for K while
-# the quotient pieces stay O(1)); g' = omega * h' is also cancellation
-# free.
-_CATALOG_HARMONIC = {
-    "K": ("(z-0.5*z^2+z^3/6)/(1-z)^3", "(0.5*z^2+z^3/6)/(1-z)^3", "z",
-          "(1+z)/(1-z)^4"),
-    "L": ("(z-0.5*z^2)/(1-z)^2", "-(0.5*z^2)/(1-z)^2", "-z",
-          "1/(1-z)^3"),
-    "S1": ("0.5*(z/(1-z)+0.5*log((1+z)/(1-z)))",
-           "0.5*(z/(1-z)-0.5*log((1+z)/(1-z)))", "z",
-           "1/((1-z)^2*(1+z))"),
-    "S2": ("0.5*(z/(1-z^2)+0.5*log((1+z)/(1-z)))",
-           "0.5*(z/(1-z^2)-0.5*log((1+z)/(1-z)))", "z^2",
-           "1/(1-z^2)^2"),
-    "K2": ("(1/(1-z)^3-1)/3", "(z^2-z+1/3)/(1-z)^3-1/3", "z^2",
-           "1/(1-z)^4"),
-}
-
-CATALOG_NAMES = tuple(_CATALOG_HARMONIC) + tuple(_CATALOG_ANALYTIC)
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name):
-    """Named maps: harmonic K, L, S1, S2, K2 and analytic k, l, s, q2.
-
-    Harmonic names return a HarmonicMap in (h, g) form; analytic names
-    return the AnalyticFunction itself.
-    """
-    if name in _CATALOG_ANALYTIC:
-        return ExprFunction(_CATALOG_ANALYTIC[name])
-    if name in _CATALOG_HARMONIC:
-        h_src, g_src, w_src, hp_src = _CATALOG_HARMONIC[name]
-        hp, omega = ExprFunction(hp_src), ExprFunction(w_src)
-        return HarmonicMap(ExprFunction(h_src), ExprFunction(g_src),
-                           hp, omega * hp, omega, PRESERVING, label=name)
-    raise UnknownCatalogName(f"unknown catalog name {name!r}; "
-                             f"known: {', '.join(CATALOG_NAMES)}")
+    """Named maps: harmonic K, L, S1, S2, K2 as the ``catalog_map``, and
+    analytic k, l, s, q2 (g = 0) as its analytic part h, an ExprFunction."""
+    f = catalog_map(name)
+    return f.h if _CATALOG[name]["g"] == "0" else f
 
 
 def catalog_map(name):
-    """Like catalog() but analytic entries come wrapped as harmonic maps."""
-    obj = catalog(name)
-    if isinstance(obj, AnalyticFunction):
-        return HarmonicMap.from_analytic(obj, label=name)
-    return obj
+    """Any catalog name as a HarmonicMap: map_from_json of its entry."""
+    if name not in _CATALOG:
+        raise UnknownCatalogName(f"unknown catalog name {name!r}; "
+                                 f"known: {', '.join(CATALOG_NAMES)}")
+    return map_from_json({"label": name, "form": "parts", **_CATALOG[name]})
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +534,17 @@ def best_harmonic_mobius(f, z0):
 def map_to_json(f):
     """Serializable dict {label, form, h, g|omega, sense}.
 
-    Parts form carries the text of h and g.  Dilatation form (h an
-    antiderivative) carries the text of h' in the ``h`` field (h itself
-    has no closed form for a general shear) plus omega; the loader
-    rebuilds it with h(0) = g(0) = 0 like every dilatation-form map, so
-    the round trip is exact.  ValueError if a text is missing.
+    Parts form carries the text of h and g, and of h' (``hp``) and omega
+    where the map evaluates expressions for them (the catalog).
+    Dilatation form (h an antiderivative) carries the text of h' in the
+    ``h`` field (h of a general shear has no closed form) plus omega.
+    map_from_json rebuilds the map it evaluates, a dilatation-form map
+    with h(0) = g(0) = 0.  ValueError if a text is missing.
     """
     if f.form == "parts":
-        fields = {"h": f.h, "g": f.g}
+        fields = {"h": f.h, "g": f.g,
+                  **{key: fn for key, fn in (("hp", f.hp), ("omega", f.omega))
+                     if isinstance(fn, ExprFunction)}}
     else:
         fields = {"h": f.hp, "omega": f.omega}
     if any(fn.source is None for fn in fields.values()):
@@ -574,15 +555,22 @@ def map_to_json(f):
 
 
 def map_from_json(d):
-    form = d.get("form")
-    sense = d.get("sense", PRESERVING)
+    """The map of a map_to_json dict, built from every text it carries.
+
+    Parts form derives only what is missing: h' = d/dz h without
+    ``hp``, omega = g'/h' without ``omega``, and g' = omega*h' when both
+    texts are given, else d/dz g.  Dilatation form reads h' from ``h``.
+    """
+    form, sense = d.get("form"), d.get("sense", PRESERVING)
     label = d.get("label", "")
-    if form == "parts":
-        return HarmonicMap.from_parts(
-            ExprFunction(d["h"]), ExprFunction(d["g"]),
-            sense=sense, label=label)
     if form == "dilatation":
         return HarmonicMap.from_dilatation(
             ExprFunction(d["h"]), ExprFunction(d["omega"]),
             sense=sense, label=label)
-    raise ValueError(f"unknown map form {form!r}")
+    if form != "parts":
+        raise ValueError(f"unknown map form {form!r}")
+    h, g = ExprFunction(d["h"]), ExprFunction(d["g"])
+    hp = ExprFunction(d["hp"]) if "hp" in d else h.derivative()
+    omega = ExprFunction(d["omega"]) if "omega" in d else None
+    gp = omega * hp if "hp" in d and omega is not None else g.derivative()
+    return HarmonicMap(h, g, hp, gp, omega, sense, label=label)

@@ -14,6 +14,7 @@ import pytest
 from harmschwarz import (
     ExprFunction,
     catalog,
+    catalog_map,
     errors,
     evaluate,
     map_from_json,
@@ -22,7 +23,7 @@ from harmschwarz import (
     shear,
 )
 from harmschwarz.cli import _VALUE_FLAGS, build_parser, main
-from harmschwarz.maps import HarmonicMap
+from harmschwarz.maps import CATALOG_NAMES, HarmonicMap
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +305,29 @@ class TestCatalogAndVerify:
         loaded = map_from_json(spec)
         assert abs(evaluate(loaded, 0.3) - evaluate(catalog("K"), 0.3)) < 1e-10
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_printed_catalog_map_reloads_bitwise(self, capsys, name):
+        code, out, _ = run_cli(capsys, "catalog", name)
+        assert code == 0
+        loaded, f = map_from_json(json.loads(out)), catalog_map(name)
+        for z in (0.3 - 0.2j, np.array([0.0, -0.6 + 0.1j, 0.05j, 0.9])):
+            for got, want in zip(loaded.derivative_data(z, 3, 3),
+                                 f.derivative_data(z, 3, 3)):
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("name", ["K", "L", "S1", "S2", "K2"])
+    def test_printed_hp_and_omega_give_the_catalog_numbers(self, capsys, name):
+        # P_f and S_f read only h' and omega: the dilatation-form map of
+        # the printed texts reproduces norm and becker byte for byte
+        _, out, _ = run_cli(capsys, "catalog", name)
+        spec = json.loads(out)
+        grid = ("--rays", "16", "--radial", "16")
+        for cmd in (("norm", "--op", "S"), ("norm", "--op", "P"), ("becker",)):
+            want = run_cli(capsys, *cmd, "--map", name, *grid)
+            got = run_cli(capsys, *cmd, "--h", spec["hp"],
+                          "--omega", spec["omega"], *grid)
+            assert got == want and want[0] == 0
+
     def test_unknown_suite_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
@@ -385,6 +409,25 @@ class TestNonFiniteNumbers:
                                      "--omega", "0", "--op", "jac", "--at",
                                      "0.9,0"), 4)
         assert rec["message"] == "non-finite jet coefficient"
+
+
+    def test_overflowing_negative_power_is_4(self, capsys):
+        # 0.1^512 underflows to 0, so 1/0.1^512 is an overflow, not a
+        # division by zero
+        rec = _single_error(*run_cli(capsys, "eval", "--h", "z+z^-512", "--g",
+                                     "0", "--op", "jac", "--at", "0.1,0"), 4)
+        assert rec["message"] == "jet power -512 overflows at (0.1+0j)"
+        assert rec["at"] == "0.1,0.0"
+
+    @pytest.mark.parametrize("h, fine, at", [("exp(700*z)", "0.2,0", "0.5,0"),
+                                             ("z+z^-300", "0.5,0", "0.1,0")])
+    def test_overflowing_eval_value_is_4(self, capsys, h, fine, at):
+        # the jets are finite, |h'|^2 is not; the record names that point
+        rec = _single_error(*run_cli(capsys, "eval", "--h", h, "--g", "0",
+                                     "--op", "jac", "--at", fine, "--at",
+                                     at), 4)
+        assert rec["message"].startswith("non-finite jac value at ")
+        assert rec["at"] == at + ".0"
 
 
 class TestOversizedGrid:
@@ -606,17 +649,20 @@ _PINNED_PARTS_EVAL = {
         '{"z": [0.25, -0.35], "op": "lap", "value": [-0.08752577172548077, 0.028275078067674347]}'],
 }
 
+# re-recorded when each entry of the one catalog table became the map
+# JSON that catalog_map loads: the harmonic maps also print the hp and
+# omega they evaluate, the analytic ones their omega = 0
 _PINNED_CATALOG = {
-    "K": '{"label": "K", "form": "parts", "h": "(z-0.5*z^2+z^3/6)/(1-z)^3", "g": "(0.5*z^2+z^3/6)/(1-z)^3", "sense": "preserving"}',
-    "L": '{"label": "L", "form": "parts", "h": "(z-0.5*z^2)/(1-z)^2", "g": "-(0.5*z^2)/(1-z)^2", "sense": "preserving"}',
-    "S1": '{"label": "S1", "form": "parts", "h": "0.5*(z/(1-z)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z)-0.5*log((1+z)/(1-z)))", "sense": "preserving"}',
-    "S2": '{"label": "S2", "form": "parts", "h": "0.5*(z/(1-z^2)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z^2)-0.5*log((1+z)/(1-z)))", "sense": "preserving"}',
-    "K2": '{"label": "K2", "form": "parts", "h": "(1/(1-z)^3-1)/3", "g": "(z^2-z+1/3)/(1-z)^3-1/3", "sense": "preserving"}',
+    "K": '{"label": "K", "form": "parts", "h": "(z-0.5*z^2+z^3/6)/(1-z)^3", "g": "(0.5*z^2+z^3/6)/(1-z)^3", "hp": "(1+z)/(1-z)^4", "omega": "z", "sense": "preserving"}',
+    "L": '{"label": "L", "form": "parts", "h": "(z-0.5*z^2)/(1-z)^2", "g": "-(0.5*z^2)/(1-z)^2", "hp": "1/(1-z)^3", "omega": "-z", "sense": "preserving"}',
+    "S1": '{"label": "S1", "form": "parts", "h": "0.5*(z/(1-z)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z)-0.5*log((1+z)/(1-z)))", "hp": "1/((1-z)^2*(1+z))", "omega": "z", "sense": "preserving"}',
+    "S2": '{"label": "S2", "form": "parts", "h": "0.5*(z/(1-z^2)+0.5*log((1+z)/(1-z)))", "g": "0.5*(z/(1-z^2)-0.5*log((1+z)/(1-z)))", "hp": "1/(1-z^2)^2", "omega": "z^2", "sense": "preserving"}',
+    "K2": '{"label": "K2", "form": "parts", "h": "(1/(1-z)^3-1)/3", "g": "(z^2-z+1/3)/(1-z)^3-1/3", "hp": "1/(1-z)^4", "omega": "z^2", "sense": "preserving"}',
     # k re-recorded when the catalog spelled k as (0.5*(1+z)/(1-z))^2 - 0.25
-    "k": '{"label": "k", "form": "parts", "h": "(0.5*(1+z)/(1-z))^2-0.25", "g": "0", "sense": "preserving"}',
-    "l": '{"label": "l", "form": "parts", "h": "z/(1-z)", "g": "0", "sense": "preserving"}',
-    "s": '{"label": "s", "form": "parts", "h": "0.5*log((1+z)/(1-z))", "g": "0", "sense": "preserving"}',
-    "q2": '{"label": "q2", "form": "parts", "h": "z/(1-z^2)", "g": "0", "sense": "preserving"}',
+    "k": '{"label": "k", "form": "parts", "h": "(0.5*(1+z)/(1-z))^2-0.25", "g": "0", "omega": "0", "sense": "preserving"}',
+    "l": '{"label": "l", "form": "parts", "h": "z/(1-z)", "g": "0", "omega": "0", "sense": "preserving"}',
+    "s": '{"label": "s", "form": "parts", "h": "0.5*log((1+z)/(1-z))", "g": "0", "omega": "0", "sense": "preserving"}',
+    "q2": '{"label": "q2", "form": "parts", "h": "z/(1-z^2)", "g": "0", "omega": "0", "sense": "preserving"}',
 }
 
 _PINNED_SHEAR = {

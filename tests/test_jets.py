@@ -81,6 +81,21 @@ class TestArithmetic:
         z = Jet.variable(0.0, 3)
         assert_coeffs((1.0 - z) ** -1, [1, 1, 1, 1])
 
+    def test_negative_power_that_overflows_names_its_point(self):
+        # 0.1^512 underflows to 0 while 0.1 does not: 1/0.1^512 overflows
+        z = Jet.variable(np.array([0.5, 0.1, 0.0]), 2)
+        with pytest.raises(NonFinite, match=r"^jet power -512 overflows "
+                           r"at \(0\.1\+0j\)$") as err:
+            z ** -512
+        assert err.value.at == 0.1
+        with pytest.raises(DivisionByZeroConstantTerm):
+            Jet.variable(0.0, 2) ** -2  # a zero base stays a division
+
+    def test_negative_power_is_the_reciprocal(self):
+        z = Jet.variable(np.array([0.1, -0.45 + 0.2j]), 3)
+        for n in (1, 2, 7, 100):
+            assert np.array_equal((z ** -n).coeffs, (1.0 / z ** n).coeffs)
+
     @given(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
                                        allow_infinity=False),
                     min_size=5, max_size=5),

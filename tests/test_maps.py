@@ -251,10 +251,6 @@ class TestConjugate:
         assert conjugate(F) is conjugate(F) is F.preserving()
         assert conjugate(conjugate(F)) is F
 
-    def test_from_analytic_label_is_the_source(self):
-        f = HarmonicMap.from_analytic(ExprFunction("z"))
-        assert f.label == "z"
-
 
 class TestGroup:
     def test_rp_identity(self):
@@ -377,7 +373,7 @@ class TestEvaluate:
 class TestBestHarmonicMobius:
     def test_mobius_fixed_point(self):
         T = MobiusMap(1.5 + 0.2j, 0.3, -0.4 + 0.1j, 1.0)
-        f = HarmonicMap.from_analytic(T.as_function())
+        f = HarmonicMap.from_parts(T.as_function(), ExprFunction("0"))
         M = best_harmonic_mobius(f, 0.1 + 0.2j)
         assert abs(M.alpha) < 1e-14
         for t in (0.05, -0.04 + 0.03j):
@@ -456,6 +452,19 @@ class TestSerialization:
         g = map_from_json(d)
         for z in (0.3, -0.2 + 0.45j):
             assert g.value(z) == f.value(z)
+
+    def test_explicit_omega_roundtrips(self):
+        f = HarmonicMap.from_parts(ExprFunction("z"), ExprFunction("0.5*z^2"),
+                                   omega=ExprFunction("z"))
+        d = map_to_json(f)
+        assert d == {"label": "", "form": "parts", "h": "z", "g": "0.5*z^2",
+                     "omega": "z", "sense": PRESERVING}
+        g = map_from_json(d)
+        assert isinstance(g.omega, ExprFunction) and g.omega.source == "z"
+        assert map_to_json(g) == d
+        for got, want in zip(g.derivative_data(0.3 - 0.2j),
+                             f.derivative_data(0.3 - 0.2j)):
+            assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_conjugate_serializes(self):
         K = catalog("K")

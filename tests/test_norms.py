@@ -29,6 +29,7 @@ from harmschwarz import (
 )
 from harmschwarz import norms
 from harmschwarz.errors import DomainError, ParameterOutOfRange
+from harmschwarz.maps import CATALOG_NAMES
 
 
 class TestSearchConfig:
@@ -138,8 +139,6 @@ class TestHyperbolicSup:
         assert list(d) == ["value", "argmax", "boundary", "samples", "op"]
         assert d["op"] == "S" and isinstance(d["argmax"], list)
 
-
-CATALOG_NAMES = ("K", "L", "S1", "S2", "K2", "k", "l", "s", "q2")
 
 # grid-only reports (default search flags, refine_iterations=0), recorded from
 # the estimator before the local zoom replaced Nelder-Mead; the grid
