@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 227 ``harmschwarz`` commands in one process through
+Runs 231 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -130,6 +130,20 @@ OVERFLOWS = (
     ("eval", "--h", "exp(700*z)", "--g", "0", "--op", "jac", "--at", "0.5,0"),
 )
 
+# the expression tape: an overflow inside a division names its point
+# (0.1^320 is subnormal, so 1/0.1^320 overflows); a nested d(u) compiles
+# its argument orders higher; a non-integer power, log and sqrt in a
+# dilatation-form h', evaluated at points and on a render grid
+TAPE = (
+    ("eval", "--h", "z+z^-320", "--g", "0", "--op", "jac", "--at", "0.1,0"),
+    ("eval", "--h", "d(d(z^3/(1-z)))", "--g", "0.1*z^2", "--op", "schw",
+     f"--at={POINTS[1]}", f"--at={POINTS[2]}"),
+    ("eval", "--h", "(1+z)^0.5*log(2+z)/sqrt(3-z)", "--omega", "0.5*z",
+     "--op", "lap", f"--at={POINTS[1]}", f"--at={POINTS[3]}"),
+    ("render", "--h", "(1+z)^0.5*log(2+z)/sqrt(3-z)", "--omega", "0.5*z",
+     "--rays", "6", "--circles", "3", "--rmax", "0.95"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -191,7 +205,7 @@ def commands():
     for _, hp, omega in CATALOG_HP_OMEGA:
         out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
         out.append(("becker", "--h", hp, "--omega", omega))
-    return [list(argv) for argv in out + list(OVERFLOWS)]
+    return [list(argv) for argv in out + list(OVERFLOWS) + list(TAPE)]
 
 
 def run(argv, main):

@@ -442,7 +442,7 @@ def main(argv=None):
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
     except RecursionError:
-        # the parser and the AST walkers recurse per nesting level, not per term
+        # the parser and the printer recurse per nesting level, not per term
         return _emit_error(EXIT_PARSE, "expression nests too deeply")
     except MemoryError:
         # a grid too large to hold (norm, becker and render build theirs

@@ -16,16 +16,29 @@ and numbers are decimal with an optional exponent part.  Syntax errors
 carry the byte offset of the offending token; the offset of an
 unexpected end of input is len(text).
 
-Evaluation produces :class:`~harmschwarz.jets.Jet` objects by structural
-recursion, so every registered function is differentiable to any order
-at any point of its domain.  A sum or a product is one node, evaluated
-left to right in a loop.  d(u) through order n is the jet of u through
-order n + 1, differentiated.  Integer-constant exponents of any size are
-evaluated by repeated squaring (exact, and valid at zeros of the base);
-all other powers go through exp(e*log(base)) on the principal branch.
+Evaluation produces :class:`~harmschwarz.jets.Jet` objects, so every
+registered function is differentiable to any order at any point of its
+domain.  An expression compiles, once per jet order and by an iterative
+walk, into a Taylor tape: a straight-line list of instructions that run
+the recurrences of ``jets`` on raw coefficient arrays sharing one centre
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Running a tape
+builds no Jet per node and recurses nowhere, so an AST of any depth
+evaluates.  A sum or a product is one node, evaluated left to right.
+d(u) through order n is the jet of u through order n + 1, differentiated.
+Integer-constant exponents of any size are evaluated by repeated squaring
+(exact, and valid at zeros of the base); all other powers go through
+exp(e*log(base)) on the principal branch.
+
+The tape still checks every slot it fills for finiteness, as the Jet of
+each node was checked: an overflow raises NonFinite at the node where it
+happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than reading 0), and
+the error names the first point where it does.  Constants are not
+folded: numpy rounds a complex product of scalars and of arrays
+differently, so a folded constant could not match both.
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +49,20 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .jets import DEFAULT_ORDER, Jet
+from .jets import (
+    DEFAULT_ORDER,
+    Jet,
+    check_finite,
+    constant_coeffs,
+    derivative_coeffs,
+    div_coeffs,
+    exp_coeffs,
+    log_coeffs,
+    mul_coeffs,
+    pow_coeffs,
+    sqrt_coeffs,
+    variable_coeffs,
+)
 
 # ---------------------------------------------------------------------------
 # AST
@@ -280,65 +306,152 @@ def to_text(node):
 
 
 # ---------------------------------------------------------------------------
-# jet evaluation
+# jet evaluation: the Taylor tape
+#
+# A tape is a tuple of instructions (op, arg, where) in post-order.  Run on
+# a stack, a leaf pushes a coefficient array and an operation pops its
+# operands and pushes its result, so each slot is dropped once the
+# instruction that reads it has run.  The arithmetic is that of the Jet
+# methods (the same recurrences on the same operands in the same order), so
+# values are the same bit for bit.
 
-
+_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D = range(13)
+_CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
+_CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
+_Instr = namedtuple("_Instr", "op arg where")
 
 
-def _eval(node, z0, order):
-    try:
+def _compile_tape(node, order):
+    """The tape that evaluates ``node`` through jet order ``order``.
+
+    The walk is iterative, so an AST of any depth compiles.  ``d(u)``
+    compiles ``u`` one order higher.  An integer-constant exponent is an
+    exact repeated-multiplication power (its AST is not evaluated); any
+    other power is exp(e*log(base)) on the principal branch.  ``where`` is
+    the enclosing node chain ``(outer, node, step)``, from which
+    :func:`_ast_path` spells the failing node's path only on error.
+    """
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
+    tape = []
+    todo = [(node, order, None)]  # (node, order, where) to expand, and instructions
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Instr):
+            tape.append(item)  # its operands are on the tape already
+            continue
+        node, order, where = item
         if isinstance(node, Const):
-            return Jet.constant(node.value, order, center=z0, shape=np.shape(z0))
-        if isinstance(node, Var):
-            return Jet.variable(z0, order)
-        if isinstance(node, Neg):
-            return -_eval(node.operand, z0, order)
-        if isinstance(node, (Sum, Prod)):
-            step = 0
-            acc = _eval(node.first, z0, order)
-            for step, (op, operand) in enumerate(node.rest):
-                rhs = _eval(operand, z0, order)
-                if op == "+":
-                    acc = acc + rhs
-                elif op == "-":
-                    acc = acc - rhs
-                elif op == "*":
-                    acc = acc * rhs
+            tape.append(_Instr(_CONST, (node.value, order), where))
+        elif isinstance(node, Var):
+            tape.append(_Instr(_VAR, order, where))
+        elif isinstance(node, (Sum, Prod)):
+            # step s combines the running value with operand s: both sit
+            # inside the binary nodes of steps s and later
+            for step in range(len(node.rest) - 1, -1, -1):
+                op, operand = node.rest[step]
+                inner = (where, node, step)
+                todo.append(_Instr(_CHAIN_OPS[op], None, inner))
+                todo.append((operand, order, inner))
+            todo.append((node.first, order, (where, node, 0)))
+        else:
+            inner = (where, node, None)
+            if isinstance(node, Neg):
+                todo += [_Instr(_NEG, None, inner), (node.operand, order, inner)]
+            elif isinstance(node, Pow):
+                n = integer_exponent(node.exponent)
+                if n is None:
+                    todo += [_Instr(_CPOW, None, inner), (node.exponent, order, inner)]
                 else:
-                    acc = acc / rhs
-            return acc
-        if isinstance(node, Pow):
-            n = integer_exponent(node.exponent)
-            base = _eval(node.base, z0, order)
-            if n is not None:
-                return base ** n
-            return (_eval(node.exponent, z0, order) * base.log()).exp()
-        if isinstance(node, Call):
-            if node.fn == "d":
-                return _eval(node.arg, z0, order + 1).derivative()
-            return getattr(_eval(node.arg, z0, order), node.fn)()
-    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
-        # prepending the tags of the enclosing nodes while the error unwinds
-        # spells the path from the root; a chain stands for the binary nodes
-        # of its steps, the last down to the failing one enclosing it
+                    todo.append(_Instr(_POW, n, inner))
+                todo.append((node.base, order, inner))
+            elif isinstance(node, Call):
+                todo += [_Instr(_CALL_OPS[node.fn], None, inner),
+                         (node.arg, order + 1 if node.fn == "d" else order, inner)]
+            else:
+                raise TypeError(f"not an AST node: {node!r}")
+    return tuple(tape)
+
+
+def _ast_path(where):
+    """The path from the root down to the node that ``where`` names."""
+    tags = []
+    while where is not None:
+        where, node, step = where
         if isinstance(node, (Sum, Prod)):
-            tags = "".join(_OP_TAGS[op] for op, _ in reversed(node.rest[step:]))
-        else:  # Neg, Pow or Call
-            tags = "/" + (node.fn if isinstance(node, Call) else type(node).__name__.lower())
-        exc.ast_path = tags + getattr(exc, "ast_path", "")
+            # a chain stands for the binary nodes of its steps, the last
+            # down to the one that encloses the failure
+            tags.append("".join(_OP_TAGS[op] for op, _ in reversed(node.rest[step:])))
+        elif isinstance(node, Call):
+            tags.append("/" + node.fn)
+        else:  # Neg or Pow
+            tags.append("/" + type(node).__name__.lower())
+    return "".join(reversed(tags))
+
+
+def _cpow_coeffs(base, e, center):
+    """exp(e*log(base)), each step checked as the Jet it replaces."""
+    log_base = log_coeffs(base, center)
+    check_finite(log_base, center)
+    e_log = mul_coeffs(e, log_base)
+    check_finite(e_log, center)
+    return exp_coeffs(e_log)
+
+
+def _run_tape(tape, z0):
+    """The Jet that ``tape`` computes at ``z0`` (a point or an array).
+
+    Each slot is checked as the Jet it stands for was checked: its
+    coefficients, then the centre (NonFinite names the first point where
+    a coefficient is not finite).  A division by a zero constant term or a
+    branch point at the centre names its AST path in ``ast_path`` and in
+    the message.
+    """
+    shape = np.shape(z0)
+    stack = []
+    # a binary operation pops its left operand (below the top) first, so
+    # no local keeps an operand alive after the result is built
+    pop = stack.pop
+    try:
+        for op, arg, where in tape:
+            if op == _CONST:
+                out = constant_coeffs(arg[0], arg[1], shape)
+            elif op == _VAR:
+                out = variable_coeffs(z0, arg)
+            elif op == _ADD:
+                out = pop(-2) + pop()
+            elif op == _SUB:
+                out = pop(-2) - pop()
+            elif op == _MUL:
+                out = mul_coeffs(pop(-2), pop())
+            elif op == _DIV:
+                out = div_coeffs(pop(-2), pop())
+            elif op == _POW:
+                out = pow_coeffs(pop(), arg, z0)
+            elif op == _NEG:
+                out = -pop()
+            elif op == _CPOW:
+                out = _cpow_coeffs(pop(-2), pop(), z0)
+            elif op == _LOG:
+                out = log_coeffs(pop(), z0)
+            elif op == _EXP:
+                out = exp_coeffs(pop())
+            elif op == _SQRT:
+                out = sqrt_coeffs(pop())
+            else:  # _D
+                out = derivative_coeffs(pop())
+            check_finite(out, z0)
+            stack.append(out)
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        exc.ast_path = _ast_path(where)
+        exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
         raise
-    raise TypeError(f"not an AST node: {node!r}")
+    return Jet._checked(z0, pop())
 
 
 def eval_ast_jet(node, z0, order):
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    try:
-        return _eval(node, z0, order)
-    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
-        exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
-        raise
+    return _run_tape(_compile_tape(node, order), z0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +528,13 @@ class ExprFunction(AnalyticFunction):
         else:
             self.ast = src
             self.source = to_text(src)
+        self._tapes = {}  # jet order -> tape, compiled when first needed
 
     def jet(self, z, order):
-        return eval_ast_jet(self.ast, z, order)
+        tape = self._tapes.get(order)
+        if tape is None:
+            tape = self._tapes[order] = _compile_tape(self.ast, order)
+        return _run_tape(tape, z)
 
     def __repr__(self):
         return f"ExprFunction({self.source!r})"

@@ -11,11 +11,18 @@ coefficient.  Trailing axes, if any, are broadcast point batches, so the
 same recurrences evaluate one expansion point or a whole grid of them.
 Jets are immutable by convention: no method mutates ``coeffs``.
 
+The recurrences themselves (product, quotient, integer power, log, exp,
+sqrt, derivative) are module-level functions on raw coefficient arrays.
+The Jet methods wrap them, and so does the expression tape of
+:mod:`~harmschwarz.expr`, which runs them on arrays that share one centre
+without building a Jet per node.
+
 Every Jet checks, when it is built, that its coefficients and then its
-centre are finite (NonFinite otherwise), so an overflow raises at the
-expression node where it happens.  Binary operations require equal
-orders and equal centres.  The compiled Taylor tape planned in ROADMAP
-item 3 would move the finiteness checks to the operator boundaries.
+centre are finite (NonFinite otherwise, naming in ``at`` the first point
+with a non-finite coefficient), so an overflow raises at the expression
+node where it happens.  The tape checks each slot the same way: moved to
+the operator boundary, a check would let ``1/inf`` read 0.  Binary
+operations require equal orders and equal centres.
 
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
@@ -24,6 +31,7 @@ circles: an FFT in the angle separates the frequencies ``m - n``, and a
 least-squares fit in the radius separates the orders ``m + n``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -37,6 +45,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER = 4
+_NUMBER = (int, float, complex, np.number)
 
 
 def _as_coeff_array(coeffs):
@@ -46,6 +55,176 @@ def _as_coeff_array(coeffs):
     return arr
 
 
+# ---------------------------------------------------------------------------
+# coefficient arrays: the recurrences
+#
+# Each function takes and returns raw coefficient arrays (leading axis the
+# coefficient, trailing axes the points) of jets that share one centre.
+# The Jet methods and the expression tape of ``expr`` both call them, so
+# every recurrence exists once.  A function checks what it builds along
+# the way, as a Jet of its own would be checked; its result is left to
+# the caller to check.
+
+
+def check_finite(coeffs, center):
+    """Raise NonFinite unless the coefficients, and then the centre, are
+    finite: the check of a Jet as it is built.
+
+    For a coefficient, the error's ``at`` names the first point (in C
+    order of the trailing axes) where one is not finite.
+    """
+    # the values of one point are read faster one by one in Python than
+    # by a numpy reduction; both spell the same test
+    if coeffs.ndim == 1:
+        finite = all(map(cmath.isfinite, coeffs.tolist()))
+    else:
+        finite = np.isfinite(coeffs).all()
+    if not finite:
+        bad = ~np.isfinite(coeffs).all(axis=0)
+        exc = NonFinite("non-finite jet coefficient")
+        exc.at = complex(np.broadcast_to(center, bad.shape)[bad][0])
+        raise exc
+    if isinstance(center, _NUMBER):
+        finite = cmath.isfinite(center)
+    else:
+        finite = np.isfinite(center).all()
+    if not finite:
+        raise NonFinite("non-finite jet center")
+
+
+def constant_coeffs(value, order, shape):
+    coeffs = np.zeros((order + 1,) + tuple(shape), dtype=np.complex128)
+    coeffs[0] = value
+    return coeffs
+
+
+def variable_coeffs(z0, order):
+    coeffs = np.zeros((order + 1,) + np.shape(z0), dtype=np.complex128)
+    coeffs[0] = z0
+    if order >= 1:
+        coeffs[1] = 1.0
+    return coeffs
+
+
+def mul_coeffs(a, b):
+    out = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        for j in range(k + 1):
+            out[k] = out[k] + a[j] * b[k - j]
+    return out
+
+
+def div_coeffs(a, b):
+    b0 = b[0]
+    zero = b0 == 0
+    if zero.any():
+        exc = DivisionByZeroConstantTerm("jet division by zero constant term")
+        exc.mask = zero  # where the divisor vanishes, for the caller to name
+        raise exc
+    out = np.zeros_like(a)
+    out[0] = a[0] / b0
+    for k in range(1, a.shape[0]):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc = acc - b[j] * out[k - j]
+        out[k] = acc / b0
+    return out
+
+
+def pow_coeffs(a, exponent, center):
+    """a^exponent for an integer exponent, by repeated multiplication."""
+    if exponent < 0:
+        power = pow_coeffs(a, -exponent, center)
+        check_finite(power, center)
+        # base^n underflows to 0 where the base does not: 1/base^n overflows
+        lost = (power[0] == 0) & (a[0] != 0)
+        if lost.any():
+            at = complex(np.broadcast_to(center, lost.shape)[lost][0])
+            exc = NonFinite(f"jet power {exponent} overflows at {at}")
+            exc.at = at  # the point, as a DomainError carries it
+            raise exc
+        return div_coeffs(constant_coeffs(1.0, a.shape[0] - 1, a.shape[1:]), power)
+    if exponent == 0:
+        return constant_coeffs(1.0, a.shape[0] - 1, a.shape[1:])
+    if exponent == 1:
+        # no power has a -0 coefficient (a jet product never yields one);
+        # adding +0 turns -0 into +0 and changes nothing else
+        return a + 0.0
+    result = None
+    base = a
+    e = exponent
+    while e:
+        if e & 1:
+            if result is None:
+                result = base
+            else:
+                result = mul_coeffs(result, base)
+                if e > 1:  # the last product is the caller's to check
+                    check_finite(result, center)
+        if e > 1:
+            base = mul_coeffs(base, base)
+            check_finite(base, center)
+        e >>= 1
+    return result
+
+
+def _require_nonzero_constant(a, what):
+    zero = a[0] == 0
+    if zero.any():
+        exc = BranchPointAtCenter(f"{what} of jet with zero constant term")
+        exc.mask = zero  # where the argument vanishes, as for a division
+        raise exc
+
+
+def sqrt_coeffs(a):
+    _require_nonzero_constant(a, "sqrt")
+    out = np.zeros_like(a)
+    out[0] = np.sqrt(a[0])
+    for k in range(1, a.shape[0]):
+        acc = a[k]
+        for j in range(1, k):
+            acc = acc - out[j] * out[k - j]
+        out[k] = acc / (2.0 * out[0])
+    return out
+
+
+def log_coeffs(a, center):
+    _require_nonzero_constant(a, "log")
+    n = a.shape[0] - 1
+    out = np.zeros_like(a)
+    out[0] = np.log(a[0])
+    if n >= 1:
+        # (log a)' = a'/a, integrated coefficient-wise
+        da = derivative_coeffs(a)
+        check_finite(da, center)
+        q = div_coeffs(da, a[:n])
+        check_finite(q, center)
+        for k in range(1, n + 1):
+            out[k] = q[k - 1] / k
+    return out
+
+
+def exp_coeffs(a):
+    out = np.zeros_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, a.shape[0]):
+        acc = np.zeros_like(out[0])
+        for j in range(1, k + 1):
+            acc = acc + j * a[j] * out[k - j]
+        out[k] = acc / k
+    return out
+
+
+def derivative_coeffs(a):
+    """Coefficients of f' from those of f, one order lower."""
+    k = np.arange(1, a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
+    return a[1:] * k
+
+
+# ---------------------------------------------------------------------------
+# Jet
+
+
 class Jet:
     """Taylor coefficients of an analytic function at ``center``."""
 
@@ -53,10 +232,7 @@ class Jet:
 
     def __init__(self, center, coeffs):
         coeffs = _as_coeff_array(coeffs)
-        if not np.isfinite(coeffs).all():
-            raise NonFinite("non-finite jet coefficient")
-        if not np.isfinite(center).all():
-            raise NonFinite("non-finite jet center")
+        check_finite(coeffs, center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -70,19 +246,20 @@ class Jet:
         """Jet of the constant function ``value`` (broadcast over shape)."""
         if shape is None:
             shape = np.shape(value)
-        coeffs = np.zeros((order + 1,) + tuple(shape), dtype=np.complex128)
-        coeffs[0] = value
-        return cls(center, coeffs)
+        return cls(center, constant_coeffs(value, order, shape))
 
     @classmethod
     def variable(cls, z0, order):
         """Jet of the identity function z at center z0."""
-        shape = np.shape(z0)
-        coeffs = np.zeros((order + 1,) + shape, dtype=np.complex128)
-        coeffs[0] = z0
-        if order >= 1:
-            coeffs[1] = 1.0
-        return cls(z0, coeffs)
+        return cls(z0, variable_coeffs(z0, order))
+
+    @classmethod
+    def _checked(cls, center, coeffs):
+        """Jet of coefficients that have passed :func:`check_finite`."""
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "center", center)
+        object.__setattr__(jet, "coeffs", coeffs)
+        return jet
 
     # -- introspection -------------------------------------------------
 
@@ -139,34 +316,13 @@ class Jet:
             return Jet(self.center,
                        self.coeffs * np.asarray(other, dtype=np.complex128))
         self._match(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros_like(a)
-        for k in range(n + 1):
-            for j in range(k + 1):
-                out[k] = out[k] + a[j] * b[k - j]
-        return Jet(self.center, out)
+        return Jet(self.center, mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._lift(other)
-        b0 = other.coeffs[0]
-        zero = b0 == 0
-        if zero.any():
-            exc = DivisionByZeroConstantTerm("jet division by zero constant term")
-            exc.mask = zero  # where the divisor vanishes, for the caller to name
-            raise exc
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros_like(a)
-        out[0] = a[0] / b0
-        for k in range(1, n + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                acc = acc - b[j] * out[k - j]
-            out[k] = acc / b0
-        return Jet(self.center, out)
+        return Jet(self.center, div_coeffs(self.coeffs, other.coeffs))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -175,79 +331,18 @@ class Jet:
         """Integer power by repeated multiplication (exact path)."""
         if not isinstance(exponent, int):
             raise TypeError("use cpow() for non-integer exponents")
-        if exponent < 0:
-            power = self.__pow__(-exponent)
-            # base^n underflows to 0 where the base does not: 1/base^n overflows
-            lost = (power.coeffs[0] == 0) & (self.coeffs[0] != 0)
-            if lost.any():
-                at = complex(np.broadcast_to(self.center, lost.shape)[lost][0])
-                exc = NonFinite(f"jet power {exponent} overflows at {at}")
-                exc.at = at  # the point, as a DomainError carries it
-                raise exc
-            return 1.0 / power
-        if exponent == 0:
-            return Jet.constant(1.0, self.order, center=self.center,
-                                shape=self.coeffs.shape[1:])
-        if exponent == 1:
-            # no power has a -0 coefficient (a jet product never yields
-            # one); adding +0 turns -0 into +0 and changes nothing else
-            return self + 0.0
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return Jet(self.center, pow_coeffs(self.coeffs, exponent, self.center))
 
     # -- transcendental compositions ------------------------------------
 
-    def _require_nonzero_constant(self, what):
-        zero = self.coeffs[0] == 0
-        if zero.any():
-            exc = BranchPointAtCenter(f"{what} of jet with zero constant term")
-            exc.mask = zero  # where the argument vanishes, as for a division
-            raise exc
-
     def sqrt(self):
-        self._require_nonzero_constant("sqrt")
-        n = self.order
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = np.sqrt(a[0])
-        for k in range(1, n + 1):
-            acc = a[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out[k] = acc / (2.0 * out[0])
-        return Jet(self.center, out)
+        return Jet(self.center, sqrt_coeffs(self.coeffs))
 
     def log(self):
-        self._require_nonzero_constant("log")
-        n = self.order
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = np.log(a[0])
-        if n >= 1:
-            # (log a)' = a'/a, integrated coefficient-wise
-            q = self.derivative() / self.truncate(n - 1)
-            for k in range(1, n + 1):
-                out[k] = q.coeffs[k - 1] / k
-        return Jet(self.center, out)
+        return Jet(self.center, log_coeffs(self.coeffs, self.center))
 
     def exp(self):
-        n = self.order
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = np.exp(a[0])
-        for k in range(1, n + 1):
-            acc = np.zeros_like(out[0])
-            for j in range(1, k + 1):
-                acc = acc + j * a[j] * out[k - j]
-            out[k] = acc / k
-        return Jet(self.center, out)
+        return Jet(self.center, exp_coeffs(self.coeffs))
 
     def cpow(self, exponent):
         """Principal-branch complex power a^e = exp(e*log a)."""
@@ -266,10 +361,7 @@ class Jet:
         """Jet of f' at the same center, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        k = np.arange(1, self.order + 1).reshape(
-            (-1,) + (1,) * (self.coeffs.ndim - 1)
-        )
-        return Jet(self.center, self.coeffs[1:] * k)
+        return Jet(self.center, derivative_coeffs(self.coeffs))
 
     def compose(self, inner):
         """Jet of outer(inner(.)) at inner.center.

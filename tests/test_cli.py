@@ -409,7 +409,14 @@ class TestNonFiniteNumbers:
                                      "--omega", "0", "--op", "jac", "--at",
                                      "0.9,0"), 4)
         assert rec["message"] == "non-finite jet coefficient"
+        assert rec["at"] == "0.9,0.0"
 
+    def test_non_finite_coefficient_names_its_point(self, capsys):
+        # 0.1^320 is subnormal, not 0, so 1/0.1^320 overflows in the division
+        rec = _single_error(*run_cli(capsys, "eval", "--h", "z+z^-320", "--g",
+                                     "0", "--op", "jac", "--at", "0.1,0"), 4)
+        assert rec["message"] == "non-finite jet coefficient"
+        assert rec["at"] == "0.1,0.0"
 
     def test_overflowing_negative_power_is_4(self, capsys):
         # 0.1^512 underflows to 0, so 1/0.1^512 is an overflow, not a

@@ -1,15 +1,18 @@
 """Expression grammar, parser diagnostics, printer round trips, jet evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmschwarz import ExprFunction, catalog, eval_jet, parse, to_text
+from harmschwarz import ExprFunction, Jet, catalog, eval_jet, parse, to_text
 from harmschwarz.errors import (
     BranchPointAtCenter,
     DivisionByZeroConstantTerm,
     ExprSyntaxError,
+    NonFinite,
     ToolkitError,
     UnknownIdentifier,
 )
@@ -21,6 +24,7 @@ from harmschwarz.expr import (
     Prod,
     Sum,
     Var,
+    eval_ast_jet,
     integer_exponent,
 )
 
@@ -271,3 +275,153 @@ class TestTruncation:
             return  # undefined at z (pole, branch point, overflow)
         low = fn.jet(z, n)
         assert high.coeffs[: n + 1].tobytes() == low.coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the tape against the recursive evaluation it replaced
+
+_OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
+
+
+def _reference_eval(node, z0, order):
+    """Jet of ``node`` by structural recursion over Jet objects."""
+    try:
+        if isinstance(node, Const):
+            return Jet.constant(node.value, order, center=z0, shape=np.shape(z0))
+        if isinstance(node, Var):
+            return Jet.variable(z0, order)
+        if isinstance(node, Neg):
+            return -_reference_eval(node.operand, z0, order)
+        if isinstance(node, (Sum, Prod)):
+            step = 0
+            acc = _reference_eval(node.first, z0, order)
+            for step, (op, operand) in enumerate(node.rest):
+                rhs = _reference_eval(operand, z0, order)
+                if op == "+":
+                    acc = acc + rhs
+                elif op == "-":
+                    acc = acc - rhs
+                elif op == "*":
+                    acc = acc * rhs
+                else:
+                    acc = acc / rhs
+            return acc
+        if isinstance(node, Pow):
+            n = integer_exponent(node.exponent)
+            base = _reference_eval(node.base, z0, order)
+            if n is not None:
+                return base ** n
+            return (_reference_eval(node.exponent, z0, order) * base.log()).exp()
+        if isinstance(node, Call):
+            if node.fn == "d":
+                return _reference_eval(node.arg, z0, order + 1).derivative()
+            return getattr(_reference_eval(node.arg, z0, order), node.fn)()
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        # prepending the tags of the enclosing nodes while the error unwinds
+        # spells the path from the root; a chain stands for the binary nodes
+        # of its steps, the last down to the failing one enclosing it
+        if isinstance(node, (Sum, Prod)):
+            tags = "".join(_OP_TAGS[op] for op, _ in reversed(node.rest[step:]))
+        else:  # Neg, Pow or Call
+            tags = "/" + (node.fn if isinstance(node, Call) else type(node).__name__.lower())
+        exc.ast_path = tags + getattr(exc, "ast_path", "")
+        raise
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _reference_jet(node, z0, order):
+    try:
+        return _reference_eval(node, z0, order)
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        raise
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):  # overflows raise NonFinite
+            jet = fn()
+    except ToolkitError as exc:
+        return type(exc), str(exc), getattr(exc, "ast_path", None), getattr(exc, "at", None)
+    return jet.coeffs.shape, jet.coeffs.tobytes()
+
+
+_POINTS = [0.3 + 0.2j, -0.4 + 0.1j, 0.0, 1e-160 + 0j,
+           np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0])]
+
+
+class TestTapeMatchesRecursion:
+    @given(_EXPR_TEXT,
+           st.sampled_from(["{}", "d({})", "d(d({}))", "({})^0.5", "log({})",
+                            "sqrt({})", "exp({})", "({})^-3", "1/({})"]),
+           st.integers(0, 4), st.sampled_from(range(len(_POINTS))))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, point):
+        ast, z = parse(wrap.format(text)), _POINTS[point]
+        want = _outcome(lambda: _reference_jet(ast, z, order))
+        assert _outcome(lambda: ExprFunction(ast).jet(z, order)) == want
+        assert _outcome(lambda: eval_ast_jet(ast, z, order)) == want
+
+    @pytest.mark.parametrize("text", _EXPR_SAMPLES + [
+        "d(d(z/(1-z)^2))", "(1+z)^0.5*log(2-z)/sqrt(3+z)", "exp(1000*z)",
+        "1/exp(1000*z)", "z^-400", "(1+z)^(1/z)", "z^-2+z^600"])
+    @pytest.mark.parametrize("point", range(len(_POINTS)))
+    def test_samples(self, text, point):
+        ast, z = parse(text), _POINTS[point]
+        for order in range(5):
+            want = _outcome(lambda: _reference_jet(ast, z, order))
+            assert _outcome(lambda: ExprFunction(ast).jet(z, order)) == want
+
+
+class TestIterativeEvaluation:
+    def test_deep_negation_chain(self):
+        node = Var()
+        for _ in range(10_000):
+            node = Neg(node)
+        got = eval_ast_jet(node, 0.3 + 0.1j, 2)
+        assert got.coeffs.tobytes() == Jet.variable(0.3 + 0.1j, 2).coeffs.tobytes()
+
+    def test_deep_alternating_sum_and_product(self):
+        # f_{k+1} = 1 + 0.5*f_k, nested in the last operand: f -> 2
+        node = Var()
+        for _ in range(10_000):
+            node = Sum(Const(1 + 0j), (("+", Prod(Const(0.5 + 0j), (("*", node),))),))
+        got = eval_ast_jet(node, np.array([0.3 + 0.1j, -0.2j]), 2)
+        assert np.allclose(got.coeffs, [[2, 2], [0, 0], [0, 0]], rtol=0, atol=1e-15)
+
+    def test_slots_are_dropped_after_their_last_read(self):
+        f = ExprFunction("+".join(f"{1 + k % 7}*z^{k % 4}" for k in range(200)))
+        zs = np.linspace(-0.5, 0.5, 65_536) + 0.25j
+        f.jet(zs, 0)  # compile the tape outside the measurement
+        slot = zs.nbytes
+        tracemalloc.start()
+        try:
+            f.jet(zs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * slot
+
+    def test_tape_is_compiled_once_per_order(self):
+        f = ExprFunction("z/(1-z)^2")
+        f.jet(0.1, 2)
+        tape = f._tapes[2]
+        f.jet(np.array([0.1, 0.2]), 2)
+        f.jet(0.3, 3)
+        assert f._tapes[2] is tape and sorted(f._tapes) == [2, 3]
+
+
+class TestNonFiniteSlots:
+    def test_coefficient_is_checked_before_the_center(self):
+        with pytest.raises(NonFinite, match="^non-finite jet coefficient$") as err:
+            ExprFunction("z").jet(float("inf"), 2)
+        assert err.value.at == complex(float("inf"))
+        with pytest.raises(NonFinite, match="^non-finite jet center$"):
+            ExprFunction("1+z").jet(float("nan"), 2)
+
+    def test_overflow_names_the_first_point_where_it_happens(self):
+        zs = np.array([0.1, 0.9, 0.5, 0.95])
+        with pytest.raises(NonFinite, match="^non-finite jet coefficient$") as err, \
+                np.errstate(all="ignore"):
+            ExprFunction("1/exp(1000*z)").jet(zs, 2)
+        assert err.value.at == 0.9
