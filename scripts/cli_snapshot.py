@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 231 ``harmschwarz`` commands in one process through
+Runs 234 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -58,6 +58,10 @@ ERRORS = (
     ("eval", "--map", "K", "--op", "schw", "--at", "0.1"),
     ("eval", "--map", "K", "--op", "nope", "--at", "0,0"),
     ("eval", "--map", "K", "--h", "z", "--op", "pre", "--at", "0,0"),
+    # an empty text still names a second map style
+    ("eval", "--map", "K", "--h", "", "--op", "schw", "--at", "0.1,0"),
+    ("eval", "--map", "K", "--g", "", "--op", "schw", "--at", "0.1,0"),
+    ("eval", "--map", "K", "--omega", "", "--op", "schw", "--at", "0.1,0"),
     ("eval", "--op", "pre", "--at", "0,0"),
     ("eval", "--h", "z+", "--g", "0", "--op", "pre", "--at", "0,0"),
     ("eval", "--h", "z", "--g", "1.5*z", "--op", "pre", "--at", "0.1,0"),
@@ -82,8 +86,6 @@ ERRORS = (
     ("verify", "nope"),
     ("eval", "--h", "+".join(["z"] * 1000), "--g", "0", "--op", "pre",
      "--at", "0,0"),
-    ("eval", "--h", "(" * 2000 + "z" + ")" * 2000, "--g", "0", "--op", "pre",
-     "--at", "0,0"),
     # h' overflows only in its order-3 jet, which lap needs, and g' has
     # a pole: the pole is reported, as h' through order 2 comes first
     ("eval", "--h", "exp(1000*z)", "--g", "1e-3/(z-0.688)", "--op", "lap",
@@ -104,6 +106,13 @@ CHAINS = (
      "--omega", "0.5*z", "--theta", "0.3"),
     ("eval", "--h", "2+1/z+3", "--g", "0", "--op", "pre", "--at", "0,0"),
     ("eval", "--h", "z", "--g", "2*3*sqrt(z)*4", "--op", "jac", "--at", "0,0"),
+)
+
+# nesting depth has no limit: the parser and the printer keep their own
+# stacks, and the tape recurses nowhere
+NESTING = (
+    ("eval", "--h", "(" * 2000 + "z" + ")" * 2000, "--g", "0", "--op", "pre",
+     "--at", "0,0"),
 )
 
 # derivatives of constant terms and integer powers of any size are exact
@@ -201,7 +210,7 @@ def commands():
                     "--rmax", "0.95"))
     for suite in ("oracles", "invariance", "norms", "becker", "all"):
         out.append(("verify", suite))
-    out += list(ERRORS) + list(CHAINS) + list(POWERS)
+    out += list(ERRORS) + list(CHAINS) + list(NESTING) + list(POWERS)
     for _, hp, omega in CATALOG_HP_OMEGA:
         out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
         out.append(("becker", "--h", hp, "--omega", omega))

@@ -5,9 +5,7 @@ deterministic for fixed inputs: JSON objects with fixed field order and
 floats in shortest round-trip form, CSV with the documented header.
 
 Exit codes: 0 success, 1 usage (including non-finite numbers), 2
-expression parse error (including nesting too deep: more than about 196
-parentheses, 980 unary minus signs or 489 chained '^'; sums and products
-of any length evaluate), 3 domain error, 4 numerical failure.  A library
+expression parse error, 3 domain error, 4 numerical failure.  A library
 error exits with the ``exit_code`` its class declares in ``errors``.
 Every error path writes one machine parsable JSON record {"code",
 "message", "at"?} to stderr and nothing else: numpy's floating-point
@@ -60,7 +58,7 @@ from .operators import (
     tamanoi_schwarzian,
 )
 
-EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_NUMERIC = 0, 1, 2, 4
+EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 4
 
 
 class _UsageError(Exception):
@@ -95,7 +93,8 @@ def _load_map(args):
     styles = sum([args.map is not None,
                   args.h is not None and args.g is not None,
                   args.h is not None and args.omega is not None])
-    if args.map is not None and (args.h or args.g or args.omega):
+    if args.map is not None and any(
+            text is not None for text in (args.h, args.g, args.omega)):
         raise _UsageError("--map cannot be combined with --h/--g/--omega")
     if styles != 1:
         raise _UsageError(
@@ -441,9 +440,6 @@ def main(argv=None):
             return args.fn(args)
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
-    except RecursionError:
-        # the parser and the printer recurse per nesting level, not per term
-        return _emit_error(EXIT_PARSE, "expression nests too deeply")
     except MemoryError:
         # a grid too large to hold (norm, becker and render build theirs
         # in one array)

@@ -57,7 +57,7 @@ class ExprSyntaxError(ToolkitError):
 
 
 class UnknownIdentifier(ToolkitError):
-    """Identifier other than log/exp/sqrt in an expression."""
+    """Identifier in an expression that is neither z, i nor a builtin."""
     exit_code = 2
 
     def __init__(self, name, offset):

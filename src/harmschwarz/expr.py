@@ -14,7 +14,7 @@ tighter than unary minus ("-z^2" is -(z^2)).  There is no implicit
 multiplication ("2z" is a syntax error), 'i' is the imaginary literal,
 and numbers are decimal with an optional exponent part.  Syntax errors
 carry the byte offset of the offending token; the offset of an
-unexpected end of input is len(text).
+unexpected end of input is len(text).  Text of any nesting depth parses.
 
 Evaluation produces :class:`~harmschwarz.jets.Jet` objects, so every
 registered function is differentiable to any order at any point of its
@@ -107,7 +107,13 @@ class Call:
     arg: object
 
 
-KNOWN_FUNCTIONS = ("log", "exp", "sqrt", "d")
+# Binding power of each node type, loosest first: the parser reads it for
+# the operator that builds a node, the printer to decide which operands
+# need parentheses ('^' alone is right-associative; see _fmt_const for Const).
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {Sum: _PREC_ADD, Prod: _PREC_MUL, Neg: _PREC_NEG, Pow: _PREC_POW,
+         Var: _PREC_ATOM, Call: _PREC_ATOM}
+_BINARY = {"+": Sum, "-": Sum, "*": Prod, "/": Prod, "^": Pow}
 
 
 def integer_exponent(node):
@@ -163,101 +169,78 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind == "op" and val == op:
-            return self.advance()
-        raise ExprSyntaxError(f"expected {op!r}", off)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected {val!r} after expression", off)
-        return node
-
-    def expr(self):
-        first, steps = self.term(), []
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                steps.append((val, self.term()))
-            else:
-                return _chain(first, *steps)
-
-    def term(self):
-        first, steps = self.factor(), []
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                steps.append((val, self.factor()))
-            else:
-                return _chain(first, *steps)
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return Pow(base, self.factor())
-        return base
-
-    def atom(self):
-        kind, val, off = self.advance()
-        if kind == "num":
-            return Const(complex(float(val)))
-        if kind == "ident":
-            if val == "z":
-                return Var()
-            if val == "i":
-                return Const(1j)
-            if val in KNOWN_FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            raise UnknownIdentifier(val, off)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", off)
-
-
 def parse(text):
-    """Parse expression text into an AST.  Raises ExprSyntaxError/UnknownIdentifier."""
+    """Parse expression text into an AST.  Raises ExprSyntaxError/UnknownIdentifier.
+
+    Dijkstra's shunting-yard on an explicit stack, so any nesting depth
+    parses.  An entry ``[power, kind, left, op, steps]`` is an operator
+    awaiting its right operand, an open bracket (power 0, ``left`` "(" or a
+    builtin) or the bottom (power -1); an open sum or product takes in each
+    further operand of its level, so a chain of n terms builds its node once.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = iter(_tokenize(text))
+    stack = [(-1, None, None, None, None)]
+    operand = True  # an operand comes next
+    for kind, val, off in tokens:
+        if operand:  # prefix '-' and opening brackets, then an atom
+            if kind == "num":
+                node = Const(complex(float(val)))
+            elif val == "z":
+                node = Var()
+            elif val == "i":
+                node = Const(1j)
+            elif val == "-":
+                stack.append((_PREC_NEG, Neg, None, None, None))
+                continue
+            elif val == "(" or val in _CALL_OPS:
+                if val != "(":
+                    _, paren, paren_off = next(tokens)
+                    if paren != "(":
+                        raise ExprSyntaxError("expected '('", paren_off)
+                stack.append((0, None, val, None, None))
+                continue
+            elif kind == "ident":
+                raise UnknownIdentifier(val, off)
+            else:
+                raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", off)
+            operand = False
+            continue
+        # an infix operator completes the operators that bind tighter, any
+        # other token those up to the innermost bracket
+        op_kind = _BINARY.get(val)
+        prec = _PREC[op_kind] if op_kind else 0
+        while stack[-1][0] > prec:
+            _, entry_kind, left, op, steps = stack.pop()
+            if entry_kind is Neg:
+                node = Neg(node)
+            elif entry_kind is Pow:
+                node = Pow(left, node)
+            else:
+                steps.append((op, node))
+                node = _chain(left, *steps)
+        if prec:
+            top = stack[-1]
+            if top[1] is op_kind and op_kind is not Pow:  # '^' is right-associative
+                top[4].append((top[3], node))
+                top[3] = val
+            else:
+                stack.append([prec, op_kind, node, val, []])
+            operand = True
+        elif stack[-1][0] == 0:  # inside a bracket
+            if val != ")":
+                raise ExprSyntaxError("expected ')'", off)
+            fn = stack.pop()[2]
+            node = node if fn == "(" else Call(fn, node)
+        elif kind == "eof":
+            return node
+        else:
+            raise ExprSyntaxError(f"unexpected {val!r} after expression", off)
 
 
 # ---------------------------------------------------------------------------
 # canonical printer
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_real(x):
@@ -277,32 +260,48 @@ def _fmt_const(value):
     return f"({_fmt_real(v.real)}{sign}{_fmt_real(abs(v.imag))}*i)", _PREC_ATOM
 
 
-def _render(node):
-    if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Var):
-        return "z", _PREC_ATOM
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.operand, _PREC_NEG), _PREC_NEG
-    if isinstance(node, (Sum, Prod)):
-        prec = _PREC_ADD if isinstance(node, Sum) else _PREC_MUL
-        rest = "".join(op + _wrap(operand, prec + 1) for op, operand in node.rest)
-        return _wrap(node.first, prec) + rest, prec
-    if isinstance(node, Pow):
-        return _wrap(node.base, _PREC_ATOM) + "^" + _wrap(node.exponent, _PREC_NEG), _PREC_POW
-    if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})", _PREC_ATOM
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _wrap(node, required):
-    text, prec = _render(node)
-    return f"({text})" if prec < required else text
-
-
 def to_text(node):
-    """Canonical textual form; parse(to_text(parse(s))) == parse(s)."""
-    return _render(node)[0]
+    """Canonical textual form; parse(to_text(parse(s))) == parse(s).
+
+    Top down on an explicit stack, so an AST of any depth prints: a node's
+    binding power depends only on its type (a constant's on its text), so
+    whether an operand needs parentheses is known before its text is built.
+    """
+    out = []
+    todo = [(node, 0)]  # text, and (node, binding power it needs), to print
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, required = item
+        kind = type(node)
+        if kind is Const:
+            text, prec = _fmt_const(node.value)
+        elif kind in _PREC:
+            prec = _PREC[kind]
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+        if prec < required:
+            out.append("(")
+            todo.append(")")
+        if kind is Const:
+            out.append(text)
+        elif kind is Var:
+            out.append("z")
+        elif kind is Neg:
+            out.append("-")
+            todo.append((node.operand, prec))
+        elif kind is Pow:
+            todo += [(node.exponent, _PREC_NEG), "^", (node.base, _PREC_ATOM)]
+        elif kind is Call:
+            out.append(node.fn + "(")
+            todo += [")", (node.arg, 0)]
+        else:  # Sum or Prod
+            for op, operand in reversed(node.rest):
+                todo += [(operand, prec + 1), op]
+            todo.append((node.first, prec))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def to_text(node):
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D = range(13)
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
-_CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}
+_CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
 _Instr = namedtuple("_Instr", "op arg where")
 

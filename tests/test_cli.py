@@ -437,6 +437,15 @@ class TestNonFiniteNumbers:
         assert rec["at"] == at + ".0"
 
 
+class TestMapStyles:
+    @pytest.mark.parametrize("flag", ["--h", "--g", "--omega"])
+    def test_map_with_an_empty_expression_is_usage_error(self, capsys, flag):
+        # an empty text still names a second map style
+        rec = _single_error(*run_cli(capsys, "eval", "--map", "K", flag, "",
+                                     "--op", "schw", "--at", "0.1,0"), 1)
+        assert rec["message"] == "--map cannot be combined with --h/--g/--omega"
+
+
 class TestOversizedGrid:
     """A grid too large to allocate is one usage-error record; the
     allocation failure is simulated, nothing large is allocated."""
@@ -553,24 +562,18 @@ class TestDeepExpressions:
             for a, b in zip(f.derivative_data(z), loaded.derivative_data(z)):
                 assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_190_nested_parentheses_evaluate(self):
-        # a subprocess, since pytest's own frames lower the limit by a few
-        # levels
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        h = "(" * 190 + "z" + ")" * 190
-        proc = subprocess.run(
-            [sys.executable, "-m", "harmschwarz.cli", "eval", "--h", h,
-             "--g", "0", "--op", "jac", "--at", "0.1,0"],
-            env=env, capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert json.loads(proc.stdout)["value"] == [1.0, 0.0]
-
-    def test_nested_parentheses_are_parse_error(self, capsys):
-        h = "(" * 3000 + "z" + ")" * 3000
-        rec = _single_error(*run_cli(capsys, "eval", "--h", h, "--g", "0",
-                                     "--op", "pre", "--at", "0.1,0"), 2)
-        assert "nests too deeply" in rec["message"]
+    @pytest.mark.parametrize("h, jac", [
+        ("(" * 10_000 + "z" + ")" * 10_000, [1.0, 0.0]),
+        ("-" * 10_000 + "z", [1.0, 0.0]),
+        ("z" + "^1" * 10_000, [1.0000000000000004, 0.0]),
+    ], ids=["parentheses", "unary-minus", "power"])
+    def test_10000_levels_evaluate(self, capsys, h, jac):
+        # nesting depth has no limit: the parser and the printer keep
+        # their own stacks, and the tape recurses nowhere
+        code, out, err = run_cli(capsys, "eval", "--h", h, "--g", "0",
+                                 "--op", "jac", "--at", "0.1,0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == jac
 
     def test_800_terms_still_evaluate(self, capsys):
         h = "+".join(f"0.001*z^{k}" for k in range(1, 801))

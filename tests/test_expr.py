@@ -1,5 +1,6 @@
 """Expression grammar, parser diagnostics, printer round trips, jet evaluation."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,9 @@ from harmschwarz.expr import (
     Prod,
     Sum,
     Var,
+    _chain,
+    _fmt_const,
+    _tokenize,
     eval_ast_jet,
     integer_exponent,
 )
@@ -425,3 +429,236 @@ class TestNonFiniteSlots:
                 np.errstate(all="ignore"):
             ExprFunction("1/exp(1000*z)").jet(zs, 2)
         assert err.value.at == 0.9
+
+
+# ---------------------------------------------------------------------------
+# the explicit-stack parser and printer against the recursive ones they
+# replaced
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar of ``harmschwarz.expr``."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, off = self.peek()
+        if kind == "op" and val == op:
+            return self.advance()
+        raise ExprSyntaxError(f"expected {op!r}", off)
+
+    def parse(self):
+        node = self.expr()
+        kind, val, off = self.peek()
+        if kind != "eof":
+            raise ExprSyntaxError(f"unexpected {val!r} after expression", off)
+        return node
+
+    def expr(self):
+        first, steps = self.term(), []
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                steps.append((val, self.term()))
+            else:
+                return _chain(first, *steps)
+
+    def term(self):
+        first, steps = self.factor(), []
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.advance()
+                steps.append((val, self.factor()))
+            else:
+                return _chain(first, *steps)
+
+    def factor(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            return Pow(base, self.factor())
+        return base
+
+    def atom(self):
+        kind, val, off = self.advance()
+        if kind == "num":
+            return Const(complex(float(val)))
+        if kind == "ident":
+            if val == "z":
+                return Var()
+            if val == "i":
+                return Const(1j)
+            if val in ("log", "exp", "sqrt", "d"):
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return Call(val, arg)
+            raise UnknownIdentifier(val, off)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", off)
+
+
+def _reference_parse(text):
+    if not isinstance(text, str) or not text.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    return _ReferenceParser(text).parse()
+
+
+def _reference_render(node):
+    """(text, binding power) of ``node`` by structural recursion."""
+    if isinstance(node, Const):
+        return _fmt_const(node.value)
+    if isinstance(node, Var):
+        return "z", 5
+    if isinstance(node, Neg):
+        return "-" + _reference_wrap(node.operand, 3), 3
+    if isinstance(node, (Sum, Prod)):
+        prec = 1 if isinstance(node, Sum) else 2
+        rest = "".join(op + _reference_wrap(operand, prec + 1) for op, operand in node.rest)
+        return _reference_wrap(node.first, prec) + rest, prec
+    if isinstance(node, Pow):
+        return _reference_wrap(node.base, 5) + "^" + _reference_wrap(node.exponent, 3), 4
+    if isinstance(node, Call):
+        return f"{node.fn}({_reference_render(node.arg)[0]})", 5
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _reference_wrap(node, required):
+    text, prec = _reference_render(node)
+    return f"({text})" if prec < required else text
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
+        return type(exc), str(exc), exc.offset
+
+
+_ATOMS = ("0", "1", "2.5", "3e2", ".5", "z", "i")
+_PREFIXES = ("-", "(", "log(", "exp(", "sqrt(", "d(")
+_INFIXES = ("+", "-", "*", "/", "^", ")")
+_STRAYS = ("log", "sin", "$", " ", "")
+
+
+def _random_token_string(rng):
+    """Mostly what the grammar expects next, with 15 % any token; tokens
+    are joined without separators, so neighbours may fuse ("1"+"2",
+    "z"+"i")."""
+    tokens, after_operand = [], False
+    for _ in range(rng.randint(0, 16)):
+        if rng.random() < 0.15:
+            tok = rng.choice(_ATOMS + _PREFIXES + _INFIXES + _STRAYS)
+        else:
+            tok = rng.choice(_INFIXES if after_operand else _ATOMS + _PREFIXES)
+        tokens.append(tok)
+        if tok.strip():
+            after_operand = tok in _ATOMS or tok == ")"
+    return "".join(tokens)
+
+
+class TestParserMatchesRecursion:
+    def test_random_token_strings(self):
+        rng = random.Random(20121)
+        for _ in range(30_000):
+            text = _random_token_string(rng)
+            assert _parse_outcome(parse, text) == _parse_outcome(_reference_parse, text), text
+
+    @given(_EXPR_TEXT)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_generated_expressions(self, text):
+        for wrapped in (text, f"-{text}^-2", f"d(log({text}))*-{text}"):
+            assert parse(wrapped) == _reference_parse(wrapped)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("log z", "expected '('", 4),
+        ("log", "expected '('", 3),
+        ("(z z)", "expected ')'", 3),
+        ("z)", "unexpected ')' after expression", 1),
+        ("2z", "unexpected 'z' after expression", 1),
+        ("z+*2", "unexpected '*'", 2),
+        ("-", "unexpected end of input", 1),
+        ("z $", "unexpected character '$'", 2),
+        ("", "empty expression", 0),
+    ])
+    def test_error_messages_and_offsets(self, text, message, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset)
+        assert _parse_outcome(_reference_parse, text) == _parse_outcome(parse, text)
+
+
+_CONSTS = [0.0, -0.0, 1.0, 2.5, -3.0, 1e-300, -1e300, 1j, -1j, 2.5j, -0.0j,
+           1 + 2j, -0.5 - 1j, 3 - 0.25j, complex(0.0, 1e300)]
+
+
+def _random_ast(rng, leaves):
+    """An AST of about ``leaves`` leaves, of every node type; a chain may
+    have no steps, or a first operand of its own kind, which no parse gives."""
+    if leaves <= 1:
+        return Var() if rng.random() < 0.3 else Const(rng.choice(_CONSTS))
+    kind = rng.choice((Neg, Pow, Call, Sum, Prod))
+    if kind is Neg:
+        return Neg(_random_ast(rng, leaves - 1))
+    if kind is Call:
+        return Call(rng.choice(("log", "exp", "sqrt", "d")), _random_ast(rng, leaves - 1))
+    if kind is Pow:
+        k = rng.randint(1, leaves - 1)
+        return Pow(_random_ast(rng, k), _random_ast(rng, leaves - k))
+    ops = "+-" if kind is Sum else "*/"
+    n = rng.randint(0, min(3, leaves - 1))
+    parts = [_random_ast(rng, max(1, leaves // (n + 1))) for _ in range(n + 1)]
+    return kind(parts[0], tuple((rng.choice(ops), p) for p in parts[1:]))
+
+
+class TestPrinterMatchesRecursion:
+    def test_random_asts(self):
+        rng = random.Random(20122)
+        for _ in range(5_000):
+            ast = _random_ast(rng, rng.randint(1, 16))
+            assert to_text(ast) == _reference_render(ast)[0]
+
+    def test_not_a_node(self):
+        with pytest.raises(TypeError, match="not an AST node"):
+            to_text(Neg("z"))
+
+
+class TestDeepNesting:
+    # 10,000 levels: the parser and the printer keep their own stacks
+    # (compare deep ASTs by text: the dataclass __eq__ recurses)
+    @pytest.mark.parametrize("text, step, printed", [
+        ("(" * 10_000 + "z" + ")" * 10_000, None, "z"),
+        ("-" * 10_000 + "z", "operand", "-" * 10_000 + "z"),
+        ("z" + "^1" * 10_000, "exponent", "z" + "^1.0" * 10_000),
+    ], ids=["parentheses", "unary-minus", "power"])
+    def test_parse_print_parse(self, text, step, printed):
+        ast = parse(text)
+        node, levels = ast, 0
+        while step is not None and not isinstance(node, (Var, Const)):
+            node, levels = getattr(node, step), levels + 1
+        assert levels == (0 if step is None else 10_000)
+        assert to_text(ast) == printed
+        assert to_text(parse(printed)) == printed
