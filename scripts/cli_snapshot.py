@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 234 ``harmschwarz`` commands in one process through
+Runs 239 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -95,6 +95,15 @@ ERRORS = (
      "--radial", "8", "--rmax", "0.5"),
     ("becker", "--h", "1/(z-0.5)", "--g", "0", "--rays", "8", "--radial", "8",
      "--rmax", "0.5"),
+    # an empty --q is an unparsable q, not a missing one
+    ("eval", "--map", "K", "--op", "cdo", "--q", "", "--at", "0.1,0"),
+    # a grid sweep that overflows names the first point where a jet slot
+    # does: exp(1000*z) overflows where 1/exp(1000*z) would read 0 (as h in
+    # norm and becker, and as omega), and a constant can be non-finite
+    ("norm", "--h", "1/exp(1000*z)", "--g", "0", "--op", "S"),
+    ("becker", "--h", "1/exp(1000*z)", "--g", "0"),
+    ("norm", "--h", "z", "--omega", "1/exp(1000*z)", "--op", "S"),
+    ("norm", "--h", "1e999*z", "--g", "0", "--op", "S"),
 )
 
 # a sum or a product of any length is one AST node; an error inside one

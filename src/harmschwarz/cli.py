@@ -162,7 +162,7 @@ _EVAL_OPS = {
 
 def _cmd_eval(args):
     f = _load_map(args)
-    q = ex.ExprFunction(args.q) if args.q else None
+    q = ex.ExprFunction(args.q) if args.q is not None else None
     points = [_parse_point(t) for t in args.at]
     records = []
     for z in points:

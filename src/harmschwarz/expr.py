@@ -29,14 +29,22 @@ Integer-constant exponents of any size are evaluated by repeated squaring
 (exact, and valid at zeros of the base); all other powers go through
 exp(e*log(base)) on the principal branch.
 
-The tape still checks every slot it fills for finiteness, as the Jet of
-each node was checked: an overflow raises NonFinite at the node where it
+The tape checks every slot it fills for finiteness, as the Jet of each
+node was checked: an overflow raises NonFinite at the node where it
 happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than reading 0), and
-the error names the first point where it does.  Constants are not
-folded: numpy rounds a complex product of scalars and of arrays
-differently, so a folded constant could not match both.
+the error names the first point where it does.  While numpy raises on
+overflow, invalid operations and division by zero (``np.errstate``), a
+run with finite inputs (the centre, checked on each run, and the
+constants, checked when the tape is compiled) skips those checks: no
+slot can then be non-finite, so the coefficients are the same bit for
+bit, and an overflow raises FloatingPointError instead, for the caller
+to run the tape again checked.  ``maps.HarmonicMap`` does so for the
+jets of h' and omega.  Constants are not folded: numpy rounds a complex
+product of scalars and of arrays differently, so a folded constant could
+not match both.
 """
 
+import cmath
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -52,6 +60,7 @@ from .errors import (
 from .jets import (
     DEFAULT_ORDER,
     Jet,
+    center_is_finite,
     check_finite,
     constant_coeffs,
     derivative_coeffs,
@@ -319,6 +328,8 @@ _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
 _Instr = namedtuple("_Instr", "op arg where")
+# the instructions, and whether every constant among them is finite
+_Tape = namedtuple("_Tape", "instrs finite")
 
 
 def _compile_tape(node, order):
@@ -330,10 +341,13 @@ def _compile_tape(node, order):
     other power is exp(e*log(base)) on the principal branch.  ``where`` is
     the enclosing node chain ``(outer, node, step)``, from which
     :func:`_ast_path` spells the failing node's path only on error.
+    A constant such as ``1e999`` is infinite without raising a numpy
+    flag, so the tape records whether its constants are finite.
     """
     if order < 0:
         raise ValueError("jet order must be >= 0")
     tape = []
+    finite = True
     todo = [(node, order, None)]  # (node, order, where) to expand, and instructions
     while todo:
         item = todo.pop()
@@ -343,6 +357,7 @@ def _compile_tape(node, order):
         node, order, where = item
         if isinstance(node, Const):
             tape.append(_Instr(_CONST, (node.value, order), where))
+            finite = finite and cmath.isfinite(node.value)
         elif isinstance(node, Var):
             tape.append(_Instr(_VAR, order, where))
         elif isinstance(node, (Sum, Prod)):
@@ -370,7 +385,7 @@ def _compile_tape(node, order):
                          (node.arg, order + 1 if node.fn == "d" else order, inner)]
             else:
                 raise TypeError(f"not an AST node: {node!r}")
-    return tuple(tape)
+    return _Tape(tuple(tape), finite)
 
 
 def _ast_path(where):
@@ -389,13 +404,24 @@ def _ast_path(where):
     return "".join(reversed(tags))
 
 
-def _cpow_coeffs(base, e, center):
-    """exp(e*log(base)), each step checked as the Jet it replaces."""
-    log_base = log_coeffs(base, center)
-    check_finite(log_base, center)
+def _cpow_coeffs(base, e, center, check):
+    """exp(e*log(base)), each step checked (if ``check``) as the Jet it
+    replaces."""
+    log_base = log_coeffs(base, center, check=check)
+    if check:
+        check_finite(log_base, center)
     e_log = mul_coeffs(e, log_base)
-    check_finite(e_log, center)
+    if check:
+        check_finite(e_log, center)
     return exp_coeffs(e_log)
+
+
+def _traps():
+    """Whether numpy raises on overflow, invalid operations and division
+    by zero, so that no operation on finite operands returns a non-finite
+    result."""
+    err = np.geterr()
+    return err["over"] == err["invalid"] == err["divide"] == "raise"
 
 
 def _run_tape(tape, z0):
@@ -405,15 +431,18 @@ def _run_tape(tape, z0):
     coefficients, then the centre (NonFinite names the first point where
     a coefficient is not finite).  A division by a zero constant term or a
     branch point at the centre names its AST path in ``ast_path`` and in
-    the message.
+    the message.  Under numpy's trap (``_traps``), with a finite centre
+    and finite constants, no slot is checked: each is finite, or numpy
+    raises FloatingPointError where the first one would not be.
     """
+    check = not (tape.finite and _traps() and center_is_finite(z0))
     shape = np.shape(z0)
     stack = []
     # a binary operation pops its left operand (below the top) first, so
     # no local keeps an operand alive after the result is built
     pop = stack.pop
     try:
-        for op, arg, where in tape:
+        for op, arg, where in tape.instrs:
             if op == _CONST:
                 out = constant_coeffs(arg[0], arg[1], shape)
             elif op == _VAR:
@@ -427,20 +456,21 @@ def _run_tape(tape, z0):
             elif op == _DIV:
                 out = div_coeffs(pop(-2), pop())
             elif op == _POW:
-                out = pow_coeffs(pop(), arg, z0)
+                out = pow_coeffs(pop(), arg, z0, check=check)
             elif op == _NEG:
                 out = -pop()
             elif op == _CPOW:
-                out = _cpow_coeffs(pop(-2), pop(), z0)
+                out = _cpow_coeffs(pop(-2), pop(), z0, check)
             elif op == _LOG:
-                out = log_coeffs(pop(), z0)
+                out = log_coeffs(pop(), z0, check=check)
             elif op == _EXP:
                 out = exp_coeffs(pop())
             elif op == _SQRT:
                 out = sqrt_coeffs(pop())
             else:  # _D
                 out = derivative_coeffs(pop())
-            check_finite(out, z0)
+            if check:
+                check_finite(out, z0)
             stack.append(out)
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.ast_path = _ast_path(where)

@@ -20,9 +20,13 @@ without building a Jet per node.
 Every Jet checks, when it is built, that its coefficients and then its
 centre are finite (NonFinite otherwise, naming in ``at`` the first point
 with a non-finite coefficient), so an overflow raises at the expression
-node where it happens.  The tape checks each slot the same way: moved to
-the operator boundary, a check would let ``1/inf`` read 0.  Binary
-operations require equal orders and equal centres.
+node where it happens.  The tape checks each slot the same way, unless
+numpy raises on overflow, invalid operations and division by zero: then
+no operation on finite operands returns a non-finite result, so checking
+the inputs once is enough (``pow_coeffs`` and ``log_coeffs`` skip the
+checks of their intermediates when called with ``check=False``).  Moved
+to the operator boundary without that trap, a check would let ``1/inf``
+read 0.  Binary operations require equal orders and equal centres.
 
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
@@ -62,8 +66,9 @@ def _as_coeff_array(coeffs):
 # coefficient, trailing axes the points) of jets that share one centre.
 # The Jet methods and the expression tape of ``expr`` both call them, so
 # every recurrence exists once.  A function checks what it builds along
-# the way, as a Jet of its own would be checked; its result is left to
-# the caller to check.
+# the way, as a Jet of its own would be checked (``check=False`` skips
+# that, for a caller under numpy's floating-point trap); its result is
+# left to the caller to check.
 
 
 def check_finite(coeffs, center):
@@ -84,12 +89,15 @@ def check_finite(coeffs, center):
         exc = NonFinite("non-finite jet coefficient")
         exc.at = complex(np.broadcast_to(center, bad.shape)[bad][0])
         raise exc
-    if isinstance(center, _NUMBER):
-        finite = cmath.isfinite(center)
-    else:
-        finite = np.isfinite(center).all()
-    if not finite:
+    if not center_is_finite(center):
         raise NonFinite("non-finite jet center")
+
+
+def center_is_finite(center):
+    """Whether every point of ``center`` (a point or an array) is finite."""
+    if isinstance(center, _NUMBER):
+        return cmath.isfinite(center)
+    return bool(np.isfinite(center).all())
 
 
 def constant_coeffs(value, order, shape):
@@ -131,11 +139,12 @@ def div_coeffs(a, b):
     return out
 
 
-def pow_coeffs(a, exponent, center):
+def pow_coeffs(a, exponent, center, *, check=True):
     """a^exponent for an integer exponent, by repeated multiplication."""
     if exponent < 0:
-        power = pow_coeffs(a, -exponent, center)
-        check_finite(power, center)
+        power = pow_coeffs(a, -exponent, center, check=check)
+        if check:
+            check_finite(power, center)
         # base^n underflows to 0 where the base does not: 1/base^n overflows
         lost = (power[0] == 0) & (a[0] != 0)
         if lost.any():
@@ -159,11 +168,12 @@ def pow_coeffs(a, exponent, center):
                 result = base
             else:
                 result = mul_coeffs(result, base)
-                if e > 1:  # the last product is the caller's to check
+                if check and e > 1:  # the last product is the caller's to check
                     check_finite(result, center)
         if e > 1:
             base = mul_coeffs(base, base)
-            check_finite(base, center)
+            if check:
+                check_finite(base, center)
         e >>= 1
     return result
 
@@ -188,7 +198,7 @@ def sqrt_coeffs(a):
     return out
 
 
-def log_coeffs(a, center):
+def log_coeffs(a, center, *, check=True):
     _require_nonzero_constant(a, "log")
     n = a.shape[0] - 1
     out = np.zeros_like(a)
@@ -196,9 +206,11 @@ def log_coeffs(a, center):
     if n >= 1:
         # (log a)' = a'/a, integrated coefficient-wise
         da = derivative_coeffs(a)
-        check_finite(da, center)
+        if check:
+            check_finite(da, center)
         q = div_coeffs(da, a[:n])
-        check_finite(q, center)
+        if check:
+            check_finite(q, center)
         for k in range(1, n + 1):
             out[k] = q[k - 1] / k
     return out
@@ -255,7 +267,9 @@ class Jet:
 
     @classmethod
     def _checked(cls, center, coeffs):
-        """Jet of coefficients that have passed :func:`check_finite`."""
+        """Jet of coefficients known to be finite: they passed
+        :func:`check_finite`, or finite inputs gave them while numpy
+        raised on overflow, invalid operations and division by zero."""
         jet = object.__new__(cls)
         object.__setattr__(jet, "center", center)
         object.__setattr__(jet, "coeffs", coeffs)

@@ -231,6 +231,21 @@ class HarmonicMap:
     def _hp_omega_jets(self, z, order_h, order_w):
         """Jets of h' and omega at z; local univalence is not checked.
 
+        The jets are evaluated while numpy raises on overflow, invalid
+        operations and division by zero, so the expression tapes need not
+        check each slot they fill (see ``expr``).  Where numpy raises,
+        they are evaluated again under the caller's error state, checked
+        slot by slot, so every error is the one the checked run names.
+        """
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return self._evaluate_hp_omega(z, order_h, order_w)
+        except FloatingPointError:
+            return self._evaluate_hp_omega(z, order_h, order_w)
+
+    def _evaluate_hp_omega(self, z, order_h, order_w):
+        """The jets of ``_hp_omega_jets``, under the caller's error state.
+
         A quotient omega = g'/h' reuses the jet of h': it is evaluated
         once, at the higher order, and truncated.  Truncation is exact,
         bit for bit, because every jet recurrence is causal (coefficient

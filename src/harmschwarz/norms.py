@@ -56,9 +56,10 @@ _ZOOM_HALF = 2
 _ZOOM_STEP_MIN = 1e-14
 
 # points per block of a grid sweep, about 1 MB of temporaries.  The S
-# sweep of K over the 32,769-point default grid (numpy 2.4, 2-vCPU VM)
-# takes 4.6 ms in blocks of 4096, 6.9 in blocks of 8192 or in one, and
-# 10.9 in blocks of 512
+# sweep of K over the 32,769-point default grid, its jets run under
+# numpy's trap (numpy 2.4, 2-vCPU VM, medians of 40 runs), takes 7.5 ms
+# in blocks of 4096, 8.4 to 8.8 in blocks of 2048 or 3072, 12 in blocks
+# of 6144 or 8192, 13.7 in one and 19.5 in blocks of 512
 _BLOCK = 4096
 
 
@@ -259,7 +260,12 @@ def becker_check(f, cfg=None):
     (|z P_f| + |z w'|/(1-|w|^2)) (1-|z|^2) stay <= 1 on the disk?
 
     Reports the worst margin 1 - LHS over the grid and where it occurs.
-    Margin >= 0 everywhere certifies univalence (sharp constant 1).
+    Margin >= 0 on the whole disk would certify univalence (sharp
+    constant 1), but the check samples the grid only, so ``holds`` is
+    grid evidence, not a certificate: h' = exp(0.01/(p - z)) with p =
+    1.0009246265409835+0.012283809824005645i holds with worst margin
+    0.2587, yet its LHS reaches 4.99 at r = 0.999 on the ray through p,
+    between grid points.  ROADMAP item 11 (interval bounds) addresses this.
     """
     cfg = cfg or SearchConfig()
     zs = _grid(cfg)

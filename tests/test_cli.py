@@ -436,6 +436,23 @@ class TestNonFiniteNumbers:
         assert rec["message"].startswith("non-finite jac value at ")
         assert rec["at"] == at + ".0"
 
+    @pytest.mark.parametrize("argv, at", [
+        (("norm", "--h", "1/exp(1000*z)", "--g", "0", "--op", "S"),
+         "0.6911303977624438,0.0"),
+        (("becker", "--h", "1/exp(1000*z)", "--g", "0"), "0.7195885060206912,0.0"),
+        # omega reads 1/inf = 0 where the tape does not check exp
+        (("norm", "--h", "z", "--omega", "1/exp(1000*z)", "--op", "S"),
+         "0.7195885060206912,0.0"),
+        # a non-finite constant raises no numpy flag
+        (("norm", "--h", "1e999*z", "--g", "0", "--op", "S"), "0.0,0.0"),
+    ])
+    def test_grid_sweep_overflow_names_its_first_point(self, capsys, argv, at):
+        # the sweeps evaluate jets under numpy's floating-point trap; an
+        # overflow is reported as the slot-by-slot checked run reports it
+        rec = _single_error(*run_cli(capsys, *argv), 4)
+        assert rec["message"] == "non-finite jet coefficient"
+        assert rec["at"] == at
+
 
 class TestMapStyles:
     @pytest.mark.parametrize("flag", ["--h", "--g", "--omega"])
@@ -444,6 +461,12 @@ class TestMapStyles:
         rec = _single_error(*run_cli(capsys, "eval", "--map", "K", flag, "",
                                      "--op", "schw", "--at", "0.1,0"), 1)
         assert rec["message"] == "--map cannot be combined with --h/--g/--omega"
+
+    def test_empty_q_is_parse_error(self, capsys):
+        # an empty --q is an unparsable q, not a missing one
+        rec = _single_error(*run_cli(capsys, "eval", "--map", "K", "--op", "cdo",
+                                     "--q", "", "--at", "0.1,0"), 2)
+        assert rec["message"] == "empty expression (offset 0)"
 
 
 class TestOversizedGrid:

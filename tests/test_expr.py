@@ -432,6 +432,77 @@ class TestNonFiniteSlots:
 
 
 # ---------------------------------------------------------------------------
+# the tape under numpy's floating-point trap against the checked tape
+
+
+def _trapped(fn):
+    """fn() as ``HarmonicMap._hp_omega_jets`` runs it: while numpy raises on
+    overflow, invalid and divide, and again, checked, where numpy raises."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn()
+    except FloatingPointError:
+        return fn()
+
+
+# batches in which exp(1000*u) overflows at some points only
+_BATCHES = [np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0]),
+            np.array([0.1, 0.9, 0.5, 0.95, -0.8 + 0.1j]),
+            np.array([-0.9 + 0.2j, 0.75 - 0.3j, 1e-160 + 0j, 0.2j])]
+
+
+class TestTrappedTapeMatchesChecked:
+    @given(_EXPR_TEXT,
+           st.sampled_from(["{}", "1/exp(1000*({}))", "exp(-exp(800*({})))",
+                            "({})^-3", "log({})", "({})^0.5", "d({})",
+                            "sqrt({})*exp(1000*z)"]),
+           st.integers(0, 4), st.sampled_from(range(len(_BATCHES))))
+    @settings(max_examples=400, deadline=None)
+    def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, batch):
+        fn, z = ExprFunction(wrap.format(text)), _BATCHES[batch]
+        want = _outcome(lambda: fn.jet(z, order))
+        assert _outcome(lambda: _trapped(lambda: fn.jet(z, order))) == want
+
+    @pytest.mark.parametrize("text, z, want", [
+        # the first slot to overflow is exp(1000*z) at 0.9; unchecked,
+        # 1/inf reads 0 and only exp(-1000*z) at -0.9 is left non-finite
+        ("1/exp(1000*z)+exp(-1000*z)", np.array([-0.9, 0.9]),
+         (NonFinite, "non-finite jet coefficient", None, 0.9)),
+        # a non-finite centre: its coefficient, or the centre itself
+        ("z", np.array([0.1, np.inf, np.nan]),
+         (NonFinite, "non-finite jet coefficient", None, complex(np.inf))),
+        ("1+z", np.array([0.1, np.nan]),
+         (NonFinite, "non-finite jet center", None, None)),
+        # a non-finite constant raises no numpy flag
+        ("z+1e999", np.array([0.2, 0.3]),
+         (NonFinite, "non-finite jet coefficient", None, 0.2)),
+        ("1e999*z", np.array([0.2, 0.3]),
+         (NonFinite, "non-finite jet coefficient", None, 0.2)),
+    ])
+    def test_failures_name_the_checked_point(self, text, z, want):
+        fn = ExprFunction(text)
+        assert _outcome(lambda: fn.jet(z, 2)) == want
+        assert _outcome(lambda: _trapped(lambda: fn.jet(z, 2))) == want
+
+    def test_trapped_run_checks_no_slot(self, monkeypatch):
+        import harmschwarz.expr as expr_module
+        import harmschwarz.jets as jets_module
+
+        calls = []
+        monkeypatch.setattr(expr_module, "check_finite",
+                            lambda coeffs, center: calls.append(center))
+        monkeypatch.setattr(jets_module, "check_finite",
+                            lambda coeffs, center: calls.append(center))
+        fn, z = ExprFunction("(1+z)^0.5*log(2-z)/(1-z)^4"), _BATCHES[0]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            trapped = fn.jet(z, 3)
+        assert calls == []
+        checked = fn.jet(z, 3)
+        assert len(calls) > 10
+        assert trapped.coeffs.tobytes() == checked.coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the explicit-stack parser and printer against the recursive ones they
 # replaced
 

@@ -31,6 +31,7 @@ from harmschwarz import (
 from harmschwarz.errors import (
     DivisionByZeroConstantTerm,
     DomainError,
+    NonFinite,
     ParameterOutOfRange,
     UnknownCatalogName,
 )
@@ -529,3 +530,37 @@ class TestDerivativeData:
         with pytest.raises(DomainError) as err:
             f.derivative_data(np.array([0.1, 0.5, 0.2j]))
         assert err.value.at == 0.5
+
+    def test_jets_run_under_the_trap_unchecked(self, monkeypatch):
+        # the tapes of h' and omega check no slot; the caller's error
+        # state is back in force afterwards
+        import harmschwarz.expr as expr_module
+        import harmschwarz.jets as jets_module
+
+        calls = []
+        monkeypatch.setattr(expr_module, "check_finite",
+                            lambda coeffs, center: calls.append(center))
+        monkeypatch.setattr(jets_module, "check_finite",
+                            lambda coeffs, center: calls.append(center))
+        f = catalog_map("K")
+        with np.errstate(all="ignore"):
+            hpj, wj = f.derivative_data(np.array([0.3 + 0.1j, -0.2 + 0.5j]), 2, 2)
+            assert np.geterr()["over"] == "ignore"
+        assert calls == []
+        checked = f.hp.jet(np.array([0.3 + 0.1j, -0.2 + 0.5j]), 2)
+        assert calls and checked.coeffs.tobytes() == hpj.coeffs.tobytes()
+
+    @pytest.mark.parametrize("h, at", [("1/exp(1000*z)", 0.9),
+                                       ("z+z^-512", 0.1)])
+    def test_overflow_under_the_trap_is_the_checked_error(self, h, at):
+        # exp overflows where 1/exp would read 0; 0.1^512 underflows, which
+        # numpy does not trap, so 1/0.1^512 is an overflowing power
+        f = HarmonicMap.from_dilatation(ExprFunction(h), ExprFunction("0"))
+        zs = np.array([0.3, at, 0.5])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFinite) as trapped:
+                f.derivative_data(zs)
+            with pytest.raises(NonFinite) as checked:
+                f.hp.jet(zs, 2)
+        assert str(trapped.value) == str(checked.value)
+        assert trapped.value.at == checked.value.at == at

@@ -292,6 +292,25 @@ class TestBecker:
                 (1 - abs(z) ** 2)
             assert abs(becker_lhs(f, z) - analytic) <= 1e-12
 
+    # h' = exp(0.01/(p - z)) with p just outside the disk: the Becker
+    # quantity is 1.63 at r = 0.99 and 4.99 at r = 0.999 on the ray through
+    # p, but the grid points near that ray miss the narrow peak
+    _NEAR_POLE = "exp(0.01/((1.0009246265409835+0.012283809824005645*i)-z))"
+
+    def test_peak_between_grid_points(self):
+        f = HarmonicMap.from_dilatation(ExprFunction(self._NEAR_POLE),
+                                        ExprFunction("0"))
+        ray = 1.0009246265409835 + 0.012283809824005645j
+        assert float(becker_lhs(f, 0.999 * ray / abs(ray))) > 4.99
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+    def test_verdict_is_not_a_certificate(self):
+        # the grid verdict reads holds (worst margin 0.2587); an interval
+        # bound over the disk would refute it
+        f = HarmonicMap.from_dilatation(ExprFunction(self._NEAR_POLE),
+                                        ExprFunction("0"))
+        assert becker_check(f).holds is False
+
     def test_json_shape(self):
         rep = becker_check(catalog_map("k"),
                            SearchConfig(rays=16, radial_samples=8))
