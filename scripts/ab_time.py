@@ -17,15 +17,19 @@ where the workload has one, its library follow-up (the S_f oracles of
 
 The script prints each round's total time per copy and their ratio, the
 median ratio, and whether stdout, stderr and exit codes agree between the
-copies on every command of every round.  It is a tool for finding where
-time goes between two versions; a claimed gain is measured with
-``bench/run.py``, which times whole runs in fresh processes.
+copies on every command of every round.  For each copy it also prints
+the latency figures of ``bench/worker.py``: ``op_p50_ms``, the median of
+the per-command median times, and ``op_tail_ms``, the same tail
+percentile of them.  It is a tool for finding where time goes between
+two versions; a claimed gain is measured with ``bench/run.py``, which
+times whole runs in fresh processes.
 """
 
 import argparse
 import contextlib
 import importlib
 import io
+import math
 import os
 import shutil
 import statistics
@@ -67,6 +71,18 @@ def run_one(pkg, workloads, cmd):
     return elapsed, (code, out.getvalue(), err.getvalue())
 
 
+def latency_ms(times):
+    """(op_p50_ms, op_tail_ms, tail percentile) of per-command time lists,
+    as ``bench/worker.py`` computes them from its repetitions (importing
+    it would load the package a third time)."""
+    latencies = sorted(statistics.median(t) * 1e3 for t in times)
+    # worker.tail_percentile: the highest whole percentile with at least
+    # ten commands above it
+    pct = math.floor(100 * (1 - 10 / len(latencies)))
+    tail = statistics.quantiles(latencies, n=100, method="inclusive")[pct - 1]
+    return statistics.median(latencies), tail, pct
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("old_src")
@@ -94,14 +110,16 @@ def main(argv=None):
                 run_one(pkgs[side], workloads, cmd)
 
         ratios, differing = [], set()
+        times = {side: [[] for _ in commands] for side in SIDES}
         for rnd in range(args.rounds):
             order = SIDES if rnd % 2 == 0 else SIDES[::-1]
             totals = dict.fromkeys(SIDES, 0.0)
-            for cmd in commands:
+            for i, cmd in enumerate(commands):
                 results = {}
                 for side in order:
                     elapsed, results[side] = run_one(pkgs[side], workloads, cmd)
                     totals[side] += elapsed
+                    times[side][i].append(elapsed)
                 if results["old"] != results["new"]:
                     differing.add(cmd.name)
             ratio = totals["new"] / totals["old"]
@@ -112,6 +130,9 @@ def main(argv=None):
 
     print(f"{args.workload} seed {args.seed}: {len(commands)} commands, "
           f"{args.rounds} rounds, median new/old {statistics.median(ratios):.3f}")
+    for side in SIDES:
+        p50, tail, pct = latency_ms(times[side])
+        print(f"{side}: op_p50_ms {p50:.3f}, op_tail_ms {tail:.3f} (p{pct})")
     if differing:
         print(f"outputs differ (stdout, stderr or exit) on {len(differing)} "
               f"commands: {', '.join(sorted(differing))}")

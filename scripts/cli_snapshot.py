@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 239 ``harmschwarz`` commands in one process through
+Runs 244 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -104,6 +104,15 @@ ERRORS = (
     ("becker", "--h", "1/exp(1000*z)", "--g", "0"),
     ("norm", "--h", "z", "--omega", "1/exp(1000*z)", "--op", "S"),
     ("norm", "--h", "1e999*z", "--g", "0", "--op", "S"),
+    # the same failures at one point, where the jets run on Python complex
+    # numbers: an exp that overflows (in h, in omega, in h'), a non-finite
+    # constant, and a negative power whose base underflows
+    ("eval", "--h", "1/exp(1000*z)", "--g", "0", "--op", "pre", "--at", "0.9,0"),
+    ("eval", "--h", "z", "--omega", "1/exp(1000*z)", "--op", "schw",
+     "--at", "0.9,0"),
+    ("eval", "--h", "1e999*z", "--g", "0", "--op", "pre", "--at", "0.1,0"),
+    ("eval", "--h", "z^-400", "--g", "0", "--op", "pre", "--at", "0.01,0"),
+    ("eval", "--h", "exp(1000*z)", "--omega", "0", "--op", "pre", "--at", "0.9,0"),
 )
 
 # a sum or a product of any length is one AST node; an error inside one

@@ -349,6 +349,11 @@ def _cmd_verify(args):
 
 
 def build_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser, and the parser of each command by name."""
     parser = _Parser(prog="harmschwarz",
                      description="Schwarzian machinery for planar harmonic maps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -394,7 +399,7 @@ def build_parser():
     p.add_argument("suite", help="oracles | invariance | norms | becker | all")
     p.set_defaults(fn=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 # every flag that takes a value: a new one must be listed here too
@@ -421,8 +426,21 @@ def _merge_dash_expressions(argv):
     return out
 
 
-# parsing leaves the parser unchanged, so one per process serves every call
-_parser = functools.cache(build_parser)
+# parsing leaves the parsers unchanged, so one set per process serves
+# every call
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv):
+    """The namespace of ``argv``.  When its first token names a command,
+    that command's parser reads the rest: the top-level parser would only
+    hand them on, after classifying each one as an option or not (its
+    errors are those of the command's parser, as ``_Parser.error`` raises
+    the bare message)."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
@@ -430,7 +448,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     argv = _merge_dash_expressions(list(argv))
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         return _emit_error(EXIT_USAGE, exc)
     try:

@@ -20,34 +20,39 @@ Evaluation produces :class:`~harmschwarz.jets.Jet` objects, so every
 registered function is differentiable to any order at any point of its
 domain.  An expression compiles, once per jet order and by an iterative
 walk, into a Taylor tape: a straight-line list of instructions that run
-the recurrences of ``jets`` on raw coefficient arrays sharing one centre
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Running a tape
-builds no Jet per node and recurses nowhere, so an AST of any depth
-evaluates.  A sum or a product is one node, evaluated left to right.
-d(u) through order n is the jet of u through order n + 1, differentiated.
-Integer-constant exponents of any size are evaluated by repeated squaring
-(exact, and valid at zeros of the base); all other powers go through
-exp(e*log(base)) on the principal branch.
+the recurrences of ``jets`` on raw coefficients sharing one centre
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13): arrays for an
+array of points, lists of Python complex numbers for one point (a Python
+or numpy number, or a 0-d array), with the same bits either way.
+Running a tape builds no Jet per node and recurses nowhere, so an AST of
+any depth evaluates.  A sum or a product is one node, evaluated left to
+right.  d(u) through order n is the jet of u through order n + 1,
+differentiated, and so is ``ExprFunction.derivative``: the same tape
+with a derivative instruction appended.  Integer-constant exponents of
+any size are evaluated by repeated squaring (exact, and valid at zeros of
+the base); all other powers go through exp(e*log(base)) on the principal
+branch.
 
 The tape checks every slot it fills for finiteness, as the Jet of each
 node was checked: an overflow raises NonFinite at the node where it
 happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than reading 0), and
-the error names the first point where it does.  While numpy raises on
-overflow, invalid operations and division by zero (``np.errstate``), a
-run with finite inputs (the centre, checked on each run, and the
-constants, checked when the tape is compiled) skips those checks: no
-slot can then be non-finite, so the coefficients are the same bit for
-bit, and an overflow raises FloatingPointError instead, for the caller
-to run the tape again checked.  ``maps.HarmonicMap`` does so for the
-jets of h' and omega.  Constants are not folded: numpy rounds a complex
-product of scalars and of arrays differently, so a folded constant could
-not match both.
+the error names the first point where it does.  At one point a slot whose
+sum is finite is finite, so one test checks it.  On an array, while numpy
+raises on overflow, invalid operations and division by zero
+(``np.errstate``), a run with finite inputs (the centre, checked on each
+run, and the constants, checked when the tape is compiled) skips those
+checks: no slot can then be non-finite, so the coefficients are the same
+bit for bit, and an overflow raises FloatingPointError instead, for the
+caller to run the tape again checked.  ``maps.HarmonicMap`` does so for
+the jets of h' and omega.  Constants are not folded: numpy rounds a
+complex product of scalars and of arrays differently, so a folded
+constant could not match both.
 """
 
 import cmath
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +65,7 @@ from .errors import (
 from .jets import (
     DEFAULT_ORDER,
     Jet,
+    add_coeffs,
     center_is_finite,
     check_finite,
     constant_coeffs,
@@ -68,8 +74,11 @@ from .jets import (
     exp_coeffs,
     log_coeffs,
     mul_coeffs,
+    neg_coeffs,
+    one_point,
     pow_coeffs,
     sqrt_coeffs,
+    sub_coeffs,
     variable_coeffs,
 )
 
@@ -77,43 +86,105 @@ from .jets import (
 # AST
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Equality, hashing and repr of the AST node classes, on an explicit
+    stack, so an AST of any depth compares, hashes and prints.
+
+    Equality is that of the dataclasses it replaces: nodes of one class
+    with equal fields (a field compared as in a tuple: identity, then
+    ``==``, so ``Const(0j) == Const(-0j)``).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            names = _FIELDS.get(type(a))
+            if names is not None:
+                if type(b) is not type(a):
+                    return False
+                todo += [(getattr(a, f), getattr(b, f)) for f in names]
+            elif type(a) is tuple and type(b) is tuple:
+                if len(a) != len(b):
+                    return False
+                todo += zip(a, b)
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        # equal trees give equal token sequences: classes, tuple lengths
+        # and leaf values in pre-order
+        tokens = []
+        todo = [self]
+        while todo:
+            item = todo.pop()
+            names = _FIELDS.get(type(item))
+            if names is not None:
+                tokens.append(type(item).__name__)
+                todo += [getattr(item, f) for f in reversed(names)]
+            elif type(item) is tuple:
+                tokens.append(len(item))
+                todo += reversed(item)
+            else:
+                tokens.append(item)
+        return hash(tuple(tokens))
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{to_text(self)}>"
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
+class Const(_Node):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Sum:
+@_node
+class Sum(_Node):
     first: object
     rest: tuple  # ((op, operand), ...) with op '+' or '-', left to right
 
 
-@dataclass(frozen=True)
-class Prod:
+@_node
+class Prod(_Node):
     first: object
     rest: tuple  # ((op, operand), ...) with op '*' or '/', left to right
 
 
-@dataclass(frozen=True)
-class Pow:
+@_node
+class Pow(_Node):
     base: object
     exponent: object
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(_Node):
     operand: object
 
 
-@dataclass(frozen=True)
-class Call:
+@_node
+class Call(_Node):
     fn: str
     arg: object
+
+
+# the fields of each node class, in declaration order
+_FIELDS = {kind: tuple(f.name for f in fields(kind))
+           for kind in (Const, Var, Sum, Prod, Pow, Neg, Call)}
 
 
 # Binding power of each node type, loosest first: the parser reads it for
@@ -165,15 +236,21 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
+    """(kind, text, offset) of each token, then ("eof", "", len(text)).
+
+    One ``finditer`` pass: a match that does not start where the last one
+    ended has skipped a character no token starts with.
+    """
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
+    if pos != len(text):
+        raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -317,17 +394,17 @@ def to_text(node):
 # jet evaluation: the Taylor tape
 #
 # A tape is a tuple of instructions (op, arg, where) in post-order.  Run on
-# a stack, a leaf pushes a coefficient array and an operation pops its
+# a stack, a leaf pushes its coefficients and an operation pops its
 # operands and pushes its result, so each slot is dropped once the
 # instruction that reads it has run.  The arithmetic is that of the Jet
 # methods (the same recurrences on the same operands in the same order), so
-# values are the same bit for bit.
+# values are the same bit for bit, on arrays and on the Python complex
+# numbers of one point alike.
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D = range(13)
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
-_Instr = namedtuple("_Instr", "op arg where")
 # the instructions, and whether every constant among them is finite
 _Tape = namedtuple("_Tape", "instrs finite")
 
@@ -348,43 +425,48 @@ def _compile_tape(node, order):
         raise ValueError("jet order must be >= 0")
     tape = []
     finite = True
-    todo = [(node, order, None)]  # (node, order, where) to expand, and instructions
+    # nodes to expand, (node, order, where), and instructions, (op, arg,
+    # where) with an int op, whose operands are on the tape once they pop
+    todo = [(node, order, None)]
     while todo:
         item = todo.pop()
-        if isinstance(item, _Instr):
-            tape.append(item)  # its operands are on the tape already
-            continue
         node, order, where = item
-        if isinstance(node, Const):
-            tape.append(_Instr(_CONST, (node.value, order), where))
-            finite = finite and cmath.isfinite(node.value)
-        elif isinstance(node, Var):
-            tape.append(_Instr(_VAR, order, where))
-        elif isinstance(node, (Sum, Prod)):
+        kind = type(node)
+        if kind is int:
+            tape.append(item)
+        elif kind is Const:
+            value = complex(node.value)
+            # a constant's jet at one point, ready to copy
+            tape.append((_CONST, (value,) + (0j,) * order, where))
+            finite = finite and cmath.isfinite(value)
+        elif kind is Var:
+            tape.append((_VAR, order, where))
+        elif kind is Sum or kind is Prod:
             # step s combines the running value with operand s: both sit
             # inside the binary nodes of steps s and later
-            for step in range(len(node.rest) - 1, -1, -1):
-                op, operand = node.rest[step]
+            rest = node.rest
+            for step in range(len(rest) - 1, -1, -1):
+                op, operand = rest[step]
                 inner = (where, node, step)
-                todo.append(_Instr(_CHAIN_OPS[op], None, inner))
-                todo.append((operand, order, inner))
+                todo += [(_CHAIN_OPS[op], None, inner), (operand, order, inner)]
             todo.append((node.first, order, (where, node, 0)))
-        else:
+        elif kind is Neg:
             inner = (where, node, None)
-            if isinstance(node, Neg):
-                todo += [_Instr(_NEG, None, inner), (node.operand, order, inner)]
-            elif isinstance(node, Pow):
-                n = integer_exponent(node.exponent)
-                if n is None:
-                    todo += [_Instr(_CPOW, None, inner), (node.exponent, order, inner)]
-                else:
-                    todo.append(_Instr(_POW, n, inner))
-                todo.append((node.base, order, inner))
-            elif isinstance(node, Call):
-                todo += [_Instr(_CALL_OPS[node.fn], None, inner),
-                         (node.arg, order + 1 if node.fn == "d" else order, inner)]
+            todo += [(_NEG, None, inner), (node.operand, order, inner)]
+        elif kind is Pow:
+            inner = (where, node, None)
+            n = integer_exponent(node.exponent)
+            if n is None:
+                todo += [(_CPOW, None, inner), (node.exponent, order, inner)]
             else:
-                raise TypeError(f"not an AST node: {node!r}")
+                todo.append((_POW, n, inner))
+            todo.append((node.base, order, inner))
+        elif kind is Call:
+            inner = (where, node, None)
+            todo += [(_CALL_OPS[node.fn], None, inner),
+                     (node.arg, order + 1 if node.fn == "d" else order, inner)]
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
     return _Tape(tuple(tape), finite)
 
 
@@ -431,12 +513,21 @@ def _run_tape(tape, z0):
     coefficients, then the centre (NonFinite names the first point where
     a coefficient is not finite).  A division by a zero constant term or a
     branch point at the centre names its AST path in ``ast_path`` and in
-    the message.  Under numpy's trap (``_traps``), with a finite centre
-    and finite constants, no slot is checked: each is finite, or numpy
-    raises FloatingPointError where the first one would not be.
+    the message.  At one point (``one_point``) the slots are lists of
+    Python complex numbers, and a slot whose sum is finite at a finite
+    centre needs no further check.  On an array under numpy's trap
+    (``_traps``), with a finite centre and finite constants, no slot is
+    checked: each is finite, or numpy raises FloatingPointError where the
+    first one would not be.
     """
-    check = not (tape.finite and _traps() and center_is_finite(z0))
-    shape = np.shape(z0)
+    point = one_point(z0)
+    if point is None:  # an array of points
+        point, shape = z0, np.shape(z0)
+        check = not (tape.finite and _traps() and center_is_finite(z0))
+        quick = False
+    else:
+        shape, check, quick = None, True, cmath.isfinite(point)
+    isfinite = cmath.isfinite
     stack = []
     # a binary operation pops its left operand (below the top) first, so
     # no local keeps an operand alive after the result is built
@@ -444,13 +535,14 @@ def _run_tape(tape, z0):
     try:
         for op, arg, where in tape.instrs:
             if op == _CONST:
-                out = constant_coeffs(arg[0], arg[1], shape)
+                out = (list(arg) if shape is None
+                       else constant_coeffs(arg[0], len(arg) - 1, shape))
             elif op == _VAR:
-                out = variable_coeffs(z0, arg)
+                out = variable_coeffs(point, arg)
             elif op == _ADD:
-                out = pop(-2) + pop()
+                out = add_coeffs(pop(-2), pop())
             elif op == _SUB:
-                out = pop(-2) - pop()
+                out = sub_coeffs(pop(-2), pop())
             elif op == _MUL:
                 out = mul_coeffs(pop(-2), pop())
             elif op == _DIV:
@@ -458,7 +550,7 @@ def _run_tape(tape, z0):
             elif op == _POW:
                 out = pow_coeffs(pop(), arg, z0, check=check)
             elif op == _NEG:
-                out = -pop()
+                out = neg_coeffs(pop())
             elif op == _CPOW:
                 out = _cpow_coeffs(pop(-2), pop(), z0, check)
             elif op == _LOG:
@@ -469,14 +561,17 @@ def _run_tape(tape, z0):
                 out = sqrt_coeffs(pop())
             else:  # _D
                 out = derivative_coeffs(pop())
-            if check:
+            if check and not (quick and isfinite(sum(out))):
                 check_finite(out, z0)
             stack.append(out)
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.ast_path = _ast_path(where)
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
         raise
-    return Jet._checked(z0, pop())
+    out = pop()
+    if shape is None:
+        out = np.array(out, dtype=np.complex128)
+    return Jet._checked(z0, out)
 
 
 def eval_ast_jet(node, z0, order):
@@ -560,13 +655,42 @@ class ExprFunction(AnalyticFunction):
         self._tapes = {}  # jet order -> tape, compiled when first needed
 
     def jet(self, z, order):
+        return _run_tape(self._tape(order), z)
+
+    def _tape(self, order):
         tape = self._tapes.get(order)
         if tape is None:
             tape = self._tapes[order] = _compile_tape(self.ast, order)
-        return _run_tape(tape, z)
+        return tape
+
+    def derivative(self):
+        return _TapeDerivative(self)
 
     def __repr__(self):
         return f"ExprFunction({self.source!r})"
+
+
+class _TapeDerivative(AnalyticFunction):
+    """f' of an ExprFunction f, on a tape: f's tape one order higher, then
+    a derivative instruction.
+
+    The jets are those of ``f.jet(z, n + 1).derivative()``, bit for bit,
+    and an error names the AST path in f that the tape of f names (not
+    the path below a ``d`` node).  It has no text of its own, so
+    ``maps.map_to_json`` writes f, not f'.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self._tapes = {}  # jet order -> tape
+
+    def jet(self, z, order):
+        tape = self._tapes.get(order)
+        if tape is None:
+            inner = self.f._tape(order + 1)
+            tape = self._tapes[order] = inner._replace(
+                instrs=inner.instrs + ((_D, None, None),))
+        return _run_tape(tape, z)
 
 
 class DerivedFunction(AnalyticFunction):

@@ -12,17 +12,24 @@ same recurrences evaluate one expansion point or a whole grid of them.
 Jets are immutable by convention: no method mutates ``coeffs``.
 
 The recurrences themselves (product, quotient, integer power, log, exp,
-sqrt, derivative) are module-level functions on raw coefficient arrays.
-The Jet methods wrap them, and so does the expression tape of
-:mod:`~harmschwarz.expr`, which runs them on arrays that share one centre
-without building a Jet per node.
+sqrt, derivative) are module-level functions on raw coefficient
+sequences.  The Jet methods wrap them, and so does the expression tape of
+:mod:`~harmschwarz.expr`, which runs them on coefficients that share one
+centre without building a Jet per node: on arrays for an array of
+points, and on lists of Python complex numbers for one point, where
+numpy's per-scalar dispatch would cost more than the arithmetic.  Each
+recurrence is written once, over either sequence, and both give the
+same bits.
 
 Every Jet checks, when it is built, that its coefficients and then its
 centre are finite (NonFinite otherwise, naming in ``at`` the first point
 with a non-finite coefficient), so an overflow raises at the expression
-node where it happens.  The tape checks each slot the same way, unless
-numpy raises on overflow, invalid operations and division by zero: then
-no operation on finite operands returns a non-finite result, so checking
+node where it happens.  The tape checks each slot the same way: at one
+point by the finiteness of the slot's sum first (one test, exact, since
+no sum with a non-finite term is finite) and coefficient by coefficient
+only when that fails.  On an array it skips the checks while numpy
+raises on overflow, invalid operations and division by zero: then no
+operation on finite operands returns a non-finite result, so checking
 the inputs once is enough (``pow_coeffs`` and ``log_coeffs`` skip the
 checks of their intermediates when called with ``check=False``).  Moved
 to the operator boundary without that trap, a check would let ``1/inf``
@@ -60,15 +67,31 @@ def _as_coeff_array(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# coefficient arrays: the recurrences
+# coefficient sequences: the recurrences
 #
-# Each function takes and returns raw coefficient arrays (leading axis the
-# coefficient, trailing axes the points) of jets that share one centre.
-# The Jet methods and the expression tape of ``expr`` both call them, so
-# every recurrence exists once.  A function checks what it builds along
-# the way, as a Jet of its own would be checked (``check=False`` skips
-# that, for a caller under numpy's floating-point trap); its result is
-# left to the caller to check.
+# Each function takes and returns the raw coefficients of jets that share
+# one centre, as a sequence indexed by the coefficient: an array whose
+# trailing axes are the points, or, for one point, a list of Python
+# complex numbers.  Python arithmetic on one number skips numpy's scalar
+# dispatch and rounds as numpy's scalars do, except in a division (see
+# ``_quotient``) and in exp, log and sqrt (see ``_elementary``), so both
+# forms carry the same bits.  The Jet methods and the expression tape of
+# ``expr`` call these functions, so every recurrence exists once.  A real
+# factor is written as a complex number: numpy multiplies by k + 0j, and
+# some Python versions mix a real and a complex operand by other rules.
+# A function checks what it builds along the way, as a Jet of its own
+# would be checked (``check=False`` skips that, for a caller under numpy's
+# floating-point trap); its result is left to the caller to check.
+
+
+def one_point(center):
+    """``center`` as a Python complex number when it is one point (a Python
+    or numpy number, or a 0-d array), else None: the tape of ``expr`` then
+    runs on Python complex numbers."""
+    if isinstance(center, _NUMBER) or (isinstance(center, np.ndarray)
+                                       and center.ndim == 0):
+        return complex(center)
+    return None
 
 
 def check_finite(coeffs, center):
@@ -78,9 +101,13 @@ def check_finite(coeffs, center):
     For a coefficient, the error's ``at`` names the first point (in C
     order of the trailing axes) where one is not finite.
     """
-    # the values of one point are read faster one by one in Python than
-    # by a numpy reduction; both spell the same test
-    if coeffs.ndim == 1:
+    if type(coeffs) is list:
+        # a sum of finite numbers can overflow, but no sum with a
+        # non-finite term is finite
+        finite = cmath.isfinite(sum(coeffs)) or all(map(cmath.isfinite, coeffs))
+    elif coeffs.ndim == 1:
+        # the values of one point are read faster one by one in Python
+        # than by a numpy reduction; both spell the same test
         finite = all(map(cmath.isfinite, coeffs.tolist()))
     else:
         finite = np.isfinite(coeffs).all()
@@ -100,13 +127,63 @@ def center_is_finite(center):
     return bool(np.isfinite(center).all())
 
 
+def _any(mask):
+    """Whether ``mask`` (a bool, or a numpy bool scalar or array) holds
+    anywhere."""
+    return mask if type(mask) is bool else bool(mask.any())
+
+
+def _zeros_like(a):
+    if type(a) is list:
+        return [0j] * len(a)
+    return np.zeros_like(a)
+
+
+def _points_shape(a):
+    """The shape of the points of ``a``; None for a list (one point)."""
+    return None if type(a) is list else a.shape[1:]
+
+
+def _quotient(x, y):
+    """x / y as numpy divides complex numbers, also for a Python complex x
+    (y a Python complex number or int).
+
+    Python divides complex numbers by another formula, so a one-point jet
+    spells out numpy's loop: Smith's method, multiplying by the reciprocal
+    ``scl`` (so that ``acc / k`` is ``acc*(1/k)``, not ``acc/k``).
+    """
+    if type(x) is not complex:
+        return x / y
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    if abs(yr) >= abs(yi):  # no jet recurrence divides by zero
+        rat = yi / yr
+        scl = 1.0 / (yr + yi * rat)
+        return complex((xr + xi * rat) * scl, (xi - xr * rat) * scl)
+    rat = yr / yi
+    scl = 1.0 / (yi + yr * rat)
+    return complex((xr * rat + xi) * scl, (xi * rat - xr) * scl)
+
+
+def _elementary(fn, x):
+    """``fn`` (np.exp, np.log or np.sqrt) of a row of coefficients, or of
+    one Python complex number: cmath rounds otherwise, so numpy serves
+    both."""
+    return complex(fn(x)) if type(x) is complex else fn(x)
+
+
 def constant_coeffs(value, order, shape):
+    """The jet of a constant; ``shape`` None gives the list of one point."""
+    if shape is None:
+        return [complex(value)] + [0j] * order
     coeffs = np.zeros((order + 1,) + tuple(shape), dtype=np.complex128)
     coeffs[0] = value
     return coeffs
 
 
 def variable_coeffs(z0, order):
+    """The jet of z at ``z0``: a list when ``z0`` is a Python complex number."""
+    if type(z0) is complex:
+        return ([z0, 1 + 0j] + [0j] * (order - 1))[:order + 1]
     coeffs = np.zeros((order + 1,) + np.shape(z0), dtype=np.complex128)
     coeffs[0] = z0
     if order >= 1:
@@ -114,28 +191,48 @@ def variable_coeffs(z0, order):
     return coeffs
 
 
+def add_coeffs(a, b):
+    if type(a) is list:
+        return [x + y for x, y in zip(a, b)]
+    return a + b
+
+
+def sub_coeffs(a, b):
+    if type(a) is list:
+        return [x - y for x, y in zip(a, b)]
+    return a - b
+
+
+def neg_coeffs(a):
+    if type(a) is list:
+        return [-x for x in a]
+    return -a
+
+
 def mul_coeffs(a, b):
-    out = np.zeros_like(a)
-    for k in range(a.shape[0]):
+    out = _zeros_like(a)
+    for k in range(len(a)):
+        acc = 0j
         for j in range(k + 1):
-            out[k] = out[k] + a[j] * b[k - j]
+            acc = acc + a[j] * b[k - j]
+        out[k] = acc
     return out
 
 
 def div_coeffs(a, b):
     b0 = b[0]
     zero = b0 == 0
-    if zero.any():
+    if _any(zero):
         exc = DivisionByZeroConstantTerm("jet division by zero constant term")
         exc.mask = zero  # where the divisor vanishes, for the caller to name
         raise exc
-    out = np.zeros_like(a)
-    out[0] = a[0] / b0
-    for k in range(1, a.shape[0]):
+    out = _zeros_like(a)
+    out[0] = _quotient(a[0], b0)
+    for k in range(1, len(a)):
         acc = a[k]
         for j in range(1, k + 1):
             acc = acc - b[j] * out[k - j]
-        out[k] = acc / b0
+        out[k] = _quotient(acc, b0)
     return out
 
 
@@ -147,18 +244,18 @@ def pow_coeffs(a, exponent, center, *, check=True):
             check_finite(power, center)
         # base^n underflows to 0 where the base does not: 1/base^n overflows
         lost = (power[0] == 0) & (a[0] != 0)
-        if lost.any():
-            at = complex(np.broadcast_to(center, lost.shape)[lost][0])
+        if _any(lost):
+            at = complex(np.broadcast_to(center, np.shape(lost))[lost][0])
             exc = NonFinite(f"jet power {exponent} overflows at {at}")
             exc.at = at  # the point, as a DomainError carries it
             raise exc
-        return div_coeffs(constant_coeffs(1.0, a.shape[0] - 1, a.shape[1:]), power)
+        return div_coeffs(constant_coeffs(1.0, len(a) - 1, _points_shape(a)), power)
     if exponent == 0:
-        return constant_coeffs(1.0, a.shape[0] - 1, a.shape[1:])
+        return constant_coeffs(1.0, len(a) - 1, _points_shape(a))
     if exponent == 1:
         # no power has a -0 coefficient (a jet product never yields one);
         # adding +0 turns -0 into +0 and changes nothing else
-        return a + 0.0
+        return add_coeffs(a, _zeros_like(a))
     result = None
     base = a
     e = exponent
@@ -180,7 +277,7 @@ def pow_coeffs(a, exponent, center, *, check=True):
 
 def _require_nonzero_constant(a, what):
     zero = a[0] == 0
-    if zero.any():
+    if _any(zero):
         exc = BranchPointAtCenter(f"{what} of jet with zero constant term")
         exc.mask = zero  # where the argument vanishes, as for a division
         raise exc
@@ -188,21 +285,21 @@ def _require_nonzero_constant(a, what):
 
 def sqrt_coeffs(a):
     _require_nonzero_constant(a, "sqrt")
-    out = np.zeros_like(a)
-    out[0] = np.sqrt(a[0])
-    for k in range(1, a.shape[0]):
+    out = _zeros_like(a)
+    out[0] = _elementary(np.sqrt, a[0])
+    for k in range(1, len(a)):
         acc = a[k]
         for j in range(1, k):
             acc = acc - out[j] * out[k - j]
-        out[k] = acc / (2.0 * out[0])
+        out[k] = _quotient(acc, (2 + 0j) * out[0])
     return out
 
 
 def log_coeffs(a, center, *, check=True):
     _require_nonzero_constant(a, "log")
-    n = a.shape[0] - 1
-    out = np.zeros_like(a)
-    out[0] = np.log(a[0])
+    n = len(a) - 1
+    out = _zeros_like(a)
+    out[0] = _elementary(np.log, a[0])
     if n >= 1:
         # (log a)' = a'/a, integrated coefficient-wise
         da = derivative_coeffs(a)
@@ -212,25 +309,27 @@ def log_coeffs(a, center, *, check=True):
         if check:
             check_finite(q, center)
         for k in range(1, n + 1):
-            out[k] = q[k - 1] / k
+            out[k] = _quotient(q[k - 1], k)
     return out
 
 
 def exp_coeffs(a):
-    out = np.zeros_like(a)
-    out[0] = np.exp(a[0])
-    for k in range(1, a.shape[0]):
-        acc = np.zeros_like(out[0])
+    out = _zeros_like(a)
+    out[0] = _elementary(np.exp, a[0])
+    for k in range(1, len(a)):
+        acc = 0j
         for j in range(1, k + 1):
-            acc = acc + j * a[j] * out[k - j]
-        out[k] = acc / k
+            acc = acc + complex(j) * a[j] * out[k - j]
+        out[k] = _quotient(acc, k)
     return out
 
 
 def derivative_coeffs(a):
     """Coefficients of f' from those of f, one order lower."""
-    k = np.arange(1, a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1))
-    return a[1:] * k
+    out = _zeros_like(a[1:])
+    for k in range(1, len(a)):
+        out[k - 1] = a[k] * complex(k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +367,8 @@ class Jet:
     @classmethod
     def _checked(cls, center, coeffs):
         """Jet of coefficients known to be finite: they passed
-        :func:`check_finite`, or finite inputs gave them while numpy
+        :func:`check_finite` (at one point, a finite sum of each slot
+        of the tape counts), or finite inputs gave them while numpy
         raised on overflow, invalid operations and division by zero."""
         jet = object.__new__(cls)
         object.__setattr__(jet, "center", center)

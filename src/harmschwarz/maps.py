@@ -45,7 +45,7 @@ from .expr import (
     parse,
     to_text,
 )
-from .jets import Jet
+from .jets import Jet, div_coeffs, one_point
 from .quadrature import DEFAULT_TOL, integrate_segments
 
 PRESERVING = "preserving"
@@ -231,12 +231,16 @@ class HarmonicMap:
     def _hp_omega_jets(self, z, order_h, order_w):
         """Jets of h' and omega at z; local univalence is not checked.
 
-        The jets are evaluated while numpy raises on overflow, invalid
-        operations and division by zero, so the expression tapes need not
-        check each slot they fill (see ``expr``).  Where numpy raises,
-        they are evaluated again under the caller's error state, checked
-        slot by slot, so every error is the one the checked run names.
+        On an array of points the jets are evaluated while numpy raises on
+        overflow, invalid operations and division by zero, so the
+        expression tapes need not check each slot they fill (see
+        ``expr``).  Where numpy raises, they are evaluated again under the
+        caller's error state, checked slot by slot, so every error is the
+        one the checked run names.  At one point the tapes check every
+        slot on Python complex numbers, and the trap would buy nothing.
         """
+        if one_point(z) is not None:
+            return self._evaluate_hp_omega(z, order_h, order_w)
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return self._evaluate_hp_omega(z, order_h, order_w)
@@ -247,11 +251,11 @@ class HarmonicMap:
         """The jets of ``_hp_omega_jets``, under the caller's error state.
 
         A quotient omega = g'/h' reuses the jet of h': it is evaluated
-        once, at the higher order, and truncated.  Truncation is exact,
-        bit for bit, because every jet recurrence is causal (coefficient
-        k reads only coefficients <= k).  A jet division by zero or a
-        branch point at the centre raises DomainError naming the first
-        point where it happens.
+        once, at the higher order, and the jet division reads its first
+        coefficients.  That is exact, bit for bit, because every jet
+        recurrence is causal (coefficient k reads only coefficients <= k).
+        A jet division by zero or a branch point at the centre raises
+        DomainError naming the first point where it happens.
         """
         try:
             if not self._omega_is_quotient:
@@ -267,12 +271,12 @@ class HarmonicMap:
                     self.hp.jet(z, order_h)
                     self.gp.jet(z, order_w)
                 raise
-            wj = self.gp.jet(z, order_w) / hpj.truncate(order_w)
+            wj = _jet_quotient(self.gp.jet(z, order_w), hpj)
         except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
             mask = exc.mask if np.shape(exc.mask) == np.shape(z) else None
             raise DomainError(f"derivative data unavailable: {exc}",
                               at=_first_point(z, mask)) from exc
-        return hpj.truncate(order_h), wj
+        return Jet._checked(hpj.center, hpj.coeffs[:order_h + 1]), wj
 
     def derivative_data(self, z, order_h=2, order_w=2):
         """Jets of h' and omega of the preserving representative at z.
@@ -284,14 +288,25 @@ class HarmonicMap:
         point sits at the centre.
         """
         hpj, wj = self.preserving()._hp_omega_jets(z, order_h, order_w)
+        # ``.any()`` of a numpy bool, scalar or array, as np.any reads it
         bad = hpj.value == 0
-        if np.any(bad):
+        if bad.any():
             raise DomainError("h' vanishes", at=_first_point(z, bad))
-        bad = np.abs(wj.value) >= 1.0
-        if np.any(bad):
+        bad = abs(wj.value) >= 1.0
+        if bad.any():
             raise DomainError("|omega| >= 1 (map not sense-preserving)",
                               at=_first_point(z, bad))
         return hpj, wj
+
+
+def _jet_quotient(num, den):
+    """The jet num/den, for jets of one centre with den at least num's
+    order: the recurrence of Jet division, without its centre match, on
+    Python complex numbers at one point."""
+    a, b = num.coeffs, den.coeffs[:len(num.coeffs)]
+    if a.ndim == 1:
+        a, b = a.tolist(), b.tolist()
+    return Jet(num.center, div_coeffs(a, b))
 
 
 def _first_point(z, mask=None):

@@ -26,7 +26,6 @@ conjugation invariant; the Jacobian changes sign).
 import numpy as np
 
 from .errors import (
-    BranchPointAtCenter,
     CriticalPoint,
     DilatationZeroNeedsQ,
     DomainError,
@@ -34,7 +33,7 @@ from .errors import (
     StencilOutsideDomain,
 )
 from .jets import bivariate_extract
-from .maps import PRESERVING, best_harmonic_mobius
+from .maps import PRESERVING, _first_point, best_harmonic_mobius
 
 _FD_STEP = 1e-3
 
@@ -112,19 +111,20 @@ def cdo_schwarzian(f, z, q=None):
         qj = q.jet(z, 2)
         sq = qj * qj
         scale = np.maximum(np.abs(wj.coeffs).max(axis=0), 1.0)
-        if np.any(np.abs(sq.coeffs - wj.coeffs) > 1e-8 * scale):
-            raise QMismatch("q^2 does not match the dilatation at z")
+        bad = (np.abs(sq.coeffs - wj.coeffs) > 1e-8 * scale).any(axis=0)
+        if bad.any():
+            exc = QMismatch("q^2 does not match the dilatation at z")
+            exc.at = _first_point(z, bad)
+            raise exc
+    elif np.all(np.abs(wj.coeffs) == 0):
+        qj = wj  # analytic map: q identically 0, correction terms vanish
     else:
-        if np.all(np.abs(wj.coeffs) == 0):
-            qj = wj  # analytic map: q identically 0, correction terms vanish
-        else:
-            if np.any(wj.coeffs[0] == 0):
-                raise DilatationZeroNeedsQ(
-                    "omega(z) = 0: supply q with q^2 = omega")
-            try:
-                qj = wj.sqrt()
-            except BranchPointAtCenter as exc:
-                raise DilatationZeroNeedsQ(str(exc)) from exc
+        zero = wj.coeffs[0] == 0  # the branch point of sqrt(omega)
+        if zero.any():
+            exc = DilatationZeroNeedsQ("omega(z) = 0: supply q with q^2 = omega")
+            exc.at = _first_point(z, zero)
+            raise exc
+        qj = wj.sqrt()
 
     qv, qp, qpp = qj.coeffs[0], qj.coeffs[1], 2.0 * qj.coeffs[2]
     B = np.conjugate(qv) / (1.0 + np.abs(qv) ** 2)

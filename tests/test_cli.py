@@ -80,6 +80,32 @@ class TestEval:
         assert abs(json.loads(out)["value"][0] - 4.0) < 1e-12
 
 
+    @pytest.mark.parametrize("argv, message, at", [
+        # omega = z vanishes at the second point only
+        (("--at", "0.1,0", "--at", "0,0"),
+         "omega(z) = 0: supply q with q^2 = omega", "0.0,0.0"),
+        (("--q", "z", "--at", "0.3,0.1"),
+         "q^2 does not match the dilatation at z", "0.3,0.1"),
+    ])
+    def test_cdo_errors_name_their_point(self, capsys, argv, message, at):
+        code, out, err = run_cli(capsys, "eval", "--map", "K", "--op", "cdo", *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"code": 3, "message": message, "at": at}
+
+    def test_cdo_errors_name_the_first_point_of_a_batch(self):
+        from harmschwarz.errors import DilatationZeroNeedsQ, QMismatch
+        from harmschwarz.operators import cdo_schwarzian
+
+        f = catalog_map("K")
+        with pytest.raises(DilatationZeroNeedsQ) as err:
+            cdo_schwarzian(f, np.array([0.1, 0.2j, 0.0, 0.3]))
+        assert err.value.at == 0
+        # q^2 = omega through order 2 at 0.3 only
+        with pytest.raises(QMismatch) as err:
+            cdo_schwarzian(f, np.array([0.3, 0.5, 0.4]), q=ExprFunction("sqrt(z)+(z-0.3)^3"))
+        assert err.value.at == 0.5
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--h", "z^(1/2", "--g", "0",
@@ -425,6 +451,25 @@ class TestNonFiniteNumbers:
                                      "0", "--op", "jac", "--at", "0.1,0"), 4)
         assert rec["message"] == "jet power -512 overflows at (0.1+0j)"
         assert rec["at"] == "0.1,0.0"
+
+    @pytest.mark.parametrize("argv, message, at", [
+        (("--h", "1/exp(1000*z)", "--g", "0", "--op", "pre", "--at", "0.9,0"),
+         "non-finite jet coefficient", "0.9,0.0"),
+        (("--h", "z", "--omega", "1/exp(1000*z)", "--op", "schw", "--at", "0.9,0"),
+         "non-finite jet coefficient", "0.9,0.0"),
+        (("--h", "1e999*z", "--g", "0", "--op", "pre", "--at", "0.1,0"),
+         "non-finite jet coefficient", "0.1,0.0"),
+        (("--h", "z^-400", "--g", "0", "--op", "pre", "--at", "0.01,0"),
+         "jet power -400 overflows at (0.01+0j)", "0.01,0.0"),
+        (("--h", "exp(1000*z)", "--omega", "0", "--op", "pre", "--at", "0.9,0"),
+         "non-finite jet coefficient", "0.9,0.0"),
+    ], ids=["exp-in-h", "exp-in-omega", "constant", "negative-power", "exp-in-h-prime"])
+    def test_one_point_failures_name_their_point(self, capsys, argv, message, at):
+        # at one point the jets run on Python complex numbers, every slot
+        # checked: the errors are those of the grid sweeps above
+        rec = _single_error(*run_cli(capsys, "eval", *argv), 4)
+        assert rec["message"] == message
+        assert rec["at"] == at
 
     @pytest.mark.parametrize("h, fine, at", [("exp(700*z)", "0.2,0", "0.5,0"),
                                              ("z+z^-300", "0.5,0", "0.1,0")])

@@ -18,6 +18,18 @@ from harmschwarz.errors import (
     UnknownIdentifier,
 )
 from harmschwarz.expr import (
+    _ADD,
+    _CONST,
+    _CPOW,
+    _DIV,
+    _EXP,
+    _LOG,
+    _MUL,
+    _NEG,
+    _POW,
+    _SQRT,
+    _SUB,
+    _VAR,
     Call,
     Const,
     Neg,
@@ -25,11 +37,23 @@ from harmschwarz.expr import (
     Prod,
     Sum,
     Var,
+    _ast_path,
     _chain,
+    _cpow_coeffs,
     _fmt_const,
     _tokenize,
     eval_ast_jet,
     integer_exponent,
+)
+from harmschwarz.jets import (
+    check_finite,
+    derivative_coeffs,
+    div_coeffs,
+    exp_coeffs,
+    log_coeffs,
+    mul_coeffs,
+    pow_coeffs,
+    sqrt_coeffs,
 )
 
 
@@ -252,6 +276,20 @@ class TestDerivativeBuiltin:
             return
         got = ExprFunction(f"d({text})").jet(z, n)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    # ExprFunction.derivative is the same tape with a derivative
+    # instruction appended: the jet of AnalyticFunction.derivative, bit for
+    # bit, and an error names the path in the expression itself (no "/d")
+    @given(_EXPR_TEXT, st.sampled_from(["{}", "log({})", "1/({})", "sqrt({})"]),
+           st.integers(0, 3),
+           st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.0, 0.5, "array"]))
+    @settings(max_examples=300, deadline=None)
+    def test_derivative_tape_is_the_jet_derivative_bitwise(self, text, wrap, n, z):
+        if z == "array":
+            z = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0])
+        fn = ExprFunction(wrap.format(text))
+        want = _outcome(lambda: fn.jet(z, n + 1).derivative())
+        assert _outcome(lambda: fn.derivative().jet(z, n)) == want
 
     @given(_EXPR_TEXT)
     @settings(max_examples=200, deadline=None)
@@ -503,6 +541,136 @@ class TestTrappedTapeMatchesChecked:
 
 
 # ---------------------------------------------------------------------------
+# the one-point tape on Python complex numbers against the numpy tape it
+# replaced
+
+
+def _numpy_run_tape(tape, z0):
+    """The tape at one point ``z0`` on 1-D numpy coefficient arrays, every
+    slot checked: ``_run_tape`` as it ran a point before one point ran on
+    Python complex numbers.  The recurrences of ``jets`` then compute on
+    numpy scalars."""
+    shape = np.shape(z0)
+    stack = []
+    pop = stack.pop
+    try:
+        for op, arg, where in tape.instrs:
+            if op == _CONST:
+                out = np.zeros((len(arg),) + shape, dtype=np.complex128)
+                out[0] = arg[0]
+            elif op == _VAR:
+                out = np.zeros((arg + 1,) + shape, dtype=np.complex128)
+                out[0] = z0
+                if arg >= 1:
+                    out[1] = 1.0
+            elif op == _ADD:
+                out = pop(-2) + pop()
+            elif op == _SUB:
+                out = pop(-2) - pop()
+            elif op == _MUL:
+                out = mul_coeffs(pop(-2), pop())
+            elif op == _DIV:
+                out = div_coeffs(pop(-2), pop())
+            elif op == _POW:
+                out = pow_coeffs(pop(), arg, z0)
+            elif op == _NEG:
+                out = -pop()
+            elif op == _CPOW:
+                out = _cpow_coeffs(pop(-2), pop(), z0, True)
+            elif op == _LOG:
+                out = log_coeffs(pop(), z0)
+            elif op == _EXP:
+                out = exp_coeffs(pop())
+            elif op == _SQRT:
+                out = sqrt_coeffs(pop())
+            else:  # _D
+                out = derivative_coeffs(pop())
+            check_finite(out, z0)
+            stack.append(out)
+    except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
+        exc.ast_path = _ast_path(where)
+        exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        raise
+    return Jet._checked(z0, pop())
+
+
+# one point as a Python complex, float or int, a numpy scalar or a 0-d array
+_ONE_POINTS = [0.3 + 0.2j, -0.4 + 0.1j, 0.9, 0.01, -0.5, 0, 1, 0.0, 1e-160 + 0j,
+               np.complex128(0.1 - 0.5j), np.array(0.2 - 0.3j), np.array(0.9),
+               np.array(0)]
+
+
+def _one_point_outcomes(ast, z, order):
+    """(one-point tape, numpy tape) outcomes; a jet keeps ``z`` as its centre."""
+    fn = ExprFunction(ast)
+    made = []
+    got = _outcome(lambda: made.append(fn.jet(z, order)) or made[-1])
+    want = _outcome(lambda: _numpy_run_tape(fn._tape(order), z))
+    assert all(jet.center is z for jet in made)
+    return got, want
+
+
+class TestOnePointMatchesNumpy:
+    @given(_EXPR_TEXT,
+           st.sampled_from(["{}", "d({})", "d(d({}))", "({})^0.5", "log({})",
+                            "sqrt({})", "exp({})", "({})^-3", "1/({})",
+                            "1/exp(1000*({}))", "exp(-exp(800*({})))",
+                            "({})^-400", "1e999*({})", "({})-1e999"]),
+           st.integers(0, 4), st.sampled_from(range(len(_ONE_POINTS))))
+    @settings(max_examples=600, deadline=None)
+    def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, point):
+        got, want = _one_point_outcomes(parse(wrap.format(text)), _ONE_POINTS[point], order)
+        assert got == want
+
+    @pytest.mark.parametrize("text, z, want", [
+        # exp overflows inside a slot: 1/inf would read 0
+        ("1/exp(1000*z)", 0.9, (NonFinite, "non-finite jet coefficient", None, 0.9)),
+        ("z*exp(1000*z)", np.array(0.9), (NonFinite, "non-finite jet coefficient", None, 0.9)),
+        # a negative power whose base underflows
+        ("z^-400", 0.01, (NonFinite, "jet power -400 overflows at (0.01+0j)", None, 0.01)),
+        ("z+z^-320", 0.1, (NonFinite, "non-finite jet coefficient", None, 0.1)),
+        # a branch point at the centre
+        ("2*sqrt(z)", 0, (BranchPointAtCenter, "sqrt of jet with zero constant term [ast /mul/sqrt]", "/mul/sqrt", None)),
+        ("log(z-0.5)", 0.5, (BranchPointAtCenter, "log of jet with zero constant term [ast /log]", "/log", None)),
+        # a division by a zero constant term
+        ("1+1/z", 0.0, (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /add/div]", "/add/div", None)),
+        ("exp(1+z+z^-1)", np.array(0j), (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /exp/add/pow]", "/exp/add/pow", None)),
+        # a non-finite constant
+        ("1e999*z", 0.1, (NonFinite, "non-finite jet coefficient", None, 0.1)),
+        # a non-finite centre: its coefficient, or the centre itself
+        ("z", float("inf"), (NonFinite, "non-finite jet coefficient", None, complex(float("inf")))),
+        ("1+z", complex("nan+nanj"), (NonFinite, "non-finite jet center", None, None)),
+    ])
+    @pytest.mark.parametrize("order", range(5))
+    def test_pinned_failures(self, text, z, want, order):
+        got, reference = _one_point_outcomes(parse(text), z, order)
+        assert got == reference == want
+
+    @pytest.mark.parametrize("text", _EXPR_SAMPLES + [
+        "d(d(z/(1-z)^2))", "(1+z)^0.5*log(2-z)/sqrt(3+z)", "exp(700*z)/z^5",
+        "(1+z)^(1/z)", "z^-2+z^600", "sqrt(i*z)", "log(-1+0*z)*z", "exp(z*i)^3"])
+    @pytest.mark.parametrize("point", range(len(_ONE_POINTS)))
+    def test_samples_at_orders_0_to_4(self, text, point):
+        for order in range(5):
+            got, want = _one_point_outcomes(parse(text), _ONE_POINTS[point], order)
+            assert got == want
+
+    def test_slots_are_lists_of_python_complex_numbers(self, monkeypatch):
+        import harmschwarz.expr as expr_module
+
+        kinds = set()
+        mul = expr_module.mul_coeffs
+
+        def spy(a, b):
+            kinds.update(type(x) for x in (a, b, *a, *b))
+            return mul(a, b)
+
+        monkeypatch.setattr(expr_module, "mul_coeffs", spy)
+        ExprFunction("(1+z)*(2-z)*exp(z)").jet(np.float64(0.3), 3)
+        assert kinds == {list, complex}
+
+
+# ---------------------------------------------------------------------------
 # the explicit-stack parser and printer against the recursive ones they
 # replaced
 
@@ -718,8 +886,8 @@ class TestPrinterMatchesRecursion:
 
 
 class TestDeepNesting:
-    # 10,000 levels: the parser and the printer keep their own stacks
-    # (compare deep ASTs by text: the dataclass __eq__ recurses)
+    # 10,000 levels: the parser, the printer, equality, hashing and repr
+    # keep their own stacks
     @pytest.mark.parametrize("text, step, printed", [
         ("(" * 10_000 + "z" + ")" * 10_000, None, "z"),
         ("-" * 10_000 + "z", "operand", "-" * 10_000 + "z"),
@@ -733,3 +901,26 @@ class TestDeepNesting:
         assert levels == (0 if step is None else 10_000)
         assert to_text(ast) == printed
         assert to_text(parse(printed)) == printed
+        assert parse(printed) == ast
+
+    @pytest.mark.parametrize("text", [
+        "-" * 10_000 + "z",
+        "z" + "^1" * 10_000,
+        "(1+" * 10_000 + "z" + ")" * 10_000,
+        "exp(" * 10_000 + "z" + ")" * 10_000,
+    ], ids=["unary-minus", "power", "sum", "call"])
+    def test_compare_hash_and_print(self, text):
+        a, b = parse(text), parse(text)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == f"{type(a).__name__}<{to_text(a)}>"
+        c = parse(text.replace("z", "i", 1))  # differs at the deepest leaf
+        assert a != c and not a == c
+
+    def test_equality_is_the_dataclass_equality(self):
+        assert Const(0j) == Const(-0j) and hash(Const(0j)) == hash(Const(-0j))
+        assert Const(1.0) == Const(1 + 0j) and hash(Const(1.0)) == hash(Const(1 + 0j))
+        assert parse("z+1") != parse("z+1+1") and parse("z+1") != parse("z-1")
+        assert Neg(Var()) != Var() and Var() != "z" and Var() == Var()
+        assert Sum(Var(), (("+", Var()),)) != Prod(Var(), (("+", Var()),))
+        assert {parse("z/(1-z)^2"): 1}[parse("z/(1-z)^2")] == 1

@@ -494,29 +494,75 @@ class TestSerialization:
             map_to_json(F)
 
 
-class _CountedExpr(ExprFunction):
-    """An expression that counts its jet evaluations."""
+# the harmonic catalog maps carry the text of h' and omega
+_PARTS_WITH_TEXTS = ("K", "L", "S1", "S2", "K2")
 
-    calls = 0
 
-    def jet(self, z, order):
-        self.calls += 1
-        return super().jet(z, order)
+class TestPartsAgainstDilatationForm:
+    # a parts-form map with h' and omega texts evaluates the same two
+    # expressions as the dilatation-form map of those texts, so the
+    # operators read the same bits
+    @pytest.mark.parametrize("name", _PARTS_WITH_TEXTS)
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, -0.45 + 0.2j, 0.0, "array"])
+    def test_operators_bitwise(self, name, z):
+        if z == "array":
+            z = np.array([0.3 + 0.1j, -0.45 + 0.2j, 0.0, 0.1 - 0.7j])
+        parts = catalog_map(name)
+        spec = map_to_json(parts)
+        assert spec["form"] == "parts" and {"hp", "omega"} <= set(spec)
+        dilatation = map_from_json({"form": "dilatation", "h": spec["hp"],
+                                    "omega": spec["omega"]})
+        for op in (pre_schwarzian, schwarzian):
+            a, b = np.asarray(op(parts, z)), np.asarray(op(dilatation, z))
+            assert a.shape == b.shape == np.shape(z)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestDerivedHPrime:
+    def test_derived_h_prime_is_not_serialized(self):
+        # h' = d/dz h of a parts-form map without an hp text runs on a
+        # tape of its own, and the JSON still carries only h and g
+        f = map_from_json({"form": "parts", "h": "z/(1-z)^2", "g": "0.1*z^2"})
+        assert map_to_json(f) == {"label": "", "form": "parts", "h": "z/(1-z)^2",
+                                  "g": "0.1*z^2", "sense": PRESERVING}
+        z = 0.3 + 0.1j
+        assert (f.hp.jet(z, 2).coeffs.tobytes()
+                == f.h.jet(z, 3).derivative().coeffs.tobytes())
+
+    def test_errors_name_the_path_in_h(self):
+        f = map_from_json({"form": "parts", "h": "log(z)", "g": "0"})
+        with pytest.raises(DomainError) as err:
+            pre_schwarzian(f, 0.0)
+        assert str(err.value) == ("derivative data unavailable: log of jet with "
+                                  "zero constant term [ast /log] at 0j")
 
 
 class TestDerivativeData:
     @pytest.mark.parametrize("sense", [PRESERVING, REVERSING])
     @pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (2, 3)])
-    def test_quotient_omega_evaluates_each_part_once(self, sense, orders):
-        h, g = _CountedExpr("z/(1-z)^2"), _CountedExpr("0.3*z^2+0.1*z")
+    def test_quotient_omega_evaluates_each_part_once(self, sense, orders, monkeypatch):
+        # h' and g' are tapes of their own (h and g one order higher, then
+        # a derivative instruction), and omega = g'/h' divides their jets:
+        # one call runs the tape of h' once and the tape of g' once
+        import harmschwarz.expr as expr_module
+
+        runs = []
+        run_tape = expr_module._run_tape
+        monkeypatch.setattr(expr_module, "_run_tape",
+                            lambda tape, z: runs.append(tape) or run_tape(tape, z))
+        h, g = ExprFunction("z/(1-z)^2"), ExprFunction("0.3*z^2+0.1*z")
         if sense == PRESERVING:
             f = HarmonicMap.from_parts(h, g)
         else:  # served by its conjugate h + conj(g), whose omega is g'/h'
             f = HarmonicMap.from_parts(g, h, sense=REVERSING)
+        p = f.preserving()
+        assert (p.hp.f, p.gp.f) == (h, g)
         for z in (0.3 + 0.1j, np.array([0.3 + 0.1j, -0.2 + 0.5j])):
-            h.calls = g.calls = 0
+            runs.clear()
             f.derivative_data(z, *orders)
-            assert (h.calls, g.calls) == (1, 1)
+            owner = {id(tape): name for name, fn in (("h'", p.hp), ("g'", p.gp))
+                     for tape in fn._tapes.values()}
+            assert [owner.get(id(tape)) for tape in runs] == ["h'", "g'"]
 
     def test_division_error_names_the_failing_point(self):
         f = HarmonicMap.from_parts(ExprFunction("1/(z-0.5)"), ExprFunction("0"))
