@@ -10,9 +10,12 @@ group generated by
 
 and every partner of f arises as omega_F = mu (phi_a o omega),
 H' = lambda h'/sqrt(phi_a' o omega) with phi_a the disk automorphism.
+A partner map is expression text like any other map: its JSON reloads
+to a map with the same P_f.
 """
 
 import cmath
+import json
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from harmschwarz import (
     catalog,
     group_apply,
     jacobian,
+    map_from_json,
+    map_to_json,
     partner_map,
     pre_schwarzian,
 )
@@ -49,3 +54,13 @@ for trial in range(3):
           f"max |P_F - P_f| = {perr:.2e}, "
           f"J_F/J_f = {ratios[0]:.6f} (constant to "
           f"{max(ratios) - min(ratios):.2e})")
+
+# -- a partner map as JSON -------------------------------------------------------
+
+F = partner_map(S2, 0.5, 1.0, 2.0)
+spec = map_to_json(F)
+print("partner(S2, a=0.5, mu=1, lam=2) as JSON:", json.dumps(spec))
+G = map_from_json(spec)
+same = all(pre_schwarzian(G, z) == pre_schwarzian(F, z) for z in pts)
+print("its reload has the same P_f at", pts, ":", same)
+assert same

@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 244 ``harmschwarz`` commands in one process through
+Runs 248 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -171,6 +171,22 @@ TAPE = (
      "--rays", "6", "--circles", "3", "--rmax", "0.95"),
 )
 
+# the h' and omega texts that map_to_json writes for two derived maps,
+# partner_map(S2, 0.5, 1, 2) and group_apply(shear(z/(1-z), 0.5*z), "I",
+# 0.3), as literal text: a change to the printed texts shows in the diff
+DERIVED_HP_OMEGA = (
+    ("1.0/(1.0-z^2.0)^2.0*2.0/sqrt(0.75/((1.0+0.5*z^2.0)*(1.0+0.5*z^2.0)))",
+     "1.0*((0.5+z^2.0)/(1.0+0.5*z^2.0))"),
+    ("1.0*(d(z/(1.0-z))/(1.0-1.0*(0.5*z)))"
+     "+0.3*(0.5*z*(d(z/(1.0-z))/(1.0-1.0*(0.5*z))))",
+     "(0.3+1.0*(0.5*z))/(1.0+0.3*(0.5*z))"),
+)
+DERIVED = tuple(
+    argv for hp, omega in DERIVED_HP_OMEGA for argv in (
+        ("eval", "--h", hp, "--omega", omega, "--op", "schw",
+         f"--at={POINTS[1]}", f"--at={POINTS[2]}"),
+        ("norm", "--h", hp, "--omega", omega, "--op", "S")))
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -232,7 +248,8 @@ def commands():
     for _, hp, omega in CATALOG_HP_OMEGA:
         out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
         out.append(("becker", "--h", hp, "--omega", omega))
-    return [list(argv) for argv in out + list(OVERFLOWS) + list(TAPE)]
+    return [list(argv) for argv in
+            out + list(OVERFLOWS) + list(TAPE) + list(DERIVED)]
 
 
 def run(argv, main):

@@ -20,7 +20,6 @@ from . import errors
 from .errors import ToolkitError
 from .expr import (
     AnalyticFunction,
-    DerivedFunction,
     ExprFunction,
     eval_jet,
     parse,

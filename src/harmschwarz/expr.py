@@ -50,6 +50,7 @@ constant could not match both.
 """
 
 import cmath
+import functools
 import re
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -222,6 +223,37 @@ def _chain(first, *steps):
     if isinstance(first, kind):
         return kind(first.first, first.rest + steps)
     return kind(first, steps)
+
+
+def compose(node, inner):
+    """The AST of node o inner, ``inner`` in place of z, on an explicit
+    stack; d(u) becomes d(u o inner)/d(inner), the chain rule solved for
+    u' o inner."""
+    done = []  # the composed subtrees, in post-order
+    todo = [(node, None)]  # (node, its operand count once they are queued)
+    while todo:
+        node, n = todo.pop()
+        kind = type(node)
+        if kind is Var or kind is Const:
+            done.append(inner if kind is Var else node)
+        elif n is None:
+            operands = ([node.first] + [operand for _, operand in node.rest]
+                        if kind is Sum or kind is Prod else
+                        [getattr(node, name) for name in _FIELDS[kind] if name != "fn"])
+            todo += [(node, len(operands))] + [(o, None) for o in reversed(operands)]
+        else:
+            args = done[-n:]
+            del done[-n:]
+            if kind is Sum or kind is Prod:
+                out = _chain(args[0], *zip((op for op, _ in node.rest), args[1:]))
+            elif kind is Call:
+                out = Call(node.fn, args[0])
+                if node.fn == "d":
+                    out = _chain(out, ("/", Call("d", inner)))
+            else:  # Neg or Pow
+                out = kind(*args)
+            done.append(out)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +615,8 @@ def eval_ast_jet(node, z0, order):
 
 
 class AnalyticFunction:
-    """Anything that yields a Jet at a point of its domain.
-
-    Arithmetic combinators build derived functions lazily; nothing is
-    simplified, the jets carry all derivative information.
-    """
+    """Anything that yields a Jet at a point of its domain; functions
+    combine as expression trees (``ExprFunction``)."""
 
     source = None  # expression text when available (serialization)
 
@@ -600,59 +629,21 @@ class AnalyticFunction:
     def __call__(self, z):
         return self.value(z)
 
-    def derivative(self):
-        return DerivedFunction(lambda z, n: self.jet(z, n + 1).derivative())
-
-    def compose(self, inner):
-        def jet_fn(z, n):
-            ij = inner.jet(z, n)
-            return self.jet(ij.value, n).compose(ij)
-        return DerivedFunction(jet_fn)
-
-    # -- combinators ----------------------------------------------------
-
-    def _jet_of(self, other, z, n):
-        if isinstance(other, AnalyticFunction):
-            return other.jet(z, n)
-        return other  # scalar; Jet arithmetic lifts it
-
-    def __add__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) + self._jet_of(other, z, n))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) - self._jet_of(other, z, n))
-
-    def __rsub__(self, other):
-        return DerivedFunction(lambda z, n: self._jet_of(other, z, n) - self.jet(z, n))
-
-    def __mul__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) * self._jet_of(other, z, n))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) / self._jet_of(other, z, n))
-
-    def __rtruediv__(self, other):
-        return DerivedFunction(lambda z, n: self._jet_of(other, z, n) / self.jet(z, n))
-
-    def __neg__(self):
-        return DerivedFunction(lambda z, n: -self.jet(z, n))
-
 
 class ExprFunction(AnalyticFunction):
-    """Analytic function backed by a parsed expression tree."""
+    """Analytic function backed by an expression tree, parsed from text or
+    given; the text of a given tree is printed when first read."""
 
     def __init__(self, src):
         if isinstance(src, str):
-            self.ast = parse(src)
             self.source = src
-        else:
-            self.ast = src
-            self.source = to_text(src)
+            src = parse(src)
+        self.ast = src
         self._tapes = {}  # jet order -> tape, compiled when first needed
+
+    @functools.cached_property
+    def source(self):
+        return to_text(self.ast)
 
     def jet(self, z, order):
         return _run_tape(self._tape(order), z)
@@ -676,12 +667,13 @@ class _TapeDerivative(AnalyticFunction):
 
     The jets are those of ``f.jet(z, n + 1).derivative()``, bit for bit,
     and an error names the AST path in f that the tape of f names (not
-    the path below a ``d`` node).  It has no text of its own, so
-    ``maps.map_to_json`` writes f, not f'.
+    the path below a ``d`` node); in a tree it is ``d(f)``.  It has no
+    text of its own, so ``maps.map_to_json`` writes f, not f'.
     """
 
     def __init__(self, f):
         self.f = f
+        self.ast = Call("d", f.ast)
         self._tapes = {}  # jet order -> tape
 
     def jet(self, z, order):
@@ -691,16 +683,6 @@ class _TapeDerivative(AnalyticFunction):
             tape = self._tapes[order] = inner._replace(
                 instrs=inner.instrs + ((_D, None, None),))
         return _run_tape(tape, z)
-
-
-class DerivedFunction(AnalyticFunction):
-    """Analytic function defined by a jet-producing closure."""
-
-    def __init__(self, jet_fn):
-        self._jet_fn = jet_fn
-
-    def jet(self, z, order):
-        return self._jet_fn(z, order)
 
 
 def eval_jet(f, z0, order=DEFAULT_ORDER):

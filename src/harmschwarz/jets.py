@@ -464,13 +464,6 @@ class Jet:
 
     # -- structure -------------------------------------------------------
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a jet by truncation")
-        if order == self.order:
-            return self
-        return Jet(self.center, self.coeffs[: order + 1])
-
     def derivative(self):
         """Jet of f' at the same center, one order lower."""
         if self.order < 1:

@@ -2,7 +2,9 @@
 
 A map is held in canonical form: the analytic part ``h``, the
 co-analytic part ``g``, their derivatives h' and g', the dilatation
-omega = g'/h', and a sense flag.  Two concrete shapes occur:
+omega = g'/h', and a sense flag.  h', g' and omega are expression trees,
+which the constructions combine, so every map runs on the tape and
+serializes.  Two concrete shapes occur:
 
 * parts form - h and g are explicit, and h' and omega may be (the
   catalog: a table of map JSON that ``map_from_json`` loads);
@@ -39,11 +41,10 @@ from .expr import (
     AnalyticFunction,
     Call,
     Const,
-    DerivedFunction,
     ExprFunction,
+    Var,
     _chain,
-    parse,
-    to_text,
+    compose,
 )
 from .jets import Jet, div_coeffs, one_point
 from .quadrature import DEFAULT_TOL, integrate_segments
@@ -56,6 +57,19 @@ def _flip(sense):
     return REVERSING if sense == PRESERVING else PRESERVING
 
 
+def _finite(what, *values):
+    """``values`` as complex numbers, each finite, else ParameterOutOfRange."""
+    out = tuple(complex(v) for v in values)
+    if not all(map(cmath.isfinite, out)):
+        raise ParameterOutOfRange(f"{what} needs finite parameters, got {out}")
+    return out
+
+
+def _scaled(c, fn):
+    """The AST of c*fn for a number c."""
+    return _chain(Const(c), ("*", fn.ast))
+
+
 # ---------------------------------------------------------------------------
 # Moebius machinery
 
@@ -64,8 +78,7 @@ class MobiusMap:
     """w -> (a*w + b)/(c*w + d) with ad - bc != 0."""
 
     def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (complex(a), complex(b),
-                                          complex(c), complex(d))
+        self.a, self.b, self.c, self.d = _finite("Moebius map", a, b, c, d)
         if self.a * self.d - self.b * self.c == 0:
             raise ParameterOutOfRange("degenerate Moebius map: ad - bc = 0")
 
@@ -76,24 +89,19 @@ class MobiusMap:
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def as_function(self):
-        num = f"(({_cfmt(self.a)})*z+({_cfmt(self.b)}))"
-        den = f"(({_cfmt(self.c)})*z+({_cfmt(self.d)}))"
-        return ExprFunction(f"{num}/{den}")
+        num = _chain(_chain(Const(self.a), ("*", Var())), ("+", Const(self.b)))
+        den = _chain(_chain(Const(self.c), ("*", Var())), ("+", Const(self.d)))
+        return ExprFunction(_chain(num, ("/", den)))
 
     def __repr__(self):
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def _cfmt(v):
-    v = complex(v)
-    return f"{v.real!r}+{v.imag!r}*i"
 
 
 class HarmonicMobius:
     """T + alpha*conj(T) with T Moebius and |alpha| < 1."""
 
     def __init__(self, T, alpha):
-        alpha = complex(alpha)
+        (alpha,) = _finite("harmonic Moebius", alpha)
         if abs(alpha) >= 1:
             raise ParameterOutOfRange("harmonic Moebius needs |alpha| < 1")
         self.T = T
@@ -112,16 +120,15 @@ class HarmonicMobius:
     def as_harmonic_map(self):
         t = self.T.as_function()
         return HarmonicMap.from_parts(
-            t, np.conjugate(self.alpha) * t,
-            omega=ExprFunction(Const(complex(np.conjugate(self.alpha)))),
-            label="harmonic-mobius")
+            t, ExprFunction(_scaled(self.alpha.conjugate(), t)),
+            omega=ExprFunction(Const(self.alpha.conjugate())), label="harmonic-mobius")
 
 
 class AffineMap:
     """w -> a*w + b*conj(w) + c with |a| != |b|."""
 
     def __init__(self, a, b, c):
-        self.a, self.b, self.c = complex(a), complex(b), complex(c)
+        self.a, self.b, self.c = _finite("affine map", a, b, c)
         if abs(self.a) == abs(self.b):
             raise ParameterOutOfRange("degenerate affine map: |a| = |b|")
 
@@ -137,17 +144,17 @@ class AffineMap:
 
 
 class AntiderivativeFunction(AnalyticFunction):
-    """h with known derivative: h(z) = integral of df over [0, z]."""
+    """h(z) = h(0) + integral of df over [0, z]: the one function without a
+    tree.  h(0) = ``at_zero`` is 0 but where map_to_json refuses the map."""
 
-    def __init__(self, df):
+    def __init__(self, df, at_zero=0j):
         self.df = df
-
-    def derivative(self):
-        return self.df
+        self.at_zero = complex(at_zero)
 
     def value(self, z, tol=DEFAULT_TOL):
         start = np.zeros(np.shape(z))  # one segment 0 -> z per point
-        return integrate_segments(self.df.value, start, z, tol=tol)
+        value = integrate_segments(self.df.value, start, z, tol=tol)
+        return value + self.at_zero if self.at_zero else value
 
     def jet(self, z, order):
         shape = np.shape(z)
@@ -183,7 +190,7 @@ class HarmonicMap:
         self.hp = hp
         self.gp = gp
         self._omega_is_quotient = omega is None
-        self.omega = gp / hp if omega is None else omega
+        self.omega = omega or ExprFunction(_chain(gp.ast, ("/", hp.ast)))
         self.sense = sense
         self.label = label
         self._conjugate = None  # conj(self) once built; see conjugate()
@@ -191,9 +198,7 @@ class HarmonicMap:
     @property
     def form(self):
         """What map_to_json writes: "dilatation" (h', omega) when h is an
-        antiderivative of h', else "parts" (h, g) - also for the maps that
-        affine_compose, precompose or Rp derive from a dilatation map.
-        """
+        antiderivative of h', else "parts" (h, g)."""
         if isinstance(self.h, AntiderivativeFunction):
             return "dilatation"
         return "parts"
@@ -208,7 +213,7 @@ class HarmonicMap:
     @classmethod
     def from_dilatation(cls, hp, omega, sense=PRESERVING, label=""):
         """Map defined by h' and omega, normalized by h(0) = g(0) = 0."""
-        gp = omega * hp
+        gp = ExprFunction(_chain(omega.ast, ("*", hp.ast)))
         return cls(AntiderivativeFunction(hp), AntiderivativeFunction(gp),
                    hp, gp, omega, sense, label=label)
 
@@ -377,9 +382,9 @@ def shear(phi, omega, theta=0.0, label=None):
     phi and omega must carry expression ``source`` text: h' =
     phi'/(1 - e^{2i theta} omega) is built once as the expression
     ``d(phi)/(1-c*(omega))`` with c = e^{2i theta}, so
-    ``map_from_json(map_to_json(f))``
-    rebuilds exactly this map.  A point where the denominator vanishes
-    raises DivisionByZeroConstantTerm with the AST path ``[ast /div]``.
+    ``map_from_json(map_to_json(f))`` rebuilds exactly this map.  A point
+    where the denominator vanishes raises DivisionByZeroConstantTerm with
+    the AST path ``[ast /div]``.
     """
     theta = float(theta)
     if not math.isfinite(2.0 * theta):
@@ -388,13 +393,23 @@ def shear(phi, omega, theta=0.0, label=None):
     if phi.source is None or omega.source is None:
         raise ParameterOutOfRange(
             "shear needs phi and omega with expression sources")
-    w = ExprFunction(parse(omega.source))
-    den = _chain(Const(1 + 0j),
-                 ("-", _chain(Const(cmath.exp(2j * theta)), ("*", w.ast))))
-    # from the text, so the map equals the one map_from_json loads
-    hp = ExprFunction(to_text(_chain(Call("d", parse(phi.source)), ("/", den))))
-    return HarmonicMap.from_dilatation(
-        hp, w, label=label or f"shear({phi.source}, theta={theta!r})")
+    den = _chain(Const(1), ("-", _scaled(cmath.exp(2j * theta), omega)))
+    hp = ExprFunction(_chain(Call("d", phi.ast), ("/", den)))
+    return HarmonicMap.from_dilatation(  # omega's tree, printed canonically
+        hp, ExprFunction(omega.ast), label=label or f"shear({phi.source}, theta={theta!r})")
+
+
+def _linear(terms, offset=0j):
+    """(F, F') for F = offset + the sum of c*u over ``terms`` (c, u, u')."""
+    def tree(i, *last):
+        first, *rest = [_scaled(term[0], term[i]) for term in terms]
+        return _chain(first, *[("+", node) for node in rest], *last)
+
+    dpart = ExprFunction(tree(2))
+    if isinstance(terms[0][1], AntiderivativeFunction):
+        at_zero = sum(c * u.at_zero for c, u, _ in terms) + offset
+        return AntiderivativeFunction(dpart, at_zero), dpart
+    return ExprFunction(tree(1, *([("+", Const(offset))] if offset else []))), dpart
 
 
 def affine_compose(A, f):
@@ -405,27 +420,34 @@ def affine_compose(A, f):
     sense flips when |b| > |a|.
     """
     a, b, c = A.a, A.b, A.c
-    ac, bc = np.conjugate(a), np.conjugate(b)
-    H = a * f.h + b * f.g + c
-    G = bc * f.h + ac * f.g
-    Hp = a * f.hp + b * f.gp
-    Gp = bc * f.hp + ac * f.gp
-    w = f.omega
-    omega_F = (bc + ac * w) / (a + b * w)
+    ac, bc = a.conjugate(), b.conjugate()
+    H, Hp = _linear([(a, f.h, f.hp), (b, f.g, f.gp)], c)
+    G, Gp = _linear([(bc, f.h, f.hp), (ac, f.g, f.gp)])
+    num = _chain(Const(bc), ("+", _scaled(ac, f.omega)))
+    den = _chain(Const(a), ("+", _scaled(b, f.omega)))
     sense = f.sense if abs(a) > abs(b) else _flip(f.sense)
-    return HarmonicMap(H, G, Hp, Gp, omega_F, sense,
-                       label=f"affine({f.label})")
+    return HarmonicMap(H, G, Hp, Gp, ExprFunction(_chain(num, ("/", den))),
+                       sense, label=f"affine({f.label})")
 
 
 def precompose(f, phi):
-    """f o phi for analytic phi mapping into f's domain."""
-    H = f.h.compose(phi)
-    G = f.g.compose(phi)
-    phip = phi.derivative()
-    Hp = f.hp.compose(phi) * phip
-    Gp = f.gp.compose(phi) * phip
-    omega_F = f.omega.compose(phi)
-    return HarmonicMap(H, G, Hp, Gp, omega_F, f.sense,
+    """f o phi for analytic phi mapping into f's domain: phi's tree for z."""
+    inner = phi.ast
+
+    def pulled_back(part, dpart):
+        node = dpart.ast
+        if type(node) is Call and node.fn == "d":  # (u' o phi)*phi' = d(u o phi)
+            dnew = ExprFunction(Call("d", compose(node.arg, inner)))
+        else:
+            dnew = ExprFunction(_chain(compose(node, inner), ("*", Call("d", inner))))
+        if isinstance(part, AntiderivativeFunction):
+            return AntiderivativeFunction(dnew, part.value(complex(phi.value(0j)))), dnew
+        return ExprFunction(compose(part.ast, inner)), dnew
+
+    H, Hp = pulled_back(f.h, f.hp)
+    G, Gp = pulled_back(f.g, f.gp)
+    omega = None if f._omega_is_quotient else ExprFunction(compose(f.omega.ast, inner))
+    return HarmonicMap(H, G, Hp, Gp, omega, f.sense,
                        label=f"{f.label or 'f'}o{phi.source or 'phi'}")
 
 
@@ -449,33 +471,34 @@ def group_apply(f, kind, param):
     - ``Rq``: f -> h + conj(mu*g), |mu| = 1;
     - ``I``:  f -> f + conj(a*f), a in the unit disk.
     """
-    param = complex(param)
+    (param,) = _finite(f"group element {kind!r}", param)
     if kind == "Rp":
         if param == 0:
             raise ParameterOutOfRange("Rp requires lambda != 0")
-        return HarmonicMap(param * f.h, param * f.g, param * f.hp,
-                           param * f.gp, f.omega, f.sense,
+        H, Hp = _linear([(param, f.h, f.hp)])
+        G, Gp = _linear([(param, f.g, f.gp)])
+        return HarmonicMap(H, G, Hp, Gp, f.omega, f.sense,
                            label=f"Rp({f.label})")
     if kind == "Rq":
         if abs(abs(param) - 1.0) > 1e-12:
             raise ParameterOutOfRange("Rq requires |mu| = 1")
-        return HarmonicMap(f.h, param * f.g, f.hp, param * f.gp,
-                           param * f.omega, f.sense, label=f"Rq({f.label})")
+        G, Gp = _linear([(param, f.g, f.gp)])
+        return HarmonicMap(f.h, G, f.hp, Gp, ExprFunction(_scaled(param, f.omega)),
+                           f.sense, label=f"Rq({f.label})")
     if kind == "I":
         if abs(param) >= 1:
             raise ParameterOutOfRange("I requires |a| < 1")
         # I_a(f) = f + conj(a f); dilatation becomes phi_a o omega
-        return affine_compose(AffineMap(1.0, np.conjugate(param), 0.0), f)
+        return affine_compose(AffineMap(1.0, param.conjugate(), 0.0), f)
     raise ParameterOutOfRange(f"unknown group element kind {kind!r}")
 
 
 def disk_automorphism(a):
-    """phi_a(z) = (a + z)/(1 + conj(a) z), an automorphism of the disk."""
+    """phi_a(z) = (z + a)/(conj(a) z + 1), an automorphism of the disk."""
+    (a,) = _finite("disk automorphism", a)
     if abs(a) >= 1:
         raise ParameterOutOfRange("disk automorphism requires |a| < 1")
-    a = complex(a)
-    src = f"(({_cfmt(a)})+z)/(1+({_cfmt(np.conjugate(a))})*z)"
-    return ExprFunction(src)
+    return MobiusMap(1.0, a, a.conjugate(), 1.0).as_function()
 
 
 def partner_map(f, a, mu, lam):
@@ -488,28 +511,20 @@ def partner_map(f, a, mu, lam):
     """
     if f.sense != PRESERVING:
         raise DomainError("partner_map requires a sense-preserving map")
-    a, mu, lam = complex(a), complex(mu), complex(lam)
+    a, mu, lam = _finite("partner_map", a, mu, lam)
     if abs(a) >= 1:
         raise ParameterOutOfRange("partner_map requires |a| < 1")
     if abs(abs(mu) - 1.0) > 1e-12:
         raise ParameterOutOfRange("partner_map requires |mu| = 1")
     if lam == 0:
         raise ParameterOutOfRange("partner_map requires lambda != 0")
-    ac = np.conjugate(a)
-    w = f.omega
-
-    def omega_jet(z, n):
-        wj = w.jet(z, n)
-        return ((a + wj) / (1.0 + ac * wj)) * mu
-
-    def hp_jet(z, n):
-        wj = w.jet(z, n)
-        dphi = (1.0 - abs(a) ** 2) / ((1.0 + ac * wj) * (1.0 + ac * wj))
-        return f.hp.jet(z, n) * lam / dphi.sqrt()
-
-    return HarmonicMap.from_dilatation(
-        DerivedFunction(hp_jet), DerivedFunction(omega_jet),
-        label=f"partner({f.label})")
+    den = _chain(Const(1), ("+", _scaled(a.conjugate(), f.omega)))
+    phi_a = _chain(_chain(Const(a), ("+", f.omega.ast)), ("/", den))
+    dphi_a = _chain(Const(1.0 - abs(a) ** 2), ("/", _chain(den, ("*", den))))
+    hp = _chain(f.hp.ast, ("*", Const(lam)), ("/", Call("sqrt", dphi_a)))
+    omega = _chain(Const(mu), ("*", phi_a))
+    return HarmonicMap.from_dilatation(ExprFunction(hp), ExprFunction(omega),
+                                       label=f"partner({f.label})")
 
 
 def evaluate(f, z, tol=DEFAULT_TOL):
@@ -565,20 +580,23 @@ def map_to_json(f):
     """Serializable dict {label, form, h, g|omega, sense}.
 
     Parts form carries the text of h and g, and of h' (``hp``) and omega
-    where the map evaluates expressions for them (the catalog).
+    where the map has a tree of its own for h' or an explicit omega.
     Dilatation form (h an antiderivative) carries the text of h' in the
-    ``h`` field (h of a general shear has no closed form) plus omega.
-    map_from_json rebuilds the map it evaluates, a dilatation-form map
-    with h(0) = g(0) = 0.  ValueError if a text is missing.
+    ``h`` field (h of a general shear has no closed form) plus omega;
+    ValueError unless h(0) = g(0) = 0.  A sense-reversing map writes the
+    h' and omega of its conjugate, which the operators read.
     """
+    rep = f.preserving()
     if f.form == "parts":
-        fields = {"h": f.h, "g": f.g,
-                  **{key: fn for key, fn in (("hp", f.hp), ("omega", f.omega))
-                     if isinstance(fn, ExprFunction)}}
+        fields = {"h": f.h, "g": f.g}
+        if isinstance(rep.hp, ExprFunction):
+            fields["hp"] = rep.hp
+        if "hp" in fields or not rep._omega_is_quotient:
+            fields["omega"] = rep.omega
     else:
-        fields = {"h": f.hp, "omega": f.omega}
-    if any(fn.source is None for fn in fields.values()):
-        raise ValueError("map has no serializable expression sources")
+        if f.h.at_zero or f.g.at_zero:
+            raise ValueError("h(0) != 0: the dilatation JSON fixes h(0) = g(0) = 0")
+        fields = {"h": rep.hp, "omega": rep.omega}
     return {"label": f.label, "form": f.form,
             **{key: fn.source for key, fn in fields.items()},
             "sense": f.sense}
@@ -590,9 +608,15 @@ def map_from_json(d):
     Parts form derives only what is missing: h' = d/dz h without
     ``hp``, omega = g'/h' without ``omega``, and g' = omega*h' when both
     texts are given, else d/dz g.  Dilatation form reads h' from ``h``.
+    A reversing map is the conjugate of the one with h and g swapped.
     """
     form, sense = d.get("form"), d.get("sense", PRESERVING)
     label = d.get("label", "")
+    if sense == REVERSING:
+        swapped = {"h": d["g"], "g": d["h"]} if form == "parts" else {}
+        f = conjugate(map_from_json({**d, **swapped, "sense": PRESERVING}))
+        f.label = label
+        return f
     if form == "dilatation":
         return HarmonicMap.from_dilatation(
             ExprFunction(d["h"]), ExprFunction(d["omega"]),
@@ -602,5 +626,6 @@ def map_from_json(d):
     h, g = ExprFunction(d["h"]), ExprFunction(d["g"])
     hp = ExprFunction(d["hp"]) if "hp" in d else h.derivative()
     omega = ExprFunction(d["omega"]) if "omega" in d else None
-    gp = omega * hp if "hp" in d and omega is not None else g.derivative()
+    gp = (ExprFunction(_chain(omega.ast, ("*", hp.ast))) if "hp" in d and omega
+          else g.derivative())
     return HarmonicMap(h, g, hp, gp, omega, sense, label=label)

@@ -259,7 +259,7 @@ _EXPR_TEXT = st.recursive(
 
 class TestDerivativeBuiltin:
     # d(u) is the order n + 1 jet of u, differentiated: the recurrence of
-    # AnalyticFunction.derivative
+    # Jet.derivative
     @given(_EXPR_TEXT, st.integers(0, 3),
            st.sampled_from([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0, "array"]))
     @settings(max_examples=300, deadline=None)
@@ -278,7 +278,7 @@ class TestDerivativeBuiltin:
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     # ExprFunction.derivative is the same tape with a derivative
-    # instruction appended: the jet of AnalyticFunction.derivative, bit for
+    # instruction appended: the jet of Jet.derivative, bit for
     # bit, and an error names the path in the expression itself (no "/d")
     @given(_EXPR_TEXT, st.sampled_from(["{}", "log({})", "1/({})", "sqrt({})"]),
            st.integers(0, 3),

@@ -137,11 +137,11 @@ class TestShear:
             shear(catalog("k"), ExprFunction("z"), theta)
 
     def test_functions_without_source_rejected(self):
-        closure = catalog("k") * 1.0
+        textless = catalog("k").derivative()  # d/dz h has no text of its own
         with pytest.raises(ParameterOutOfRange, match="source"):
-            shear(closure, ExprFunction("z"), 0.0)
+            shear(textless, ExprFunction("z"), 0.0)
         with pytest.raises(ParameterOutOfRange, match="source"):
-            shear(catalog("k"), closure, 0.0)
+            shear(catalog("k"), textless, 0.0)
 
 
 class TestAffine:
@@ -188,14 +188,20 @@ class TestAffine:
             assert abs(pre_schwarzian(F, z) - pre_schwarzian(K, z)) < 1e-10
 
     def test_form_of_derived_dilatation_map(self):
-        # form names the fields map_to_json writes; the composite's h is
-        # a combination of antiderivatives, not an antiderivative of h'
+        # form names the fields map_to_json writes: the composite's h is
+        # the antiderivative of its h' = 2*h' + 0.5*g', and it reloads
         sh = shear(ExprFunction("z/(1-z)"), ExprFunction("0.5*z"))
         assert sh.form == "dilatation"
-        F = affine_compose(AffineMap(2.0, 0.5, 1.0), sh)
-        assert F.form == "parts"
-        with pytest.raises(ValueError):
-            map_to_json(F)
+        F = affine_compose(AffineMap(2.0, 0.5, 0.0), sh)
+        assert F.form == "dilatation"
+        d = map_to_json(F)
+        assert d["h"] == ("2.0*(d(z/(1.0-z))/(1.0-1.0*(0.5*z)))"
+                          "+0.5*(0.5*z*(d(z/(1.0-z))/(1.0-1.0*(0.5*z))))")
+        g = map_from_json(d)
+        for z in (0.3 - 0.2j, np.array([0.0, -0.4 + 0.1j])):
+            for got, want in zip(g.derivative_data(z), F.derivative_data(z)):
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert abs(evaluate(g, 0.3) - evaluate(F, 0.3)) < 1e-13
 
     def test_sense_flip(self):
         f = catalog("K")
@@ -322,6 +328,30 @@ class TestPartner:
             partner_map(f, 0.0, 0.5, 1.0)
         with pytest.raises(ParameterOutOfRange):
             partner_map(f, 0.0, 1.0, 0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    # a constant of a tree must have a text that reparses: nan and inf
+    # have none, so each construction rejects them up front
+    @pytest.mark.parametrize("build", [
+        lambda: group_apply(catalog("K"), "I", _NAN),
+        lambda: group_apply(catalog("K"), "Rq", complex(_NAN, 1.0)),
+        lambda: group_apply(catalog("K"), "Rp", _INF),
+        lambda: AffineMap(_NAN, 0.0, 0.0),
+        lambda: partner_map(catalog("S2"), _NAN, 1.0, 1.0),
+        lambda: partner_map(catalog("S2"), 0.0, _NAN, 1.0),
+        lambda: partner_map(catalog("S2"), 0.0, 1.0, _INF),
+        lambda: HarmonicMobius(MobiusMap(1.0, 0.0, 0.0, 1.0), _NAN),
+        lambda: MobiusMap(1.0, _INF, 0.0, 1.0),
+        lambda: disk_automorphism(_NAN),
+    ], ids=["I", "Rq", "Rp", "AffineMap", "partner a", "partner mu",
+            "partner lam", "HarmonicMobius", "MobiusMap", "disk_automorphism"])
+    def test_rejected(self, build):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            build()
 
 
 class TestEvaluate:
@@ -488,10 +518,18 @@ class TestSerialization:
             assert abs(schwarzian(g, z) - schwarzian(K, z)) < 1e-12
             assert abs(pre_schwarzian(g, z) - pre_schwarzian(K, z)) < 1e-12
 
-    def test_unserializable_map(self):
+    def test_partner_map_round_trip(self):
         F = partner_map(catalog("S2"), 0.5, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            map_to_json(F)
+        d = map_to_json(F)
+        assert d == {"label": "partner(S2)", "form": "dilatation",
+                     "h": "1.0/(1.0-z^2.0)^2.0*2.0/sqrt(0.75/((1.0+0.5*z^2.0)"
+                          "*(1.0+0.5*z^2.0)))",
+                     "omega": "1.0*((0.5+z^2.0)/(1.0+0.5*z^2.0))",
+                     "sense": PRESERVING}
+        g = map_from_json(d)
+        for z in (0.3 + 0.1j, np.array([0.0, -0.45 + 0.2j])):
+            assert (np.asarray(pre_schwarzian(g, z)).tobytes()
+                    == np.asarray(pre_schwarzian(F, z)).tobytes())
 
 
 # the harmonic catalog maps carry the text of h' and omega
