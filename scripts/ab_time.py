@@ -17,7 +17,9 @@ where the workload has one, its library follow-up (the S_f oracles of
 
 The script prints each round's total time per copy and their ratio, the
 median ratio, and whether stdout, stderr and exit codes agree between the
-copies on every command of every round.  For each copy it also prints
+copies on every command of every round.  It compares the results of the
+library follow-up too (a moved oracle value changes no output): where
+they differ it prints the largest |new - old| and the commands.  For each copy it also prints
 the latency figures of ``bench/worker.py``: ``op_p50_ms``, the median of
 the per-command median times, and ``op_tail_ms``, the same tail
 percentile of them.  It is a tool for finding where time goes between
@@ -36,6 +38,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("old", "new")
@@ -58,17 +62,28 @@ def load_copies(srcs, tmp):
 
 
 def run_one(pkg, workloads, cmd):
-    """Time one command on one copy: (seconds, (exit, stdout, stderr))."""
+    """Time one command on one copy: (seconds, (exit, stdout, stderr),
+    the follow-up's result)."""
     # the follow-up looks maps and operators up on the workloads module
     workloads.maps, workloads.operators = pkg.maps, pkg.operators
     out, err = io.StringIO(), io.StringIO()
+    extra = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.perf_counter()
         code = pkg.cli.main(list(cmd.argv))
         if cmd.extra is not None:
-            cmd.extra()
+            extra = cmd.extra()
         elapsed = time.perf_counter() - start
-    return elapsed, (code, out.getvalue(), err.getvalue())
+    return elapsed, (code, out.getvalue(), err.getvalue()), extra
+
+
+def extra_distance(old, new):
+    """The largest |new - old| between two follow-up results (nested
+    sequences of numbers); inf where their shapes differ."""
+    old, new = np.asarray(old, dtype=complex), np.asarray(new, dtype=complex)
+    if old.shape != new.shape:
+        return math.inf
+    return float(np.max(np.abs(new - old), initial=0.0))
 
 
 def latency_ms(times):
@@ -109,19 +124,24 @@ def main(argv=None):
             for side in SIDES:
                 run_one(pkgs[side], workloads, cmd)
 
-        ratios, differing = [], set()
+        ratios, differing, moved = [], set(), {}
         times = {side: [[] for _ in commands] for side in SIDES}
         for rnd in range(args.rounds):
             order = SIDES if rnd % 2 == 0 else SIDES[::-1]
             totals = dict.fromkeys(SIDES, 0.0)
             for i, cmd in enumerate(commands):
-                results = {}
+                results, extras = {}, {}
                 for side in order:
-                    elapsed, results[side] = run_one(pkgs[side], workloads, cmd)
+                    elapsed, results[side], extras[side] = run_one(
+                        pkgs[side], workloads, cmd)
                     totals[side] += elapsed
                     times[side][i].append(elapsed)
                 if results["old"] != results["new"]:
                     differing.add(cmd.name)
+                if cmd.extra is not None:
+                    dist = extra_distance(extras["old"], extras["new"])
+                    if dist > 0:
+                        moved[cmd.name] = max(moved.get(cmd.name, 0.0), dist)
             ratio = totals["new"] / totals["old"]
             ratios.append(ratio)
             print(f"round {rnd + 1} ({order[0]} first): "
@@ -133,12 +153,20 @@ def main(argv=None):
     for side in SIDES:
         p50, tail, pct = latency_ms(times[side])
         print(f"{side}: op_p50_ms {p50:.3f}, op_tail_ms {tail:.3f} (p{pct})")
+    status = 0
     if differing:
         print(f"outputs differ (stdout, stderr or exit) on {len(differing)} "
               f"commands: {', '.join(sorted(differing))}")
-        return 1
-    print("stdout, stderr and exit codes agree on every command")
-    return 0
+        status = 1
+    else:
+        print("stdout, stderr and exit codes agree on every command")
+    if moved:
+        print(f"library follow-up differs on {len(moved)} commands, largest "
+              f"|new - old| {max(moved.values()):.3e}: {', '.join(sorted(moved))}")
+        status = 1
+    elif any(cmd.extra is not None for cmd in commands):
+        print("library follow-up results agree on every command")
+    return status
 
 
 if __name__ == "__main__":

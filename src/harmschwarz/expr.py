@@ -37,16 +37,19 @@ The tape checks every slot it fills for finiteness, as the Jet of each
 node was checked: an overflow raises NonFinite at the node where it
 happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than reading 0), and
 the error names the first point where it does.  At one point a slot whose
-sum is finite is finite, so one test checks it.  On an array, while numpy
-raises on overflow, invalid operations and division by zero
-(``np.errstate``), a run with finite inputs (the centre, checked on each
-run, and the constants, checked when the tape is compiled) skips those
-checks: no slot can then be non-finite, so the coefficients are the same
-bit for bit, and an overflow raises FloatingPointError instead, for the
-caller to run the tape again checked.  ``maps.HarmonicMap`` does so for
-the jets of h' and omega.  Constants are not folded: numpy rounds a
-complex product of scalars and of arrays differently, so a folded
-constant could not match both.
+sum is finite is finite, so one test checks it.  A checked run detects
+non-finite slots itself, so it runs with numpy's flags ignored: the same
+NonFinite comes out, without warnings, whatever the caller's error
+state.  On an array, while numpy raises on overflow, invalid operations
+and division by zero (``np.errstate``), a run with finite inputs (the
+centre, checked on each run, and the constants, checked when the tape is
+compiled) skips those checks: no slot can then be non-finite, so the
+coefficients are the same bit for bit, and where numpy raises the tape
+runs again checked.  :func:`trapped` runs a whole computation under that
+trap: ``maps.HarmonicMap`` the jets of h' and omega, and
+``operators.tamanoi_schwarzian`` the whole oracle.  Constants are not
+folded: numpy rounds a complex product of scalars and of arrays
+differently, so a folded constant could not match both.
 """
 
 import cmath
@@ -437,8 +440,11 @@ _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D =
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
-# the instructions, and whether every constant among them is finite
-_Tape = namedtuple("_Tape", "instrs finite")
+# the instructions, whether every constant among them is finite, and
+# whether any calls numpy's exp, log or sqrt (at one point, the only
+# operations that can raise a numpy flag)
+_Tape = namedtuple("_Tape", "instrs finite elementary")
+_ELEMENTARY = {_CPOW, _LOG, _EXP, _SQRT}
 
 
 def _compile_tape(node, order):
@@ -499,7 +505,8 @@ def _compile_tape(node, order):
                      (node.arg, order + 1 if node.fn == "d" else order, inner)]
         else:
             raise TypeError(f"not an AST node: {node!r}")
-    return _Tape(tuple(tape), finite)
+    return _Tape(tuple(tape), finite,
+                 any(instr[0] in _ELEMENTARY for instr in tape))
 
 
 def _ast_path(where):
@@ -538,6 +545,23 @@ def _traps():
     return err["over"] == err["invalid"] == err["divide"] == "raise"
 
 
+def trapped(fn, *args):
+    """``fn(*args)`` under numpy's floating-point trap (``_traps``;
+    underflow is ignored), so the tapes it runs on arrays check no slot.
+
+    Where numpy raises outside a tape, ``fn(*args)`` runs once more with
+    every flag ignored: each tape then checks its slots, and every error
+    is the one the checked run names, whatever the caller's error state.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            return fn(*args)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+
+
 def _run_tape(tape, z0):
     """The Jet that ``tape`` computes at ``z0`` (a point or an array).
 
@@ -550,15 +574,31 @@ def _run_tape(tape, z0):
     centre needs no further check.  On an array under numpy's trap
     (``_traps``), with a finite centre and finite constants, no slot is
     checked: each is finite, or numpy raises FloatingPointError where the
-    first one would not be.
+    first one would not be, and the tape runs again checked.  A checked
+    run ignores numpy's flags (at one point only a tape that calls exp,
+    log or sqrt can raise one).
     """
     point = one_point(z0)
-    if point is None:  # an array of points
-        point, shape = z0, np.shape(z0)
-        check = not (tape.finite and _traps() and center_is_finite(z0))
-        quick = False
-    else:
-        shape, check, quick = None, True, cmath.isfinite(point)
+    if point is not None:
+        if not tape.elementary:
+            return _execute(tape, z0, point, None, True)
+        with np.errstate(all="ignore"):
+            return _execute(tape, z0, point, None, True)
+    shape = np.shape(z0)  # an array of points
+    if tape.finite and _traps() and center_is_finite(z0):
+        try:
+            return _execute(tape, z0, z0, shape, False)
+        except FloatingPointError:
+            pass  # a slot would not be finite: run again, checked
+    with np.errstate(all="ignore"):
+        return _execute(tape, z0, z0, shape, True)
+
+
+def _execute(tape, z0, point, shape, check):
+    """Run ``tape`` at ``z0``: ``point`` is z0 as a Python complex number
+    and ``shape`` None at one point, else the array z0 and its shape.
+    ``check``: check every slot."""
+    quick = shape is None and cmath.isfinite(point)
     isfinite = cmath.isfinite
     stack = []
     # a binary operation pops its left operand (below the top) first, so

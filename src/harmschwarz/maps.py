@@ -45,6 +45,7 @@ from .expr import (
     Var,
     _chain,
     compose,
+    trapped,
 )
 from .jets import Jet, div_coeffs, one_point
 from .quadrature import DEFAULT_TOL, integrate_segments
@@ -236,24 +237,18 @@ class HarmonicMap:
     def _hp_omega_jets(self, z, order_h, order_w):
         """Jets of h' and omega at z; local univalence is not checked.
 
-        On an array of points the jets are evaluated while numpy raises on
-        overflow, invalid operations and division by zero, so the
-        expression tapes need not check each slot they fill (see
-        ``expr``).  Where numpy raises, they are evaluated again under the
-        caller's error state, checked slot by slot, so every error is the
-        one the checked run names.  At one point the tapes check every
-        slot on Python complex numbers, and the trap would buy nothing.
+        On an array of points the jets are evaluated under numpy's
+        floating-point trap (``expr.trapped``), so the expression tapes
+        need not check each slot they fill.  At one point the tapes check
+        every slot on Python complex numbers, and the trap would buy
+        nothing.
         """
         if one_point(z) is not None:
             return self._evaluate_hp_omega(z, order_h, order_w)
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return self._evaluate_hp_omega(z, order_h, order_w)
-        except FloatingPointError:
-            return self._evaluate_hp_omega(z, order_h, order_w)
+        return trapped(self._evaluate_hp_omega, z, order_h, order_w)
 
     def _evaluate_hp_omega(self, z, order_h, order_w):
-        """The jets of ``_hp_omega_jets``, under the caller's error state.
+        """The jets of ``_hp_omega_jets``, under the error state it sets.
 
         A quotient omega = g'/h' reuses the jet of h': it is evaluated
         once, at the higher order, and the jet division reads its first
@@ -548,6 +543,50 @@ def evaluate(f, z, tol=DEFAULT_TOL):
     return part_value(f.h) + np.conjugate(part_value(f.g))
 
 
+def _increments(f, z0, t):
+    """f(z0 + t) - f(z0) at the offsets ``t`` (an array) from z0.
+
+    Parts form takes the differences of the closed forms of h and g.
+    Dilatation form integrates the pair (h', g') along the segments
+    z0 -> z0 + t in one batch, with g' = omega*h' read off one value of
+    h' per node unless omega is the quotient g'/h'.  z0, then every
+    z0 + t, must lie in the open disk, else DomainError as ``evaluate``
+    names it.
+    """
+    z = z0 + t
+    for pts in (z0, z):
+        bad = np.abs(pts) >= 1
+        if np.any(bad):
+            raise DomainError("evaluation point outside the open unit disk",
+                              at=_first_point(pts, bad))
+    if f.form == "parts":
+        h0, g0 = f.h.value(z0), f.g.value(z0)
+        dh = f.h.value(z) - h0
+        dg = f.g.value(z) - g0
+    else:
+        def pair(nodes):
+            hp = f.hp.value(nodes)
+            gp = f.gp.value(nodes) if f._omega_is_quotient else f.omega.value(nodes) * hp
+            return np.stack((hp, gp))
+
+        dh, dg = integrate_segments(pair, np.full_like(z, z0), z)
+    return dh + np.conjugate(dg)
+
+
+def _harmonic_germ(f, z0):
+    """(alpha, h'(z0), kappa) of a sense-preserving f at z0, with alpha =
+    conj(omega(z0)) and kappa = h''(z0)/(2 h'(z0)): what its best harmonic
+    Moebius approximation reads besides f(z0)."""
+    hpj, wj = f._hp_omega_jets(z0, 1, 0)
+    hp = complex(hpj.value)
+    hpp = complex(hpj.coeffs[1])  # h'' (first coefficient of the h' jet)
+    if hp == 0:
+        raise DegenerateJet("best harmonic Moebius needs h'(z0) != 0")
+    if abs(complex(wj.value)) >= 1:
+        raise DomainError("map not sense-preserving", at=z0)
+    return complex(np.conjugate(wj.value)), hp, hpp / (2.0 * hp)
+
+
 def best_harmonic_mobius(f, z0):
     """Best harmonic Moebius approximation M = T + alpha*conj(T) of f at z0.
 
@@ -557,17 +596,9 @@ def best_harmonic_mobius(f, z0):
     = h''(z0), realized as T(t) = a0 + a1 t/(1 - (a2/a1) t).
     """
     f = f.preserving()
-    hpj, wj = f._hp_omega_jets(z0, 1, 0)
-    hp = complex(hpj.value)
-    hpp = complex(hpj.coeffs[1])  # h'' (first coefficient of the h' jet)
-    if hp == 0:
-        raise DegenerateJet("best harmonic Moebius needs h'(z0) != 0")
-    if abs(complex(wj.value)) >= 1:
-        raise DomainError("map not sense-preserving", at=z0)
-    alpha = complex(np.conjugate(wj.value))
+    alpha, hp, kappa = _harmonic_germ(f, z0)
     v = complex(f.value(z0))
     a0 = (v - alpha * np.conjugate(v)) / (1.0 - abs(alpha) ** 2)
-    kappa = hpp / (2.0 * hp)
     T = MobiusMap(hp - a0 * kappa, a0, -kappa, 1.0)
     return HarmonicMobius(T, alpha)
 

@@ -16,11 +16,14 @@ Three independent oracles cross-validate S_f:
 * ``schwarzian_via_jacobian_fd`` - delta_zz - delta_z^2/2 for
   delta = log J_f, by finite differences on a 5x5 stencil;
 * ``tamanoi_schwarzian``  - 6(c30 - c20^2) from the bivariate expansion
-  of the deviation from the best harmonic Moebius approximation.
+  of the deviation from the best harmonic Moebius approximation, sampled
+  from the increments f(z0 + t) - f(z0) (one quadrature pass from z0 on
+  a dilatation-form map) under numpy's floating-point trap.
 
-Everything accepts a scalar evaluation point or an ndarray of points.
-Sense-reversing maps are routed through their conjugate (P and S are
-conjugation invariant; the Jacobian changes sign).
+Everything accepts a scalar evaluation point or an ndarray of points
+(the oracles take one point).  Sense-reversing maps are routed through
+their conjugate (P and S are conjugation invariant; the Jacobian changes
+sign).
 """
 
 import numpy as np
@@ -32,8 +35,9 @@ from .errors import (
     QMismatch,
     StencilOutsideDomain,
 )
+from .expr import trapped
 from .jets import bivariate_extract
-from .maps import PRESERVING, _first_point, best_harmonic_mobius
+from .maps import PRESERVING, _first_point, _harmonic_germ, _increments
 
 _FD_STEP = 1e-3
 
@@ -208,17 +212,40 @@ def tamanoi_schwarzian(f, z0):
     """Oracle: 6(c30 - c20^2) of the deviation F = M^{-1} o f(z0 + .)
     from the best harmonic Moebius approximation M at z0.
 
-    The coefficients come from sampling F on circles of radii 0.01, 0.02
-    and 0.03 (bivariate_extract's defaults), which set the accuracy
-    (about 1e-7 on the catalog maps).  The circles must stay inside the
-    disk (|z0| < 0.97), else DomainError.
+    F is built from the increments D = f(z0 + t) - f(z0) alone: with
+    alpha = conj(omega(z0)) and kappa = h''(z0)/(2 h'(z0)),
+
+        F(t) = u/(h'(z0) + kappa u),  u = (D - alpha conj(D))/(1 - |alpha|^2),
+
+    so neither f(z0) nor M enters.  Parts form takes differences of the
+    closed forms of h and g; dilatation form integrates the pair
+    (h', omega*h') along the segments z0 -> z0 + t, never from 0, in one
+    quadrature pass.
+    The samples lie on circles of radii 0.01, 0.02 and 0.03
+    (bivariate_extract's defaults), whose truncation sets the accuracy:
+    against S_f at |z0| <= 0.45 the worst error is 5.6e-8 on K and at most
+    1.3e-8 on the other catalog maps, parts and dilatation form alike,
+    and 1.3e-9 on the benchmark's generated maps at |z0| <= 0.9.  The
+    circles must stay inside the disk (|z0| < 0.97), else DomainError.
+    The oracle runs under numpy's floating-point trap and, where numpy
+    raises, again checked (``expr.trapped``), so its errors do not depend
+    on the caller's error state.
     """
-    z0 = complex(z0)
-    f = f.preserving()
-    M = best_harmonic_mobius(f, z0)
+    return trapped(_tamanoi, f.preserving(), complex(z0))
+
+
+def _tamanoi(f, z0):
+    coeffs = bivariate_extract(_mobius_deviation(f, z0), degree=3)
+    return 6.0 * (coeffs[(3, 0)] - coeffs[(2, 0)] ** 2)
+
+
+def _mobius_deviation(f, z0):
+    """t -> M^{-1}(f(z0 + t)) for a sense-preserving f, from increments."""
+    alpha, hp, kappa = _harmonic_germ(f, z0)
+    scale = 1.0 - abs(alpha) ** 2
 
     def deviation(t):
-        return M.invert(f.values(z0 + t))
-
-    coeffs = bivariate_extract(deviation, degree=3)
-    return 6.0 * (coeffs[(3, 0)] - coeffs[(2, 0)] ** 2)
+        d = _increments(f, z0, t)
+        u = (d - alpha * np.conjugate(d)) / scale
+        return u / (hp + kappa * u)
+    return deviation

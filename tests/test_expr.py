@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from harmschwarz.expr import (
     _tokenize,
     eval_ast_jet,
     integer_exponent,
+    trapped,
 )
 from harmschwarz.jets import (
     check_finite,
@@ -473,16 +475,6 @@ class TestNonFiniteSlots:
 # the tape under numpy's floating-point trap against the checked tape
 
 
-def _trapped(fn):
-    """fn() as ``HarmonicMap._hp_omega_jets`` runs it: while numpy raises on
-    overflow, invalid and divide, and again, checked, where numpy raises."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return fn()
-    except FloatingPointError:
-        return fn()
-
-
 # batches in which exp(1000*u) overflows at some points only
 _BATCHES = [np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.5j, 0.0]),
             np.array([0.1, 0.9, 0.5, 0.95, -0.8 + 0.1j]),
@@ -499,7 +491,7 @@ class TestTrappedTapeMatchesChecked:
     def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, batch):
         fn, z = ExprFunction(wrap.format(text)), _BATCHES[batch]
         want = _outcome(lambda: fn.jet(z, order))
-        assert _outcome(lambda: _trapped(lambda: fn.jet(z, order))) == want
+        assert _outcome(lambda: trapped(fn.jet, z, order)) == want
 
     @pytest.mark.parametrize("text, z, want", [
         # the first slot to overflow is exp(1000*z) at 0.9; unchecked,
@@ -520,7 +512,7 @@ class TestTrappedTapeMatchesChecked:
     def test_failures_name_the_checked_point(self, text, z, want):
         fn = ExprFunction(text)
         assert _outcome(lambda: fn.jet(z, 2)) == want
-        assert _outcome(lambda: _trapped(lambda: fn.jet(z, 2))) == want
+        assert _outcome(lambda: trapped(fn.jet, z, 2)) == want
 
     def test_trapped_run_checks_no_slot(self, monkeypatch):
         import harmschwarz.expr as expr_module
@@ -538,6 +530,48 @@ class TestTrappedTapeMatchesChecked:
         checked = fn.jet(z, 3)
         assert len(calls) > 10
         assert trapped.coeffs.tobytes() == checked.coeffs.tobytes()
+
+
+def _outcome_as_is(fn):
+    """``_outcome`` under the caller's error state."""
+    try:
+        jet = fn()
+    except ToolkitError as exc:
+        return type(exc), str(exc), getattr(exc, "ast_path", None), getattr(exc, "at", None)
+    return jet.coeffs.shape, jet.coeffs.tobytes()
+
+
+class TestErrorState:
+    """A checked run detects non-finite slots itself, so it sets its own
+    error state: the outcome is the same whatever the caller's."""
+
+    @pytest.mark.parametrize("text, elementary", [
+        ("z^2/(1-z)+3*z", False), ("(1+z)^-3", False), ("d(z^4)", False),
+        ("exp(z)", True), ("log(1+z)", True), ("sqrt(1+z)", True),
+        ("z^0.5", True), ("d(d(exp(z)))", True)])
+    def test_compiler_marks_tapes_that_call_numpy(self, text, elementary):
+        # at one point only exp, log and sqrt run on numpy scalars
+        fn = ExprFunction(text)
+        assert fn._tape(2).elementary is elementary
+        d = fn.derivative()
+        d.jet(0.1, 1)
+        assert d._tapes[1].elementary is elementary
+
+    @pytest.mark.parametrize("text", ["1/exp(1000*z)", "exp(-exp(800*z))",
+                                      "z+z^-512", "log(z)", "(z-0.1)^0.5",
+                                      "sqrt(1+z)*exp(1000*z)", "1e999*z"])
+    @pytest.mark.parametrize("z", [0.9, 0.1, np.array([0.3, 0.9, 0.1])])
+    def test_outcome_does_not_depend_on_the_callers_state(self, text, z):
+        fn = ExprFunction(text)
+        want = _outcome(lambda: fn.jet(z, 2))
+        with np.errstate(all="raise"):
+            assert _outcome_as_is(lambda: fn.jet(z, 2)) == want
+            assert _outcome_as_is(lambda: trapped(fn.jet, z, 2)) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                assert _outcome_as_is(lambda: fn.jet(z, 2)) == want
+                assert _outcome_as_is(lambda: trapped(fn.jet, z, 2)) == want
 
 
 # ---------------------------------------------------------------------------

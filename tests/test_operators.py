@@ -1,6 +1,10 @@
 """Operator values against closed forms, plus the cross-operator identities."""
 
 import cmath
+import contextlib
+import io
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from harmschwarz import (
     HarmonicMobius,
     MobiusMap,
     affine_compose,
+    best_harmonic_mobius,
     catalog,
     catalog_map,
     cdo_schwarzian,
@@ -22,20 +27,26 @@ from harmschwarz import (
     disk_automorphism,
     jacobian,
     lemma1_schwarzian,
+    map_from_json,
     mixed_laplacian_schwarzian,
     precompose,
     pre_schwarzian,
     schwarzian,
     schwarzian_via_jacobian_fd,
+    shear,
     tamanoi_schwarzian,
 )
+from harmschwarz import cli
 from harmschwarz.errors import (
     CriticalPoint,
     DilatationZeroNeedsQ,
     DomainError,
+    NonFinite,
     QMismatch,
     StencilOutsideDomain,
 )
+from harmschwarz.maps import CATALOG_NAMES
+from harmschwarz.operators import _mobius_deviation
 from conftest import disk_points
 
 
@@ -374,6 +385,147 @@ class TestTamanoi:
         assert np.isfinite(tamanoi_schwarzian(catalog("K"), 0.96))
         with pytest.raises(DomainError):
             tamanoi_schwarzian(catalog("K"), 0.97j)
+
+
+def _catalog_dilatation_form(name):
+    """The dilatation-form map of the h' and omega texts ``catalog NAME``
+    prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["catalog", name]) == 0
+    d = json.loads(out.getvalue())
+    return map_from_json({"form": "dilatation", "h": d["hp"], "omega": d["omega"]})
+
+
+_HARMONIC = ("K", "L", "S1", "S2", "K2")
+
+# the templates of the benchmark's generated maps (bench/workloads.py),
+# with fixed coefficients: h' without zeros in the closed disk, Blaschke-type
+# dilatations c*z^k*(z-a)/(1-conj(a)*z), and parts forms with |g'/h'| <= 0.9
+_GENERATED = (
+    {"form": "dilatation", "h": "(1+(0.3-0.4*i)*z)/(1-(0.2+0.5*i)*z)^3",
+     "omega": "(0.5+0.3*i)*(z-(0.2-0.1*i))/(1-(0.2+0.1*i)*z)"},
+    {"form": "dilatation", "h": "exp((0.6+0.2*i)*z)/(1-(-0.3+0.4*i)*z)^2",
+     "omega": "(-0.4+0.5*i)*z*(z-(0.5+0.2*i))/(1-(0.5-0.2*i)*z)"},
+    {"form": "dilatation", "h": "1/((1-(0.1+0.7*i)*z)^2*(1+(0.4-0.2*i)*z))",
+     "omega": "(0.7-0.1*i)*z^2*(z-(-0.3+0.6*i))/(1-(-0.3-0.6*i)*z)"},
+    {"form": "dilatation", "h": "sqrt(1+(0.5+0.5*i)*z)/(1-(0.3-0.3*i)*z)^2",
+     "omega": "(0.2+0.2*i)*(z-(0.7+0.0*i))/(1-(0.7-0.0*i)*z)"},
+    {"form": "parts", "h": "z+(0.1+0.2*i)*z^2", "g": "(0.05-0.02*i)*z^2+(0.03+0.04*i)*z^3"},
+    {"form": "parts", "h": "exp((0.5-0.3*i)*z)", "g": "(0.1+0.05*i)*z*exp((0.5-0.3*i)*z)"},
+)
+
+
+class TestTamanoiIncrements:
+    """The oracle samples f(z0 + t) - f(z0) from z0, in one quadrature pass
+    on a dilatation-form map."""
+
+    @staticmethod
+    def _dilatation_maps():
+        maps = [_catalog_dilatation_form(name) for name in _HARMONIC]
+        maps.append(shear(ExprFunction("z/(1-z)"), ExprFunction("0.5*z")))
+        return maps + [conjugate(f) for f in maps]
+
+    def test_dilatation_forms_agree_with_schwarzian(self, rng):
+        for f in self._dilatation_maps():
+            for z in disk_points(rng, 5, rmax=0.45):
+                z = complex(z)
+                assert abs(tamanoi_schwarzian(f, z) - schwarzian(f, z)) < 1e-6
+
+    @pytest.mark.parametrize("name", _HARMONIC)
+    def test_parts_and_dilatation_forms_agree(self, name, rng):
+        parts, dil = catalog_map(name), _catalog_dilatation_form(name)
+        for f, g in ((parts, dil), (conjugate(parts), conjugate(dil))):
+            for z in disk_points(rng, 5, rmax=0.45):
+                z = complex(z)
+                assert abs(tamanoi_schwarzian(f, z) - tamanoi_schwarzian(g, z)) < 1e-8
+
+    def test_increments_invert_the_best_harmonic_mobius(self):
+        # u/(h'(z0) + kappa u) is M^{-1}(f(z0 + t)) solved for t, on the
+        # 192 sample points of bivariate_extract
+        t = (np.array([0.01, 0.02, 0.03])[:, None]
+             * np.exp(2j * np.pi * np.arange(64) / 64)[None, :])
+        maps = self._dilatation_maps() + [catalog_map(n) for n in _HARMONIC]
+        for f in maps:
+            f = f.preserving()
+            for z0 in (0.0, 0.3 + 0.1j, -0.45 + 0.0j, 0.1 - 0.4j, -0.2 - 0.35j):
+                got = _mobius_deviation(f, z0)(t)
+                want = best_harmonic_mobius(f, z0).invert(f.values(z0 + t))
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(t))
+
+    def test_pair_integrand_reads_h_prime_once_per_node(self, monkeypatch):
+        # omega*h' takes h' from the pair, not from a second tape of g'
+        f = _catalog_dilatation_form("K")
+        seen = []
+        for fn in (f.hp, f.gp, f.omega):
+            run = fn.jet
+            monkeypatch.setattr(fn, "jet", lambda z, order, run=run, fn=fn:
+                                seen.append(fn) or run(z, order))
+        tamanoi_schwarzian(f, 0.3 + 0.1j)
+        # the jets at z0, then two quadrature levels: omega*h' never runs g'
+        assert f.gp not in seen
+        assert seen.count(f.hp) == seen.count(f.omega) == 3
+
+
+class TestTamanoiErrorContract:
+    F = {"form": "dilatation", "h": "exp(800*z)", "omega": "0"}
+
+    def test_circle_outside_the_disk(self):
+        with pytest.raises(DomainError) as err:
+            tamanoi_schwarzian(catalog("K"), 0.97j)
+        at = complex(1.8369701987210296e-18, 1.0)  # 0.97j + 0.03 e^{i pi/2}
+        assert str(err.value) == f"evaluation point outside the open unit disk at {at}"
+        assert err.value.at == at
+
+    @pytest.mark.parametrize("state", ["default", "raise", "warnings-as-errors"])
+    def test_overflow_is_non_finite_whatever_the_error_state(self, state):
+        # the checked runs set their own error state: no warning, and no
+        # FloatingPointError under a caller's trap
+        F = map_from_json(self.F)
+        calls = [(lambda: schwarzian(F, 0.9), 0.9),
+                 (lambda: schwarzian(F, np.array([0.1, 0.9])), 0.9),
+                 (lambda: F.value(0.9), 0.8952304207462425),
+                 (lambda: tamanoi_schwarzian(F, 0.9), 0.9)]
+        for call, at in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error" if state == "warnings-as-errors"
+                                      else "ignore")
+                with np.errstate(**({"all": "raise"} if state == "raise" else {})):
+                    with pytest.raises(NonFinite) as err:
+                        call()
+            assert str(err.value) == "non-finite jet coefficient"
+            assert err.value.at == at
+
+    def test_checked_rerun_never_runs_on_valid_maps(self, monkeypatch):
+        import harmschwarz.expr as expr_module
+        import harmschwarz.operators as operators_module
+
+        checked, oracle = [], []
+        execute, tamanoi = expr_module._execute, operators_module._tamanoi
+
+        def counted_execute(tape, z0, point, shape, check):
+            if check and shape is not None:  # a checked run on an array
+                checked.append(z0)
+            return execute(tape, z0, point, shape, check)
+
+        monkeypatch.setattr(expr_module, "_execute", counted_execute)
+        monkeypatch.setattr(operators_module, "_tamanoi",
+                            lambda f, z0: oracle.append(z0) or tamanoi(f, z0))
+        maps = ([catalog_map(n) for n in CATALOG_NAMES]
+                + [_catalog_dilatation_form(n) for n in _HARMONIC]
+                + [map_from_json(spec) for spec in _GENERATED])
+        points = (0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j)
+        for f in maps:
+            for z in points:
+                tamanoi_schwarzian(f, z)
+        assert checked == []
+        assert len(oracle) == len(maps) * len(points)
+
+    def test_generated_maps_agree_with_schwarzian(self):
+        for spec in _GENERATED:
+            f = map_from_json(spec)
+            for z in (0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j):
+                assert abs(tamanoi_schwarzian(f, z) - schwarzian(f, z)) < 1e-6
 
 
 class TestIdentities:

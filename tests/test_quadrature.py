@@ -64,6 +64,28 @@ class TestIntegrateSegments:
         assert out.shape == (3, 4)
         assert np.allclose(out, np.exp(zs) - 1.0, atol=1e-12)
 
+    def test_pair_integrand_equals_two_scalar_calls(self):
+        # a segment leaves the batch once both components have converged:
+        # bitwise where both stop at the same level alone, else within tol
+        f1, f2 = ExprFunction("exp(z)").value, ExprFunction("1/(1-z)^4").value
+        z1 = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.99, 0.9j, -0.95])
+        pair = integrate_segments(lambda z: np.stack((f1(z), f2(z))),
+                                  np.zeros_like(z1), z1)
+        assert pair.shape == (2,) + z1.shape
+        same = 0
+        for i, z in enumerate(z1):
+            levels = []
+            for k, fn in enumerate((f1, f2)):
+                counted, seen = counting(fn)
+                alone = integrate_segment(counted, 0.0, z)
+                levels.append(seen[0])
+                assert abs(pair[k, i] - alone) <= 1e-8
+            if levels[0] == levels[1]:
+                same += 1
+                alone = [integrate_segment(fn, 0.0, z) for fn in (f1, f2)]
+                assert pair[:, i].tobytes() == np.array(alone).tobytes()
+        assert 0 < same < len(z1)
+
     def test_failure_names_the_segment(self):
         fn = ExprFunction("1/(1-z)^4").value
         with pytest.raises(QuadratureFailure, match="0.999999"):
