@@ -21,10 +21,6 @@ class ToolkitError(Exception):
 # jet arithmetic
 
 
-class CenterMismatch(ToolkitError):
-    """Binary jet operation on jets with different centers or orders."""
-
-
 class DivisionByZeroConstantTerm(ToolkitError):
     """Jet division where the divisor's constant term vanishes."""
     exit_code = 3

@@ -33,14 +33,14 @@ any size are evaluated by repeated squaring (exact, and valid at zeros of
 the base); all other powers go through exp(e*log(base)) on the principal
 branch.
 
-The tape checks every slot it fills for finiteness, as the Jet of each
-node was checked: an overflow raises NonFinite at the node where it
-happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than reading 0), and
-the error names the first point where it does.  At one point a slot whose
-sum is finite is finite, so one test checks it.  A checked run detects
-non-finite slots itself, so it runs with numpy's flags ignored: the same
-NonFinite comes out, without warnings, whatever the caller's error
-state.  On an array, while numpy raises on overflow, invalid operations
+The tape checks every slot it fills for finiteness, as a Jet is checked
+when built (``jets.check_finite``): an overflow raises NonFinite at the
+node where it happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than
+reading 0), and the error names the first point where it does.  At one
+point a slot whose sum is finite is finite, so one test checks it.  A
+checked run detects non-finite slots itself, so it runs with numpy's
+flags ignored: the same NonFinite comes out, without warnings, whatever
+the caller's error state.  On an array, while numpy raises on overflow, invalid operations
 and division by zero (``np.errstate``), a run with finite inputs (the
 centre, checked on each run, and the constants, checked when the tape is
 compiled) skips those checks: no slot can then be non-finite, so the
@@ -431,10 +431,9 @@ def to_text(node):
 # A tape is a tuple of instructions (op, arg, where) in post-order.  Run on
 # a stack, a leaf pushes its coefficients and an operation pops its
 # operands and pushes its result, so each slot is dropped once the
-# instruction that reads it has run.  The arithmetic is that of the Jet
-# methods (the same recurrences on the same operands in the same order), so
-# values are the same bit for bit, on arrays and on the Python complex
-# numbers of one point alike.
+# instruction that reads it has run.  The arithmetic is the recurrences of
+# ``jets``, which the operators also call, so values are the same bit for
+# bit, on arrays and on the Python complex numbers of one point alike.
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D = range(13)
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
@@ -526,8 +525,8 @@ def _ast_path(where):
 
 
 def _cpow_coeffs(base, e, center, check):
-    """exp(e*log(base)), each step checked (if ``check``) as the Jet it
-    replaces."""
+    """exp(e*log(base)), each step checked (if ``check``) as a slot of
+    the tape is."""
     log_base = log_coeffs(base, center, check=check)
     if check:
         check_finite(log_base, center)
@@ -565,7 +564,7 @@ def trapped(fn, *args):
 def _run_tape(tape, z0):
     """The Jet that ``tape`` computes at ``z0`` (a point or an array).
 
-    Each slot is checked as the Jet it stands for was checked: its
+    Each slot is checked as a Jet is checked when built: its
     coefficients, then the centre (NonFinite names the first point where
     a coefficient is not finite).  A division by a zero constant term or a
     branch point at the centre names its AST path in ``ast_path`` and in
@@ -705,8 +704,8 @@ class _TapeDerivative(AnalyticFunction):
     """f' of an ExprFunction f, on a tape: f's tape one order higher, then
     a derivative instruction.
 
-    The jets are those of ``f.jet(z, n + 1).derivative()``, bit for bit,
-    and an error names the AST path in f that the tape of f names (not
+    The jets are ``derivative_coeffs`` of ``f.jet(z, n + 1)``, bit for
+    bit, and an error names the AST path in f that the tape of f names (not
     the path below a ``d`` node); in a tree it is ``d(f)``.  It has no
     text of its own, so ``maps.map_to_json`` writes f, not f'.
     """

@@ -1,30 +1,29 @@
-"""Truncated complex Taylor-jet arithmetic.
+"""Truncated complex Taylor jets and the recurrences that propagate them.
 
-A :class:`Jet` stores the coefficients ``c[k] = f^(k)(center)/k!`` of an
-analytic function at a point, through a fixed order.  All composite
-expressions propagate these coefficients exactly (to rounding), which is
-how every derivative in the package is produced: no symbolic algebra, no
-finite differences on the primary path.
+A :class:`Jet` is a checked record of the coefficients
+``c[k] = f^(k)(center)/k!`` of an analytic function at a point, through
+a fixed order.  It does no arithmetic: every derivative in the package
+comes from the recurrences below, exact to rounding, with no symbolic
+algebra and no finite differences on the primary path.
 
 Coefficients live in a numpy array whose leading axis indexes the
 coefficient.  Trailing axes, if any, are broadcast point batches, so the
 same recurrences evaluate one expansion point or a whole grid of them.
-Jets are immutable by convention: no method mutates ``coeffs``.
 
-The recurrences themselves (product, quotient, integer power, log, exp,
-sqrt, derivative) are module-level functions on raw coefficient
-sequences.  The Jet methods wrap them, and so does the expression tape of
-:mod:`~harmschwarz.expr`, which runs them on coefficients that share one
-centre without building a Jet per node: on arrays for an array of
-points, and on lists of Python complex numbers for one point, where
-numpy's per-scalar dispatch would cost more than the arithmetic.  Each
-recurrence is written once, over either sequence, and both give the
-same bits.
+The recurrences (product, quotient, integer power, log, exp, sqrt,
+derivative) are module-level functions on raw coefficient sequences of
+one centre and one order, which they do not check.  The expression tape
+of :mod:`~harmschwarz.expr` and the operators call them: on arrays for
+an array of points, and on lists of Python complex numbers for one
+point, where numpy's per-scalar dispatch would cost more than the
+arithmetic.  Each recurrence is written once, over either sequence, and
+both give the same bits.
 
 Every Jet checks, when it is built, that its coefficients and then its
 centre are finite (NonFinite otherwise, naming in ``at`` the first point
-with a non-finite coefficient), so an overflow raises at the expression
-node where it happens.  The tape checks each slot the same way: at one
+with a non-finite coefficient); :func:`check_finite` is that check, and
+a caller of a recurrence runs it on the result, so an overflow raises
+where it happens.  The tape checks each slot the same way: at one
 point by the finiteness of the slot's sum first (one test, exact, since
 no sum with a non-finite term is finite) and coefficient by coefficient
 only when that fails.  On an array it skips the checks while numpy
@@ -33,7 +32,7 @@ operation on finite operands returns a non-finite result, so checking
 the inputs once is enough (``pow_coeffs`` and ``log_coeffs`` skip the
 checks of their intermediates when called with ``check=False``).  Moved
 to the operator boundary without that trap, a check would let ``1/inf``
-read 0.  Binary operations require equal orders and equal centres.
+read 0.
 
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
@@ -49,7 +48,6 @@ import numpy as np
 
 from .errors import (
     BranchPointAtCenter,
-    CenterMismatch,
     DivisionByZeroConstantTerm,
     IllConditioned,
     NonFinite,
@@ -57,13 +55,6 @@ from .errors import (
 
 DEFAULT_ORDER = 4
 _NUMBER = (int, float, complex, np.number)
-
-
-def _as_coeff_array(coeffs):
-    arr = np.asarray(coeffs, dtype=np.complex128)
-    if arr.ndim == 0:
-        raise ValueError("jet coefficients must have a leading coefficient axis")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +66,8 @@ def _as_coeff_array(coeffs):
 # complex numbers.  Python arithmetic on one number skips numpy's scalar
 # dispatch and rounds as numpy's scalars do, except in a division (see
 # ``_quotient``) and in exp, log and sqrt (see ``_elementary``), so both
-# forms carry the same bits.  The Jet methods and the expression tape of
-# ``expr`` call these functions, so every recurrence exists once.  A real
+# forms carry the same bits.  The expression tape of ``expr`` and the
+# operators call these functions, so every recurrence exists once.  A real
 # factor is written as a complex number: numpy multiplies by k + 0j, and
 # some Python versions mix a real and a complex operand by other rules.
 # A function checks what it builds along the way, as a Jet of its own
@@ -337,32 +328,21 @@ def derivative_coeffs(a):
 
 
 class Jet:
-    """Taylor coefficients of an analytic function at ``center``."""
+    """Taylor coefficients of an analytic function at ``center``: a
+    record, checked finite when built (``_checked`` skips the check)."""
 
     __slots__ = ("center", "coeffs")
 
     def __init__(self, center, coeffs):
-        coeffs = _as_coeff_array(coeffs)
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.ndim == 0:
+            raise ValueError("jet coefficients must have a leading coefficient axis")
         check_finite(coeffs, center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, order, center=0.0, shape=None):
-        """Jet of the constant function ``value`` (broadcast over shape)."""
-        if shape is None:
-            shape = np.shape(value)
-        return cls(center, constant_coeffs(value, order, shape))
-
-    @classmethod
-    def variable(cls, z0, order):
-        """Jet of the identity function z at center z0."""
-        return cls(z0, variable_coeffs(z0, order))
 
     @classmethod
     def _checked(cls, center, coeffs):
@@ -374,8 +354,6 @@ class Jet:
         object.__setattr__(jet, "center", center)
         object.__setattr__(jet, "coeffs", coeffs)
         return jet
-
-    # -- introspection -------------------------------------------------
 
     @property
     def order(self):
@@ -391,104 +369,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(center={self.center!r}, coeffs={self.coeffs!r})"
-
-    def _match(self, other):
-        if self.order != other.order:
-            raise CenterMismatch(
-                f"jet orders differ: {self.order} vs {other.order}"
-            )
-        if not np.array_equal(np.asarray(self.center), np.asarray(other.center)):
-            raise CenterMismatch("jet centers differ")
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            self._match(other)
-            return other
-        return Jet.constant(other, self.order, center=self.center,
-                            shape=self.coeffs.shape[1:])
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Jet(self.center, self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Jet(self.center, self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __neg__(self):
-        return Jet(self.center, -self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.center,
-                       self.coeffs * np.asarray(other, dtype=np.complex128))
-        self._match(other)
-        return Jet(self.center, mul_coeffs(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return Jet(self.center, div_coeffs(self.coeffs, other.coeffs))
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __pow__(self, exponent):
-        """Integer power by repeated multiplication (exact path)."""
-        if not isinstance(exponent, int):
-            raise TypeError("use cpow() for non-integer exponents")
-        return Jet(self.center, pow_coeffs(self.coeffs, exponent, self.center))
-
-    # -- transcendental compositions ------------------------------------
-
-    def sqrt(self):
-        return Jet(self.center, sqrt_coeffs(self.coeffs))
-
-    def log(self):
-        return Jet(self.center, log_coeffs(self.coeffs, self.center))
-
-    def exp(self):
-        return Jet(self.center, exp_coeffs(self.coeffs))
-
-    def cpow(self, exponent):
-        """Principal-branch complex power a^e = exp(e*log a)."""
-        return (self.log() * exponent).exp()
-
-    # -- structure -------------------------------------------------------
-
-    def derivative(self):
-        """Jet of f' at the same center, one order lower."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.center, derivative_coeffs(self.coeffs))
-
-    def compose(self, inner):
-        """Jet of outer(inner(.)) at inner.center.
-
-        Requires ``self.center == inner.coeffs[0]`` (the outer expansion
-        sits at the inner value) and equal orders.
-        """
-        if self.order != inner.order:
-            raise CenterMismatch("compose requires equal jet orders")
-        if not np.array_equal(np.asarray(self.center), np.asarray(inner.value)):
-            raise CenterMismatch("outer center must equal inner constant term")
-        n = self.order
-        shifted = inner.coeffs.copy()
-        shifted[0] = 0.0  # Horner in (inner - inner(center))
-        w = Jet(inner.center, shifted)
-        result = Jet.constant(self.coeffs[n], n, center=inner.center,
-                              shape=inner.coeffs.shape[1:])
-        for k in range(n - 1, -1, -1):
-            result = result * w + self.coeffs[k]
-        return result
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,8 @@ class HarmonicMap:
 
 def _jet_quotient(num, den):
     """The jet num/den, for jets of one centre with den at least num's
-    order: the recurrence of Jet division, without its centre match, on
-    Python complex numbers at one point."""
+    order: the recurrence of jet division, on Python complex numbers at
+    one point."""
     a, b = num.coeffs, den.coeffs[:len(num.coeffs)]
     if a.ndim == 1:
         a, b = a.tolist(), b.tolist()

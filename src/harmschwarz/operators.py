@@ -21,9 +21,9 @@ Three independent oracles cross-validate S_f:
   a dilatation-form map) under numpy's floating-point trap.
 
 Everything accepts a scalar evaluation point or an ndarray of points
-(the oracles take one point).  Sense-reversing maps are routed through
-their conjugate (P and S are conjugation invariant; the Jacobian changes
-sign).
+(the finite-difference and Tamanoi oracles take one point).
+Sense-reversing maps are routed through their conjugate (P and S are
+conjugation invariant; the Jacobian changes sign).
 """
 
 import numpy as np
@@ -36,7 +36,13 @@ from .errors import (
     StencilOutsideDomain,
 )
 from .expr import trapped
-from .jets import bivariate_extract
+from .jets import (
+    bivariate_extract,
+    check_finite,
+    derivative_coeffs,
+    mul_coeffs,
+    sqrt_coeffs,
+)
 from .maps import PRESERVING, _first_point, _harmonic_germ, _increments
 
 _FD_STEP = 1e-3
@@ -54,25 +60,34 @@ def classical_pre_schwarzian(phi, z):
     """P(phi) = phi''/phi' for an analytic function."""
     j = phi.jet(z, 2)
     d1 = j.coeffs[1]
-    if np.any(d1 == 0):
-        raise CriticalPoint("phi' vanishes at the evaluation point")
+    _require_noncritical(z, d1)
     return 2.0 * j.coeffs[2] / d1
 
 
+def _require_noncritical(z, d1):
+    """Raise CriticalPoint, naming the first point in ``at``, where phi'
+    (``d1``) vanishes."""
+    zero = d1 == 0
+    if np.any(zero):
+        exc = CriticalPoint("phi' vanishes at the evaluation point")
+        exc.at = _first_point(z, zero)
+        raise exc
+
+
 def _schwarzian_from_derivative_jet(u):
-    """Classical Schwarzian from a jet of phi' (order >= 2); every S_h
-    in the package comes from here."""
-    d1 = u.coeffs[0]
-    d2 = u.coeffs[1]
-    d3 = 2.0 * u.coeffs[2]
+    """Classical Schwarzian from the coefficients of a jet of phi'
+    (order >= 2); every S_h in the package comes from here."""
+    d1 = u[0]
+    d2 = u[1]
+    d3 = 2.0 * u[2]
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
 def classical_schwarzian(phi, z):
     """S(phi) = (P phi)' - (P phi)^2/2 for an analytic function."""
-    u = phi.jet(z, 3).derivative()
-    if np.any(u.coeffs[0] == 0):
-        raise CriticalPoint("phi' vanishes at the evaluation point")
+    u = derivative_coeffs(phi.jet(z, 3).coeffs)
+    check_finite(u, z)
+    _require_noncritical(z, u[0])
     return _schwarzian_from_derivative_jet(u)
 
 
@@ -93,7 +108,7 @@ def schwarzian(f, z):
     """S_f = (P_f)_z - (P_f)^2/2 assembled from the canonical pair."""
     hpj, wj = f.derivative_data(z, order_h=2, order_w=2)
     hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
-    Sh = _schwarzian_from_derivative_jet(hpj)
+    Sh = _schwarzian_from_derivative_jet(hpj.coeffs)
     w, wp, wpp = wj.coeffs[0], wj.coeffs[1], 2.0 * wj.coeffs[2]
     A = np.conjugate(w) / _one_minus_sq(np.abs(w))
     return Sh + A * (hpp_over_hp * wp - wpp) - 1.5 * (A * wp) ** 2
@@ -109,28 +124,30 @@ def cdo_schwarzian(f, z, q=None):
     """
     hpj, wj = f.derivative_data(z, order_h=2, order_w=2)
     hpp_over_hp = hpj.coeffs[1] / hpj.coeffs[0]
-    Sh = _schwarzian_from_derivative_jet(hpj)
+    Sh = _schwarzian_from_derivative_jet(hpj.coeffs)
 
     if q is not None:
-        qj = q.jet(z, 2)
-        sq = qj * qj
+        qc = q.jet(z, 2).coeffs
+        sq = mul_coeffs(qc, qc)
+        check_finite(sq, z)
         scale = np.maximum(np.abs(wj.coeffs).max(axis=0), 1.0)
-        bad = (np.abs(sq.coeffs - wj.coeffs) > 1e-8 * scale).any(axis=0)
+        bad = (np.abs(sq - wj.coeffs) > 1e-8 * scale).any(axis=0)
         if bad.any():
             exc = QMismatch("q^2 does not match the dilatation at z")
             exc.at = _first_point(z, bad)
             raise exc
     elif np.all(np.abs(wj.coeffs) == 0):
-        qj = wj  # analytic map: q identically 0, correction terms vanish
+        qc = wj.coeffs  # analytic map: q identically 0, correction terms vanish
     else:
         zero = wj.coeffs[0] == 0  # the branch point of sqrt(omega)
         if zero.any():
             exc = DilatationZeroNeedsQ("omega(z) = 0: supply q with q^2 = omega")
             exc.at = _first_point(z, zero)
             raise exc
-        qj = wj.sqrt()
+        qc = sqrt_coeffs(wj.coeffs)
+        check_finite(qc, z)
 
-    qv, qp, qpp = qj.coeffs[0], qj.coeffs[1], 2.0 * qj.coeffs[2]
+    qv, qp, qpp = qc[0], qc[1], 2.0 * qc[2]
     B = np.conjugate(qv) / (1.0 + np.abs(qv) ** 2)
     return Sh + 2.0 * B * (qpp - qp * hpp_over_hp) - 4.0 * (qp * B) ** 2
 
@@ -202,9 +219,13 @@ def lemma1_schwarzian(f, z0):
     freezing lambda = -conj(w(z0)) reproduces S_f at z0 exactly.
     """
     hpj, wj = f.derivative_data(z0, order_h=2, order_w=2)
-    gpj = wj * hpj
-    lam = -np.conjugate(wj.coeffs[0])
-    u = hpj + lam * gpj  # jet of (h + lambda g)' at z0
+    gp = mul_coeffs(wj.coeffs, hpj.coeffs)
+    check_finite(gp, z0)
+    lam = -np.conjugate(wj.coeffs[0])  # one number per point
+    lam_gp = gp * lam  # broadcast over the coefficients of each point
+    check_finite(lam_gp, z0)
+    u = hpj.coeffs + lam_gp  # jet of (h + lambda g)' at z0
+    check_finite(u, z0)
     return _schwarzian_from_derivative_jet(u)
 
 

@@ -543,7 +543,6 @@ class TestOversizedGrid:
 # added here
 _EXIT_CODES = {
     "ToolkitError": 4,
-    "CenterMismatch": 4,
     "DivisionByZeroConstantTerm": 3,
     "BranchPointAtCenter": 3,
     "NonFinite": 4,

@@ -29,11 +29,43 @@ from harmschwarz import (
 )
 from harmschwarz.errors import ToolkitError
 from harmschwarz.expr import AnalyticFunction
+from harmschwarz.jets import (
+    Jet,
+    add_coeffs,
+    check_finite,
+    constant_coeffs,
+    div_coeffs,
+    mul_coeffs,
+    sqrt_coeffs,
+)
 from harmschwarz.maps import CATALOG_NAMES, PRESERVING, REVERSING, HarmonicMap
 
 # ---------------------------------------------------------------------------
-# the reference: maps built from closures of checked Jet arithmetic, as
-# the constructions built them before they built expression trees
+# the reference: maps built from closures that run the jet recurrences,
+# each result checked as a Jet is when built, as the constructions built
+# them before they built expression trees
+
+
+def _constant_like(value, a):
+    return constant_coeffs(value, len(a) - 1, a.shape[1:])
+
+
+def _checked(z, coeffs):
+    check_finite(coeffs, z)
+    return coeffs
+
+
+def _horner(outer, inner):
+    """The jet of outer o inner at inner's centre, from the jet of outer
+    at inner's value: Horner's rule in inner - inner(centre)."""
+    z, n = inner.center, inner.order
+    shifted = inner.coeffs.copy()
+    shifted[0] = 0.0
+    acc = _constant_like(outer.coeffs[n], shifted)
+    for k in range(n - 1, -1, -1):
+        acc = _checked(z, mul_coeffs(acc, shifted))
+        acc = _checked(z, add_coeffs(acc, _constant_like(outer.coeffs[k], acc)))
+    return Jet._checked(z, acc)
 
 
 class DerivedFunction(AnalyticFunction):
@@ -48,26 +80,35 @@ class DerivedFunction(AnalyticFunction):
     def compose(self, inner):
         def jet_fn(z, n):
             ij = inner.jet(z, n)
-            return self.jet(ij.value, n).compose(ij)
+            return _horner(self.jet(ij.value, n), ij)
         return DerivedFunction(jet_fn)
 
-    def _jet_of(self, other, z, n):
-        if isinstance(other, AnalyticFunction):
-            return other.jet(z, n)
-        return other  # scalar; Jet arithmetic lifts it
+    def _apply(self, recurrence, other):
+        """The closure of ``recurrence`` on the jets of self and other (a
+        function, or a number as a constant jet)."""
+        def jet_fn(z, n):
+            a = self.jet(z, n).coeffs
+            b = (other.jet(z, n).coeffs if isinstance(other, AnalyticFunction)
+                 else _constant_like(other, a))
+            return Jet(z, recurrence(a, b))
+        return DerivedFunction(jet_fn)
 
     def __add__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) + self._jet_of(other, z, n))
+        return self._apply(add_coeffs, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) * self._jet_of(other, z, n))
+        if isinstance(other, AnalyticFunction):
+            return self._apply(mul_coeffs, other)
+        # a number scales every coefficient: numpy's broadcast product
+        factor = np.asarray(other, dtype=np.complex128)
+        return DerivedFunction(lambda z, n: Jet(z, self.jet(z, n).coeffs * factor))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return DerivedFunction(lambda z, n: self.jet(z, n) / self._jet_of(other, z, n))
+        return self._apply(div_coeffs, other)
 
 
 def _lift(fn):
@@ -137,16 +178,16 @@ def _ref_partner(f, a, mu, lam):
     ac = np.conjugate(a)
     w = f.omega
 
-    def omega_jet(z, n):
-        wj = w.jet(z, n)
-        return ((a + wj) / (1.0 + ac * wj)) * mu
+    den = 1.0 + ac * w
 
     def hp_jet(z, n):
-        wj = w.jet(z, n)
-        dphi = (1.0 - abs(a) ** 2) / ((1.0 + ac * wj) * (1.0 + ac * wj))
-        return f.hp.jet(z, n) * lam / dphi.sqrt()
+        d = den.jet(z, n).coeffs
+        d2 = _checked(z, mul_coeffs(d, d))
+        dphi = _checked(z, div_coeffs(_constant_like(1.0 - abs(a) ** 2, d2), d2))
+        scaled = _checked(z, f.hp.jet(z, n).coeffs * np.asarray(lam, dtype=np.complex128))
+        return Jet(z, div_coeffs(scaled, _checked(z, sqrt_coeffs(dphi))))
 
-    hp, omega = DerivedFunction(hp_jet), DerivedFunction(omega_jet)
+    hp, omega = DerivedFunction(hp_jet), ((a + w) / den) * mu
     return ClosureMap(hp, omega * hp, omega, PRESERVING)
 
 

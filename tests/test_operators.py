@@ -125,6 +125,12 @@ class TestClassical:
     def test_critical_point(self):
         with pytest.raises(CriticalPoint):
             classical_pre_schwarzian(ExprFunction("z^2"), 0.0)
+        # the error names the first point where phi' vanishes
+        for op in (classical_pre_schwarzian, classical_schwarzian):
+            for z in (0.0, np.array([0.5, 0.0])):
+                with pytest.raises(CriticalPoint) as err:
+                    op(ExprFunction("z^2"), z)
+                assert type(err.value.at) is complex and err.value.at == 0j
 
 
 class TestPreSchwarzian:
@@ -355,6 +361,19 @@ class TestLemma1:
         z = 0.3
         assert abs(lemma1_schwarzian(S1, z) - schwarzian(S1, z)) < 1e-10
 
+    def test_array_of_points(self):
+        # lambda = -conj(omega(z0)) is one number per point, broadcast
+        # over the coefficients of that point
+        zs = np.array([0.1, 0.3 + 0.1j, -0.45 + 0.2j, 0.0, 0.85 + 0.2j])
+        for f in (catalog_map("K"), map_from_json(_GENERATED[0])):
+            got = lemma1_schwarzian(f, zs)
+            assert got.shape == zs.shape
+            for value, z in zip(got, zs):
+                one = lemma1_schwarzian(f, complex(z))
+                assert abs(value - one) <= 1e-13 * abs(one)
+            want = schwarzian(f, zs)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+
 
 class TestTamanoi:
     def test_analytic_equals_classical(self):
@@ -525,7 +544,10 @@ class TestTamanoiErrorContract:
         for spec in _GENERATED:
             f = map_from_json(spec)
             for z in (0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j):
-                assert abs(tamanoi_schwarzian(f, z) - schwarzian(f, z)) < 1e-6
+                s = schwarzian(f, z)
+                assert abs(tamanoi_schwarzian(f, z) - s) < 1e-6
+                assert abs(lemma1_schwarzian(f, z) - s) < 1e-10
+                assert abs(schwarzian_via_jacobian_fd(f, z) - s) < 1e-5
 
 
 class TestIdentities:
