@@ -38,10 +38,13 @@ The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
 ``F(z) = sum c_{mn} (z-z0)^m conj(z-z0)^n`` by sampling ``F`` on small
 circles: an FFT in the angle separates the frequencies ``m - n``, and a
-least-squares fit in the radius separates the orders ``m + n``.
+least-squares fit in the radius separates the orders ``m + n``.  The
+sample points and the least-squares solves depend only on the radii, the
+degree and the angle count, so each such plan is built once and cached.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -375,35 +378,47 @@ class Jet:
 # bivariate (z, conj z) coefficient extraction
 
 
-def bivariate_extract(F, degree=3, radii=(0.01, 0.02, 0.03), angles=64):
+def bivariate_extract(F, degree=3, radii=(0.01, 0.02, 0.03), angles=32):
     """Recover c_{mn} (m+n <= degree) of F(t) = sum c_{mn} t^m conj(t)^n.
 
     Returns a dict mapping every (m, n) with m + n <= degree to c_{mn}.
 
-    ``F`` is called once with a complex ndarray of sample points and must
-    return values of the same shape (ValueError otherwise).  Sampling
-    happens on ``len(radii)`` circles around 0 with ``angles`` points
-    each.  An FFT over the angle isolates each frequency m-n; a
-    least-squares solve over the radii separates the powers rho^(m+n).
-    A few powers beyond ``degree`` are kept as nuisance terms so that
-    higher-order content of F does not leak into the reported
-    coefficients.
+    ``F`` is called once with a read-only complex ndarray of sample
+    points and must return values of the same shape (ValueError
+    otherwise).  Sampling happens on ``len(radii)`` circles around 0 with
+    ``angles`` points each.  An FFT over the angle isolates each
+    frequency m-n; a least-squares solve over the radii separates the
+    powers rho^(m+n).  A few powers beyond ``degree`` are kept as
+    nuisance terms so that higher-order content of F does not leak into
+    the reported coefficients.  Only the bins |m-n| <= degree are read,
+    so the nearest alias of a kept bin is a term of total order m+n at
+    least ``angles - degree`` (29 at the default 32 angles), which the
+    small radii make negligible.
 
-    Raises IllConditioned when the (column-scaled) radial system has
-    condition number above 1e8.
+    The sample points and the solves depend only on ``(radii, degree,
+    angles)``: they are built once per key (:func:`_extraction_plan`, a
+    bounded cache filled on first use), so a call is one FFT and one
+    small matrix product per frequency.
+
+    Raises ValueError for a degree or an angle count that is not a
+    non-negative integer, for radii that are not finite and positive,
+    and for too few radii or angles; IllConditioned when the
+    (column-scaled) radial system has condition number above 1e8.
     """
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not _is_int(degree) or degree < 0:
+        raise ValueError(f"degree must be a non-negative integer, not {degree!r}")
+    if not _is_int(angles):
+        raise ValueError(f"angles must be an integer, not {angles!r}")
+    radii = tuple(float(r) for r in radii)
+    if not all(0.0 < r < math.inf for r in radii):  # False for a NaN too
+        raise ValueError("radii must be finite and positive")
     if len(radii) < math.ceil((degree + 1) / 2):
         raise ValueError(f"need at least {math.ceil((degree + 1) / 2)} radii "
                          f"for degree {degree}")
     if angles < 2 * degree + 1:
         raise ValueError(f"need at least {2 * degree + 1} angles for degree {degree}")
 
-    rho = np.asarray(radii, dtype=float)
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    pts = rho[:, None] * np.exp(1j * theta)[None, :]
+    pts, solves = _extraction_plan(radii, int(degree), int(angles))
     vals = np.asarray(F(pts), dtype=np.complex128)
     if vals.shape != pts.shape:
         raise ValueError(f"F returned shape {vals.shape} for sample points "
@@ -412,10 +427,28 @@ def bivariate_extract(F, degree=3, radii=(0.01, 0.02, 0.03), angles=64):
         raise NonFinite("non-finite sample in bivariate extraction")
 
     dft = np.fft.fft(vals, axis=1) / angles
-
     table = {}  # complete: the radii check leaves no frequency short of terms
+    for b, pinv, keys in solves:
+        table.update(zip(keys, (pinv @ dft[:, b]).tolist()))
+    return table
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+@functools.lru_cache(maxsize=32)
+def _extraction_plan(radii, degree, angles):
+    """The sample points and, per frequency k, the FFT bin, the rows of
+    the pseudo-inverse of the radial system that give the kept powers,
+    and their (m, n) keys.  A failure (IllConditioned) is not cached."""
+    rho = np.asarray(radii)
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    pts = rho[:, None] * np.exp(1j * theta)[None, :]
+    pts.flags.writeable = False  # shared by every call with this key
+
+    solves = []
     for k in range(-degree, degree + 1):
-        rhs = dft[:, k % angles]
         needed = (degree - abs(k)) // 2 + 1
         nterms = min(len(radii), needed + 2)
         exps = [abs(k) + 2 * j for j in range(nterms)]
@@ -426,11 +459,10 @@ def bivariate_extract(F, degree=3, radii=(0.01, 0.02, 0.03), angles=64):
             raise IllConditioned(
                 f"radial solve for frequency {k} exceeds condition threshold"
             )
-        sol, *_ = np.linalg.lstsq(As, rhs, rcond=None)
-        sol = sol / colscale
-        for e, c in zip(exps, sol):
-            if e <= degree:
-                m = (e + k) // 2
-                n = (e - k) // 2
-                table[(m, n)] = complex(c)
-    return table
+        pinv = np.linalg.pinv(As) / colscale[:, None]
+        kept = [j for j, e in enumerate(exps) if e <= degree]
+        keys = tuple(((exps[j] + k) // 2, (exps[j] - k) // 2) for j in kept)
+        pinv = pinv[kept]
+        pinv.flags.writeable = False
+        solves.append((k % angles, pinv, keys))
+    return pts, tuple(solves)

@@ -242,12 +242,17 @@ def tamanoi_schwarzian(f, z0):
     closed forms of h and g; dilatation form integrates the pair
     (h', omega*h') along the segments z0 -> z0 + t, never from 0, in one
     quadrature pass.
-    The samples lie on circles of radii 0.01, 0.02 and 0.03
-    (bivariate_extract's defaults), whose truncation sets the accuracy:
-    against S_f at |z0| <= 0.45 the worst error is 5.6e-8 on K and at most
-    1.3e-8 on the other catalog maps, parts and dilatation form alike,
-    and 1.3e-9 on the benchmark's generated maps at |z0| <= 0.9.  The
-    circles must stay inside the disk (|z0| < 0.97), else DomainError.
+    The 96 samples lie on circles of radii 0.01, 0.02 and 0.03 with 32
+    points each (bivariate_extract's defaults), whose radial truncation
+    sets the accuracy (64 angles give the same errors to 3 digits):
+    against S_f on a polar grid of |z0| <= 0.45 the worst error is
+    1.6e-7 on K, 5.3e-8 on K2 and below 1e-9 on L, S1 and S2, parts and
+    dilatation form alike; at |z0| = 0.9 it reaches 2.8e-2 on K, and it
+    stays below 2e-9 on the benchmark's generated maps at |z0| <= 0.9.
+    The circles must stay inside the disk (|z0| < 0.97), else
+    DomainError, and h' and omega must be analytic on the closed disk of
+    radius 0.03 around z0: nothing checks it, and a branch point inside
+    gives a wrong number with no error.
     The oracle runs under numpy's floating-point trap and, where numpy
     raises, again checked (``expr.trapped``), so its errors do not depend
     on the caller's error state.

@@ -17,6 +17,7 @@ from harmschwarz.errors import (
 )
 from harmschwarz.expr import Var, compose, eval_ast_jet, parse
 from harmschwarz.jets import (
+    _extraction_plan,
     add_coeffs,
     check_finite,
     constant_coeffs,
@@ -367,6 +368,19 @@ class TestBivariate:
         with pytest.raises(ValueError):
             bivariate_extract(lambda t: t, degree=3, angles=5)
 
+    def test_angles_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="angles must be an integer"):
+            bivariate_extract(lambda t: t, degree=3, angles=32.0)
+
+    def test_degree_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+            bivariate_extract(lambda t: t, degree=-1)
+
+    def test_radii_must_be_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="radii must be finite and positive"):
+                bivariate_extract(lambda t: t, degree=3, radii=(0.01, bad, 0.03))
+
     def test_wrong_output_shape_raises(self):
         with pytest.raises(ValueError, match="shape"):
             bivariate_extract(lambda t: t[0], degree=3)
@@ -382,4 +396,113 @@ class TestBivariate:
 
         with pytest.raises(TypeError, match="boom"):
             bivariate_extract(F, degree=3)
-        assert calls == [(3, 64)]  # one vectorised call, no pointwise rerun
+        assert calls == [(3, 32)]  # one vectorised call, no pointwise rerun
+
+
+def _lstsq_extract(F, degree, radii, angles):
+    """The reference extraction: one least-squares solve per frequency on
+    every call, with no plan."""
+    rho = np.asarray(radii)
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    dft = np.fft.fft(F(rho[:, None] * np.exp(1j * theta)[None, :]), axis=1) / angles
+    table = {}
+    for k in range(-degree, degree + 1):
+        nterms = min(len(radii), (degree - abs(k)) // 2 + 3)
+        exps = [abs(k) + 2 * j for j in range(nterms)]
+        A = rho[:, None] ** np.asarray(exps)[None, :]
+        colscale = np.linalg.norm(A, axis=0)
+        sol, *_ = np.linalg.lstsq(A / colscale, dft[:, k % angles], rcond=None)
+        for e, c in zip(exps, sol / colscale):
+            if e <= degree:
+                table[((e + k) // 2, (e - k) // 2)] = complex(c)
+    return table
+
+
+_POLY_TERMS = [(m, n) for m in range(6) for n in range(6 - m)]
+
+# Both paths read an order-3 coefficient next to an order-1 one of the same
+# frequency through the radial system, so each carries a rounding error up
+# to about 40 eps |c_10| rho^-2 (the system's condition number times the
+# ratio of the column scales): they differ by up to 6.7e-12 of the largest
+# coefficient on 4,000 random unit-sized polynomials.  Against the exact coefficients
+# the rounding of the samples themselves counts, read in an order-3
+# coefficient through rho^-3: up to 1.1e-10 of the largest coefficient.
+TOL_PLAN = 1e-11
+TOL_EXACT = 1e-9
+
+
+class TestExtractionPlan:
+    """The sample points and radial solves depend only on (radii, degree,
+    angles) and are built once per key."""
+
+    def test_built_once_per_key(self, monkeypatch):
+        _extraction_plan.cache_clear()
+        built = []
+        for name in ("pinv", "cond"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k:
+                                built.append(name) or real(*a, **k))
+        first = bivariate_extract(lambda t: t + t * np.conjugate(t), degree=3)
+        assert sorted(built) == ["cond"] * 7 + ["pinv"] * 7  # one per frequency
+        built.clear()
+        second = bivariate_extract(lambda t: t + t * np.conjugate(t), degree=3)
+        assert built == [] and second == first
+
+    def test_sample_points_are_read_only(self):
+        def F(t):
+            t[0, 0] = 0.0
+            return t
+
+        with pytest.raises(ValueError, match="read-only"):
+            bivariate_extract(F, degree=3)
+
+    def test_ill_conditioned_radii_are_never_cached(self):
+        _extraction_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(IllConditioned):
+                bivariate_extract(lambda t: t, degree=3, radii=(0.01, 0.01, 0.01))
+        info = _extraction_plan.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_cache_is_bounded(self):
+        size = _extraction_plan.cache_info().maxsize
+        assert size is not None
+        for i in range(size + 3):
+            bivariate_extract(lambda t: t, degree=1, radii=(0.01 + 1e-4 * i, 0.02))
+        assert _extraction_plan.cache_info().currsize == size
+
+    def test_import_fills_no_plan(self):
+        import os
+        import subprocess
+        import sys
+
+        import harmschwarz
+        src = os.path.dirname(os.path.dirname(harmschwarz.__file__))
+        code = ("import harmschwarz.cli, harmschwarz.jets as j; "
+                "print(j._extraction_plan.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=len(_POLY_TERMS), max_size=len(_POLY_TERMS)),
+           st.integers(0, 5))
+    def test_matches_per_call_least_squares(self, coeffs, top):
+        # a polynomial of total degree <= top <= 5 is exact for the degree-3
+        # extraction (every order it has in a kept frequency is a column)
+        terms = {mn: c for mn, c in zip(_POLY_TERMS, coeffs) if sum(mn) <= top}
+
+        def F(t):
+            return sum(c * t ** m * np.conjugate(t) ** n
+                       for (m, n), c in terms.items()) + 0 * t
+
+        scale = max(max(abs(c) for c in terms.values()), 1e-300)
+        got = bivariate_extract(F, degree=3)
+        want = _lstsq_extract(F, 3, (0.01, 0.02, 0.03), 32)
+        assert got.keys() == want.keys()
+        for mn in got:
+            assert abs(got[mn] - want[mn]) <= TOL_PLAN * scale
+            assert abs(got[mn] - terms.get(mn, 0)) <= TOL_EXACT * scale

@@ -17,6 +17,7 @@ from harmschwarz import (
     MobiusMap,
     affine_compose,
     best_harmonic_mobius,
+    bivariate_extract,
     catalog,
     catalog_map,
     cdo_schwarzian,
@@ -44,7 +45,9 @@ from harmschwarz.errors import (
     NonFinite,
     QMismatch,
     StencilOutsideDomain,
+    ToolkitError,
 )
+from harmschwarz.expr import trapped
 from harmschwarz.maps import CATALOG_NAMES
 from harmschwarz.operators import _mobius_deviation
 from conftest import disk_points
@@ -461,7 +464,7 @@ class TestTamanoiIncrements:
 
     def test_increments_invert_the_best_harmonic_mobius(self):
         # u/(h'(z0) + kappa u) is M^{-1}(f(z0 + t)) solved for t, on the
-        # 192 sample points of bivariate_extract
+        # 96 sample points of bivariate_extract and the midpoints between them
         t = (np.array([0.01, 0.02, 0.03])[:, None]
              * np.exp(2j * np.pi * np.arange(64) / 64)[None, :])
         maps = self._dilatation_maps() + [catalog_map(n) for n in _HARMONIC]
@@ -548,6 +551,69 @@ class TestTamanoiErrorContract:
                 assert abs(tamanoi_schwarzian(f, z) - s) < 1e-6
                 assert abs(lemma1_schwarzian(f, z) - s) < 1e-10
                 assert abs(schwarzian_via_jacobian_fd(f, z) - s) < 1e-5
+
+    def test_generated_maps_near_the_rim(self):
+        # the worst case reads 1.85e-9, at -0.9i on the third spec
+        for spec in _GENERATED:
+            f = map_from_json(spec)
+            for z in _RIM + (0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j):
+                assert abs(tamanoi_schwarzian(f, z) - schwarzian(f, z)) < 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="nothing checks that h' and omega are analytic "
+                              "on the sample circles")
+    def test_branch_point_inside_the_sample_circles(self):
+        # z0 = 0.5 lies on the branch cut of sqrt(z - 0.52), 0.02 away from
+        # the branch point: the oracle reads 38998.7+16697.2i (S_f = -1562.5)
+        f = map_from_json({"form": "dilatation", "h": "sqrt(z-0.52)", "omega": "0.1"})
+        with pytest.raises(ToolkitError):
+            tamanoi_schwarzian(f, 0.5)
+
+
+_RIM = tuple(0.9 * cmath.exp(2j * cmath.pi * k / 8) for k in range(8))
+
+
+def _tamanoi_with_angles(f, z0, angles):
+    """The Tamanoi oracle with ``angles`` samples per circle, run as
+    ``tamanoi_schwarzian`` runs it."""
+    def run(f, z0):
+        c = bivariate_extract(_mobius_deviation(f, z0), degree=3, angles=angles)
+        return 6.0 * (c[(3, 0)] - c[(2, 0)] ** 2)
+    return trapped(run, f.preserving(), complex(z0))
+
+
+def _worst_rim_errors(oracle):
+    """The largest |oracle - S_f| over ``_RIM``, for each harmonic catalog
+    map in parts form and in dilatation form."""
+    worst = {}
+    for name in _HARMONIC:
+        for form, f in (("parts", catalog_map(name)),
+                        ("dilatation", _catalog_dilatation_form(name))):
+            worst[name, form] = max(abs(oracle(f, z) - schwarzian(f, z)) for z in _RIM)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def rim_errors_at_64_angles():
+    return _worst_rim_errors(lambda f, z: _tamanoi_with_angles(f, z, 64))
+
+
+class TestTamanoiAngles:
+    """bivariate_extract reads only the bins |m - n| <= 3, so at 32 angles
+    the nearest alias of a kept bin has total order 29: at |z0| = 0.9 the
+    error against S_f (up to 2.8e-2 on K) is the radial truncation's, the
+    same as at 64 angles, while 16 angles moves it."""
+
+    def test_32_angles_are_as_accurate_as_64(self, rim_errors_at_64_angles):
+        got = _worst_rim_errors(tamanoi_schwarzian)
+        for key, ref in rim_errors_at_64_angles.items():
+            assert abs(got[key] - ref) <= 0.05 * ref, key
+
+    def test_16_angles_are_not(self, rim_errors_at_64_angles):
+        # the check above has teeth: every map moves by more than 5 %
+        got = _worst_rim_errors(lambda f, z: _tamanoi_with_angles(f, z, 16))
+        for key, ref in rim_errors_at_64_angles.items():
+            assert abs(got[key] - ref) > 0.05 * ref, key
 
 
 class TestIdentities:
