@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 248 ``harmschwarz`` commands in one process through
+Runs 250 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -95,6 +95,10 @@ ERRORS = (
      "--radial", "8", "--rmax", "0.5"),
     ("becker", "--h", "1/(z-0.5)", "--g", "0", "--rays", "8", "--radial", "8",
      "--rmax", "0.5"),
+    # jets that are finite with a non-finite field value: the error names
+    # the first such grid point (h' = 1e-300 at 0, and 1e-310 at 0.5)
+    ("norm", "--h", "z+1e-300", "--omega", "0", "--op", "S"),
+    ("becker", "--h", "z-0.5+1e-310", "--omega", "0", "--rmax", "0.5"),
     # an empty --q is an unparsable q, not a missing one
     ("eval", "--map", "K", "--op", "cdo", "--q", "", "--at", "0.1,0"),
     # a grid sweep that overflows names the first point where a jet slot

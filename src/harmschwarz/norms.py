@@ -5,11 +5,16 @@
     ||P_f|| = sup |P_f(z)| (1-|z|^2)      (op "P")
     ||S_f|| = sup |S_f(z)| (1-|z|^2)^2    (op "S")
 
-by a polar grid whose radii are clustered hyperbolically
-(r = tanh(t), t uniform up to atanh(rmax)), followed by a batched
-local zoom in the same (t, theta) coordinates around the best grid
-cells.  Every reported value is the weighted modulus re-evaluated at
-the reported argmax.  It is meant as a lower bound of the supremum, but
+``becker_check`` the worst Becker margin, ``omega_second_derivative_probe``
+a dilatation bound.  All three are one search (``_search``) for the
+maximum of a real field: a polar grid with hyperbolically clustered
+radii (r = tanh(t), t uniform up to atanh(rmax)), then, for the norms
+only, a batched local zoom in the same (t, theta) coordinates around
+the best grid cells.  Ties (flat ridges such as the constant weighted
+modulus of the half-plane map) go to smaller |z|, then smaller argument.
+
+Every reported norm is the weighted modulus re-evaluated at the
+reported argmax.  It is meant as a lower bound of the supremum, but
 rounding near the rim can lift it above: ``norm --op S`` reads
 1.5000000000044573 for L (supremum 1.5), 9.500000000131093 for K2 (9.5)
 and 6.000000002305662 for q2 (6).  ROADMAP item 2 (an error bound on
@@ -17,16 +22,11 @@ every reported value) addresses this.  Maxima attained only in the
 limit |z| -> 1 (e.g. the K2 example) surface as a near-boundary argmax
 with the boundary flag set.
 
-Ties (flat ridges such as the constant weighted modulus of the
-half-plane map) are broken deterministically: smaller |z| first, then
-smaller argument, independent of evaluation order.
-
-The grid sweeps (the norms, the Becker check and the omega probe)
-evaluate the grid in blocks of ``_BLOCK`` points, so their jet and
-operator temporaries take about 1 MB whatever the grid size; memory
-grows only by the grid, its values and their sort order, about 33 bytes
-per grid point.  A grid that fails to evaluate reports the first
-offending point of the first block that fails.
+The search evaluates the grid in blocks of ``_BLOCK`` points, so the
+jet and operator temporaries take about 1 MB whatever the grid size;
+memory grows only by the grid, its values and their sort order, about
+33 bytes per grid point.  An error in the sweep names in ``at`` the
+first offending point of the first block that fails.
 """
 
 import math
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonFinite, ParameterOutOfRange
 from .expr import ExprFunction
-from .maps import HarmonicMap
+from .maps import HarmonicMap, _first_point
 from .operators import (
     _one_minus_sq,
     _pre_schwarzian_from_jets,
@@ -44,7 +44,7 @@ from .operators import (
     schwarzian,
 )
 
-# relative window inside which weighted-modulus values count as tied;
+# relative window inside which field values count as tied;
 # wide enough to absorb evaluation noise on flat ridges (measured at
 # ~1e-14 relative on the catalog), far below any difference the
 # acceptance tolerances care about
@@ -136,28 +136,19 @@ def _blocked(fn, zs):
 
 
 def _weighted_modulus(f, op, zs):
-    if op == "P":
-        vals = pre_schwarzian(f, zs)
-        power = 1
-    elif op == "S":
-        vals = schwarzian(f, zs)
-        power = 2
-    else:
+    if op not in ("P", "S"):
         raise ParameterOutOfRange(f"unknown operator tag {op!r}; use 'P' or 'S'")
-    w = np.abs(vals) * _one_minus_sq(np.abs(zs)) ** power
-    if not np.all(np.isfinite(w)):
-        bad = np.asarray(zs).reshape(-1)[~np.isfinite(np.atleast_1d(w)).reshape(-1)]
-        raise NonFinite(f"non-finite weighted modulus at {bad.flat[0]}")
-    return w
+    vals = (pre_schwarzian if op == "P" else schwarzian)(f, zs)
+    return np.abs(vals) * _one_minus_sq(np.abs(zs)) ** (1 if op == "P" else 2)
 
 
-def _innermost(zs, idx):
-    """The grid indices idx with the smallest |z|: the only ones of a tie
-    set that ``_tie_break`` can pick.  np.hypot rounds exactly as the
-    abs() of ``_tie_break`` does (np.abs does not), so same-circle ties
-    stay resolved by the same ulps."""
-    r = np.hypot(zs.real[idx], zs.imag[idx])
-    return idx[r == r.min()] if idx.size else idx
+def _innermost(zs, tied):
+    """The tied grid points (a mask) with the smallest |z|, the only ones
+    ``_tie_break`` can pick, as indices.  np.hypot rounds as the abs() of
+    ``_tie_break`` does (np.abs does not), so same-circle ties stay
+    resolved by the same ulps; a flat field ties the whole grid."""
+    r = np.hypot(zs.real, zs.imag, where=tied, out=np.full(zs.size, np.inf))
+    return np.flatnonzero(tied & (r == r.min()))
 
 
 def _tie_break(candidates):
@@ -168,19 +159,17 @@ def _tie_break(candidates):
     return min(tied, key=lambda z: (abs(z), math.atan2(z.imag, z.real) % (2.0 * math.pi)))
 
 
-def _zoom(f, op, cfg, z0, w0):
-    """Batched local zoom around the seed points z0 (grid values w0).
+def _zoom(field, cfg, levels, z0, w0):
+    """Batched local zoom of field around the seed points z0 (values w0).
 
     Each seed carries a (2K+1) x (2K+1) patch in the coordinates of
     ``_grid``, (t = atanh|z|, theta), one grid cell per step at first;
-    t is clamped to atanh(rmax) and |z| to rmax (the weight is not
+    t is clamped to atanh(rmax) and |z| to rmax (the weights are not
     defined beyond it).  A level evaluates all patches in one batched
     call, moves each centre to its patch maximum on strict improvement
     and divides both steps by 3, until both steps are below
-    _ZOOM_STEP_MIN or cfg.refine_iterations levels are done.
-
-    Returns the best value and point per seed and the number of patch
-    points evaluated.
+    _ZOOM_STEP_MIN or ``levels`` levels are done.  Returns the best
+    value and point per seed and the number of patch points evaluated.
     """
     tmax = math.atanh(cfg.rmax)
     t = np.arctanh(np.abs(z0))
@@ -190,14 +179,14 @@ def _zoom(f, op, cfg, z0, w0):
     offsets = np.arange(-_ZOOM_HALF, _ZOOM_HALF + 1, dtype=float)
     rows = np.arange(z0.size)
     evals = 0
-    for _ in range(cfg.refine_iterations):
+    for _ in range(levels):
         if dt < _ZOOM_STEP_MIN and dtheta < _ZOOM_STEP_MIN:
             break
         pt = np.clip(t[:, None] + dt * offsets, -tmax, tmax)
         pa = theta[:, None] + dtheta * offsets
         radius = np.clip(np.tanh(pt), -cfg.rmax, cfg.rmax)
         zp = (radius[:, :, None] * np.exp(1j * pa)[:, None, :]).reshape(z0.size, -1)
-        wp = _weighted_modulus(f, op, zp.reshape(-1)).reshape(zp.shape)
+        wp = field(zp.reshape(-1)).reshape(zp.shape)
         evals += zp.size
         j = np.argmax(wp, axis=1)
         up = wp[rows, j] > best
@@ -211,43 +200,62 @@ def _zoom(f, op, cfg, z0, w0):
     return best, zbest, evals
 
 
+def _finite(fn, name):
+    """fn, raising NonFinite that names the field and, in ``at``, the
+    first point where a value is not finite."""
+    def field(z):
+        vals = fn(z)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            at = _first_point(z, bad)
+            exc = NonFinite(f"non-finite {name} at {at}")
+            exc.at = at
+            raise exc
+        return vals
+    return field
+
+
+def _search(field, cfg, levels):
+    """(max, canonical argmax, points evaluated) of the real field on the
+    grid of cfg, zoomed ``levels`` levels around the five best distinct
+    grid points."""
+    zs = _grid(cfg)
+    w = _blocked(field, zs)
+    evals = zs.size
+    best_val = float(w.max())
+    candidates = []
+    if levels:
+        seeds = []
+        for i in np.argsort(w)[::-1]:
+            if all(abs(zs[i] - zs[j]) > 1e-12 for j in seeds):
+                seeds.append(i)
+            if len(seeds) == 5:
+                break
+        best, zbest, patch_evals = _zoom(field, cfg, levels, zs[seeds], w[seeds])
+        evals += patch_evals
+        # keep a zoomed point only when it genuinely improves on the grid;
+        # within the tie window the grid point stands for it (keeps flat
+        # ridges and rim maxima at their canonical points)
+        window = _TIE_REL * max(abs(best_val), 1.0)
+        candidates = [(float(v), complex(z)) for v, z in zip(best, zbest)
+                      if v > best_val + window]
+        best_val = max([best_val] + [v for v, _ in candidates])
+
+    # the tied grid ridge joins the candidates, so flat maxima resolve to
+    # the canonical (smallest |z|) point
+    window = _TIE_REL * max(abs(best_val), 1.0)
+    near = _innermost(zs, w >= best_val - window)
+    candidates.extend((float(w[i]), complex(zs[i])) for i in near)
+    return best_val, _tie_break(candidates), evals
+
+
 def hyperbolic_sup(f, op, cfg=None):
     """Lower-bound estimate of the hyperbolic sup-norm of P_f or S_f."""
     cfg = cfg or SearchConfig()
-    zs = _grid(cfg)
-    w = _blocked(lambda z: _weighted_modulus(f, op, z), zs)
-    evals = zs.size
-
-    order = np.argsort(w)[::-1]
-    grid_best = float(w[order[0]])
-    window = _TIE_REL * max(abs(grid_best), 1.0)
-    candidates = [(grid_best, complex(zs[order[0]]))]
-
-    seeds = []
-    for i in order:
-        if all(abs(zs[i] - zs[j]) > 1e-12 for j in seeds):
-            seeds.append(i)
-        if len(seeds) == 5:
-            break
-    best, zbest, patch_evals = _zoom(f, op, cfg, zs[seeds], w[seeds])
-    evals += patch_evals
-    # keep a refined point only when it genuinely improves on the grid;
-    # within the tie window the grid point stands for it (keeps flat
-    # ridges and rim maxima at their canonical points)
-    candidates.extend((float(v), complex(z)) for v, z in zip(best, zbest)
-                      if v > grid_best + window)
-
-    # include the grid ridge in the tie set so flat maxima resolve to
-    # the canonical (smallest |z|) point
-    best_val = max(v for v, _ in candidates)
-    window = _TIE_REL * max(abs(best_val), 1.0)
-    near = _innermost(zs, np.nonzero(w >= best_val - window)[0])
-    candidates.extend((float(w[i]), complex(zs[i])) for i in near)
-
-    argmax = _tie_break(candidates)
-    value = float(_weighted_modulus(f, op, np.asarray(argmax)))
+    field = _finite(lambda z: _weighted_modulus(f, op, z), "weighted modulus")
+    _, argmax, evals = _search(field, cfg, cfg.refine_iterations)
     return NormReport(
-        value=value,
+        value=float(field(np.asarray(argmax))),
         argmax=argmax,
         boundary_flag=abs(argmax) > 0.99 * cfg.rmax,
         samples_evaluated=evals,
@@ -268,16 +276,10 @@ def becker_check(f, cfg=None):
     between grid points.  ROADMAP item 11 (interval bounds) addresses this.
     """
     cfg = cfg or SearchConfig()
-    zs = _grid(cfg)
-    lhs = _blocked(lambda z: becker_lhs(f, z), zs)
-    if not np.all(np.isfinite(lhs)):
-        raise NonFinite("non-finite Becker quantity on the grid")
-    margin = 1.0 - lhs
-    worst = float(margin.min())
-    window = _TIE_REL * max(abs(worst), 1.0)
-    tied = [(float(-margin[i]), complex(zs[i]))
-            for i in _innermost(zs, np.nonzero(margin <= worst + window)[0])]
-    witness = _tie_break(tied)
+    # the maximum of the negated margin; its tie window scales with |margin|
+    neg_worst, witness, _ = _search(
+        _finite(lambda z: -(1.0 - becker_lhs(f, z)), "Becker quantity"), cfg, 0)
+    worst = -neg_worst
     return BeckerReport(holds=worst >= 0.0, worst_margin=worst, witness=witness)
 
 
@@ -306,21 +308,19 @@ def finite_norm_compare(f, cfg=None):
 
 
 def omega_second_derivative_probe(f, cfg=None):
-    """max over the grid of |w'' w| (1-|z|^2)^2 / (1-|w|^2).
+    """(max, argmax) over the grid of ``_omega_probe``.
 
     Finite for every analytic self-map of the disk; reported so callers
-    can observe the bound (its sharp constant is not known).
+    can observe the bound (its sharp constant is not known).  Raises
+    DomainError where f is not locally univalent, as the norms do.
     """
-    cfg = cfg or SearchConfig()
-    zs = _grid(cfg)
-    rep = f.preserving()
+    field = _finite(lambda z: _omega_probe(f, z), "omega probe")
+    return _search(field, cfg or SearchConfig(), 0)[:2]
 
-    def probe(z):
-        wj = rep.omega.jet(z, 2)
-        w, wpp = wj.coeffs[0], 2.0 * wj.coeffs[2]
-        return (np.abs(wpp * w) * _one_minus_sq(np.abs(z)) ** 2
-                / _one_minus_sq(np.abs(w)))
 
-    vals = _blocked(probe, zs)
-    i = int(np.argmax(vals))
-    return float(vals[i]), complex(zs[i])
+def _omega_probe(f, z):
+    """|w'' w| (1-|z|^2)^2 / (1-|w|^2) for the dilatation w of f at z."""
+    _, wj = f.derivative_data(z, order_h=0, order_w=2)
+    w, wpp = wj.coeffs[0], 2.0 * wj.coeffs[2]
+    return (np.abs(wpp * w) * _one_minus_sq(np.abs(z)) ** 2
+            / _one_minus_sq(np.abs(w)))

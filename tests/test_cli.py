@@ -388,6 +388,8 @@ def test_snapshot_commands_keep_the_exit_code_contract():
         err = json.loads(rec["stderr"])
         assert err["code"] == rec["exit"], argv
         assert set(err) <= {"code", "message", "at"}, argv
+        # a message that names a point carries it in "at"
+        assert " at " not in err["message"] or "at" in err, argv
 
 
 def _single_error(code, out, err, want_code):
@@ -496,6 +498,19 @@ class TestNonFiniteNumbers:
         # overflow is reported as the slot-by-slot checked run reports it
         rec = _single_error(*run_cli(capsys, *argv), 4)
         assert rec["message"] == "non-finite jet coefficient"
+        assert rec["at"] == at
+
+    @pytest.mark.parametrize("argv, message, at", [
+        (("norm", "--h", "z+1e-300", "--omega", "0", "--op", "S"),
+         "non-finite weighted modulus at 0j", "0.0,0.0"),
+        (("becker", "--h", "z-0.5+1e-310", "--omega", "0", "--rmax", "0.5"),
+         "non-finite Becker quantity at (0.5+0j)", "0.5,0.0"),
+    ], ids=["norm", "becker"])
+    def test_non_finite_grid_value_names_its_point(self, capsys, argv, message, at):
+        # the jets are finite, the field value is not: h' is 1e-300 at 0
+        # and 1e-310 at 0.5, on the outer circle of the grid of radius 0.5
+        rec = _single_error(*run_cli(capsys, *argv), 4)
+        assert rec["message"] == message
         assert rec["at"] == at
 
 

@@ -250,6 +250,22 @@ class TestTieSet:
         assert len(tied) >= cfg.rays
         assert becker_check(f, cfg).witness == norms._tie_break(tied)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_probe_ridge(self, k):
+        # omega = 0.5 z^k: the probe is radial, so its grid circles tie
+        f = HarmonicMap.from_dilatation(ExprFunction("1"),
+                                        ExprFunction(f"0.5*z^{k}"))
+        cfg = SearchConfig()
+        zs = norms._grid(cfg)
+        w = norms._blocked(lambda z: norms._omega_probe(f, z), zs)
+        window = norms._TIE_REL * max(w.max(), 1.0)
+        tied = [(float(w[i]), complex(zs[i]))
+                for i in np.nonzero(w >= w.max() - window)[0]]
+        assert len(tied) >= cfg.rays
+        value, argmax = omega_second_derivative_probe(f, cfg)
+        assert value == w.max()
+        assert argmax == norms._tie_break(tied)
+
 
 class TestBecker:
     def test_affine_holds_with_margin_one(self):
@@ -373,7 +389,8 @@ class TestBlockedSweep:
         K = catalog("K")
         for call in (lambda: hyperbolic_sup(K, "S", cfg),
                      lambda: hyperbolic_sup(K, "P", cfg),
-                     lambda: becker_check(K, cfg)):
+                     lambda: becker_check(K, cfg),
+                     lambda: omega_second_derivative_probe(K, cfg)):
             tracemalloc.start()
             try:
                 call()
@@ -390,3 +407,13 @@ class TestOmegaProbe:
             value, argmax = omega_second_derivative_probe(catalog(name), cfg)
             assert np.isfinite(value)
             assert abs(argmax) < 1.0
+
+    @pytest.mark.parametrize("omega, radius", [("1", 0.0), ("2*z", 0.5)])
+    def test_not_sense_preserving_is_a_domain_error(self, omega, radius):
+        # |omega| >= 1 on |z| >= radius: the probe checks univalence as
+        # the norms and the Becker check do, naming the first grid point
+        f = HarmonicMap.from_dilatation(ExprFunction("1"), ExprFunction(omega))
+        with pytest.raises(DomainError) as info:
+            omega_second_derivative_probe(f)
+        zs = norms._grid(SearchConfig())
+        assert info.value.at == zs[np.abs(zs) >= radius][0]
