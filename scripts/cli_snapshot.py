@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 250 ``harmschwarz`` commands in one process through
+Runs 256 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -117,6 +117,21 @@ ERRORS = (
     ("eval", "--h", "1e999*z", "--g", "0", "--op", "pre", "--at", "0.1,0"),
     ("eval", "--h", "z^-400", "--g", "0", "--op", "pre", "--at", "0.01,0"),
     ("eval", "--h", "exp(1000*z)", "--omega", "0", "--op", "pre", "--at", "0.9,0"),
+    # a jet division by zero or a branch point in the tape of q names its
+    # point; with 0.1 first, q^2 = 100 does not match omega = 0.1 there
+    ("eval", "--map", "K", "--op", "cdo", "--q", "1/z", "--at", "0.1,0",
+     "--at", "0,0"),
+    ("eval", "--map", "K", "--op", "cdo", "--q", "1/z", "--at", "0,0"),
+    ("eval", "--map", "K", "--op", "cdo", "--q", "sqrt(z)", "--at", "0,0"),
+    # the quotient omega = g'/h' overflows in the jet division, outside any
+    # tape: the sweep runs again with numpy's flags ignored (expr.trapped)
+    ("norm", "--h", "1e-300*z", "--g", "1e10*z^2", "--op", "S", "--rays", "8",
+     "--radial", "8"),
+    # h' vanishes with an explicit omega (a quotient omega fails first)
+    ("eval", "--h", "z", "--omega", "0", "--op", "pre", "--at", "0.1,0",
+     "--at", "0,0"),
+    ("norm", "--h", "z-0.5", "--omega", "0", "--op", "S", "--rays", "8",
+     "--radial", "8", "--rmax", "0.5"),
 )
 
 # a sum or a product of any length is one AST node; an error inside one

@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit_error(code, message, at=None):
     record = {"code": code, "message": str(message)}
     if at is not None:
-        record["at"] = at
+        record["at"] = f"{complex(at).real},{complex(at).imag}"
     print(json.dumps(record), file=sys.stderr)
     return code
 
@@ -174,9 +174,7 @@ def _cmd_eval(args):
             val = _EVAL_OPS[args.op](f, z)
         if not cmath.isfinite(val):
             # finite jets can still overflow in an op, as |h'|^2 in jac
-            exc = NonFinite(f"non-finite {args.op} value at {z}")
-            exc.at = z
-            raise exc
+            raise NonFinite(f"non-finite {args.op} value at {z}", at=z)
         records.append({"z": _jsonpair(z), "op": args.op,
                         "value": _jsonpair(val)})
     if args.format == "csv":
@@ -464,9 +462,7 @@ def main(argv=None):
         return _emit_error(EXIT_USAGE, "out of memory: use a smaller grid "
                            "(--rays, --radial, --circles)")
     except ToolkitError as exc:
-        at = getattr(exc, "at", None)
-        at_text = f"{complex(at).real},{complex(at).imag}" if at is not None else None
-        return _emit_error(exc.exit_code, exc, at=at_text)
+        return _emit_error(exc.exit_code, exc, at=exc.at)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all harmschwarz modules.
 
 Every failure mode has its own class so callers can discriminate
-without string matching.  Errors that refer to a point in the plane
-carry it in ``at``; parser errors carry a byte ``offset`` into the
-source text.
+without string matching.  Every error takes ``at``, the point in the
+plane where it happens, which is None when there is no point (the CLI
+writes it in the error record); parser errors also carry a byte
+``offset`` into the source text.
 
 Each class declares the CLI exit code it maps to in ``exit_code``:
 1 usage (bad parameter or catalog name), 2 expression parse error,
@@ -15,6 +16,10 @@ subclass that declares nothing exits 4).
 class ToolkitError(Exception):
     """Base class for all harmschwarz errors."""
     exit_code = 4
+
+    def __init__(self, message, at=None):
+        super().__init__(message)
+        self.at = at
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +81,7 @@ class DomainError(ToolkitError):
     exit_code = 3
 
     def __init__(self, message, at=None):
-        super().__init__(message if at is None else f"{message} at {at}")
-        self.at = at
+        super().__init__(message if at is None else f"{message} at {at}", at)
 
 
 class ParameterOutOfRange(ToolkitError):

@@ -76,6 +76,7 @@ from .jets import (
     derivative_coeffs,
     div_coeffs,
     exp_coeffs,
+    first_point,
     log_coeffs,
     mul_coeffs,
     neg_coeffs,
@@ -568,12 +569,13 @@ def _run_tape(tape, z0):
     coefficients, then the centre (NonFinite names the first point where
     a coefficient is not finite).  A division by a zero constant term or a
     branch point at the centre names its AST path in ``ast_path`` and in
-    the message.  At one point (``one_point``) the slots are lists of
-    Python complex numbers, and a slot whose sum is finite at a finite
-    centre needs no further check.  On an array under numpy's trap
-    (``_traps``), with a finite centre and finite constants, no slot is
-    checked: each is finite, or numpy raises FloatingPointError where the
-    first one would not be, and the tape runs again checked.  A checked
+    the message, and its first point in ``at``.  At one point
+    (``one_point``) the slots are lists of Python complex numbers, and a
+    slot whose sum is finite at a finite centre needs no further check.
+    On an array under numpy's trap (``_traps``), with a finite centre and
+    finite constants, no slot is checked: each is finite, or numpy raises
+    FloatingPointError where the first one would not be, and the tape
+    runs again checked.  A checked
     run ignores numpy's flags (at one point only a tape that calls exp,
     log or sqrt can raise one).
     """
@@ -638,6 +640,7 @@ def _execute(tape, z0, point, shape, check):
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.ast_path = _ast_path(where)
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        exc.at = first_point(z0, exc.mask)
         raise
     out = pop()
     if shape is None:

@@ -20,15 +20,15 @@ arithmetic.  Each recurrence is written once, over either sequence, and
 both give the same bits.
 
 Every Jet checks, when it is built, that its coefficients and then its
-centre are finite (NonFinite otherwise, naming in ``at`` the first point
-with a non-finite coefficient); :func:`check_finite` is that check, and
-a caller of a recurrence runs it on the result, so an overflow raises
-where it happens.  The tape checks each slot the same way: at one
-point by the finiteness of the slot's sum first (one test, exact, since
-no sum with a non-finite term is finite) and coefficient by coefficient
-only when that fails.  On an array it skips the checks while numpy
-raises on overflow, invalid operations and division by zero: then no
-operation on finite operands returns a non-finite result, so checking
+centre are finite (NonFinite otherwise, naming in ``at`` the
+:func:`first_point` with a non-finite coefficient); :func:`check_finite`
+is that check, and a caller of a recurrence runs it on the result, so an
+overflow raises where it happens.  The tape checks each slot the same
+way: at one point by the finiteness of the slot's sum first (one test,
+exact, since no sum with a non-finite term is finite) and coefficient by
+coefficient only when that fails.  On an array it skips the checks while
+numpy raises on overflow, invalid operations and division by zero: then
+no operation on finite operands returns a non-finite result, so checking
 the inputs once is enough (``pow_coeffs`` and ``log_coeffs`` skip the
 checks of their intermediates when called with ``check=False``).  Moved
 to the operator boundary without that trap, a check would let ``1/inf``
@@ -106,12 +106,17 @@ def check_finite(coeffs, center):
     else:
         finite = np.isfinite(coeffs).all()
     if not finite:
-        bad = ~np.isfinite(coeffs).all(axis=0)
-        exc = NonFinite("non-finite jet coefficient")
-        exc.at = complex(np.broadcast_to(center, bad.shape)[bad][0])
-        raise exc
+        raise NonFinite("non-finite jet coefficient",
+                        at=first_point(center, ~np.isfinite(coeffs).all(axis=0)))
     if not center_is_finite(center):
         raise NonFinite("non-finite jet center")
+
+
+def first_point(z, mask):
+    """The first point (in C order) of ``z``, broadcast to the shape of
+    ``mask``, where ``mask`` holds: the ``at`` of an error; at one point,
+    that point."""
+    return complex(np.broadcast_to(z, np.shape(mask))[mask][0])
 
 
 def center_is_finite(center):
@@ -239,10 +244,8 @@ def pow_coeffs(a, exponent, center, *, check=True):
         # base^n underflows to 0 where the base does not: 1/base^n overflows
         lost = (power[0] == 0) & (a[0] != 0)
         if _any(lost):
-            at = complex(np.broadcast_to(center, np.shape(lost))[lost][0])
-            exc = NonFinite(f"jet power {exponent} overflows at {at}")
-            exc.at = at  # the point, as a DomainError carries it
-            raise exc
+            at = first_point(center, lost)
+            raise NonFinite(f"jet power {exponent} overflows at {at}", at=at)
         return div_coeffs(constant_coeffs(1.0, len(a) - 1, _points_shape(a)), power)
     if exponent == 0:
         return constant_coeffs(1.0, len(a) - 1, _points_shape(a))

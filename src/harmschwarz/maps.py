@@ -47,7 +47,7 @@ from .expr import (
     compose,
     trapped,
 )
-from .jets import Jet, div_coeffs, one_point
+from .jets import Jet, div_coeffs, first_point, one_point
 from .quadrature import DEFAULT_TOL, integrate_segments
 
 PRESERVING = "preserving"
@@ -255,7 +255,7 @@ class HarmonicMap:
         coefficients.  That is exact, bit for bit, because every jet
         recurrence is causal (coefficient k reads only coefficients <= k).
         A jet division by zero or a branch point at the centre raises
-        DomainError naming the first point where it happens.
+        DomainError naming, in ``at``, the point that the error names.
         """
         try:
             if not self._omega_is_quotient:
@@ -273,9 +273,7 @@ class HarmonicMap:
                 raise
             wj = _jet_quotient(self.gp.jet(z, order_w), hpj)
         except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
-            mask = exc.mask if np.shape(exc.mask) == np.shape(z) else None
-            raise DomainError(f"derivative data unavailable: {exc}",
-                              at=_first_point(z, mask)) from exc
+            raise DomainError(f"derivative data unavailable: {exc}", at=exc.at) from exc
         return Jet._checked(hpj.center, hpj.coeffs[:order_h + 1]), wj
 
     def derivative_data(self, z, order_h=2, order_w=2):
@@ -291,31 +289,26 @@ class HarmonicMap:
         # ``.any()`` of a numpy bool, scalar or array, as np.any reads it
         bad = hpj.value == 0
         if bad.any():
-            raise DomainError("h' vanishes", at=_first_point(z, bad))
+            raise DomainError("h' vanishes", at=first_point(z, bad))
         bad = abs(wj.value) >= 1.0
         if bad.any():
             raise DomainError("|omega| >= 1 (map not sense-preserving)",
-                              at=_first_point(z, bad))
+                              at=first_point(z, bad))
         return hpj, wj
 
 
 def _jet_quotient(num, den):
     """The jet num/den, for jets of one centre with den at least num's
     order: the recurrence of jet division, on Python complex numbers at
-    one point."""
+    one point.  A zero divisor names its first point in ``at``."""
     a, b = num.coeffs, den.coeffs[:len(num.coeffs)]
     if a.ndim == 1:
         a, b = a.tolist(), b.tolist()
-    return Jet(num.center, div_coeffs(a, b))
-
-
-def _first_point(z, mask=None):
-    arr = np.asarray(z)
-    if arr.ndim == 0:
-        return complex(arr)
-    if mask is None:
-        return complex(arr.reshape(-1)[0])
-    return complex(arr[mask].reshape(-1)[0])
+    try:
+        return Jet(num.center, div_coeffs(a, b))
+    except DivisionByZeroConstantTerm as exc:
+        exc.at = first_point(num.center, exc.mask)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +523,7 @@ def evaluate(f, z, tol=DEFAULT_TOL):
     must stay inside the unit disk.  A point (of an array, the first)
     outside the open disk raises DomainError.
     """
-    bad = np.abs(z) >= 1
-    if np.any(bad):
-        raise DomainError("evaluation point outside the open unit disk",
-                          at=_first_point(z, bad))
+    _require_in_disk(z)
 
     def part_value(part):
         if isinstance(part, AntiderivativeFunction):
@@ -541,6 +531,15 @@ def evaluate(f, z, tol=DEFAULT_TOL):
         return part.value(z)
 
     return part_value(f.h) + np.conjugate(part_value(f.g))
+
+
+def _require_in_disk(z):
+    """Raise DomainError naming the first point of ``z`` (a point or an
+    array) outside the open unit disk."""
+    bad = np.abs(z) >= 1
+    if np.any(bad):
+        raise DomainError("evaluation point outside the open unit disk",
+                          at=first_point(z, bad))
 
 
 def _increments(f, z0, t):
@@ -553,12 +552,9 @@ def _increments(f, z0, t):
     z0 + t, must lie in the open disk, else DomainError as ``evaluate``
     names it.
     """
+    _require_in_disk(z0)
     z = z0 + t
-    for pts in (z0, z):
-        bad = np.abs(pts) >= 1
-        if np.any(bad):
-            raise DomainError("evaluation point outside the open unit disk",
-                              at=_first_point(pts, bad))
+    _require_in_disk(z)
     if f.form == "parts":
         h0, g0 = f.h.value(z0), f.g.value(z0)
         dh = f.h.value(z) - h0
@@ -581,7 +577,7 @@ def _harmonic_germ(f, z0):
     hp = complex(hpj.value)
     hpp = complex(hpj.coeffs[1])  # h'' (first coefficient of the h' jet)
     if hp == 0:
-        raise DegenerateJet("best harmonic Moebius needs h'(z0) != 0")
+        raise DegenerateJet("best harmonic Moebius needs h'(z0) != 0", at=z0)
     if abs(complex(wj.value)) >= 1:
         raise DomainError("map not sense-preserving", at=z0)
     return complex(np.conjugate(wj.value)), hp, hpp / (2.0 * hp)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import NonFinite, ParameterOutOfRange
 from .expr import ExprFunction
-from .maps import HarmonicMap, _first_point
+from .jets import first_point
+from .maps import HarmonicMap
 from .operators import (
     _one_minus_sq,
     _pre_schwarzian_from_jets,
@@ -207,10 +208,8 @@ def _finite(fn, name):
         vals = fn(z)
         bad = ~np.isfinite(vals)
         if bad.any():
-            at = _first_point(z, bad)
-            exc = NonFinite(f"non-finite {name} at {at}")
-            exc.at = at
-            raise exc
+            at = first_point(z, bad)
+            raise NonFinite(f"non-finite {name} at {at}", at=at)
         return vals
     return field
 

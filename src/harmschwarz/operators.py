@@ -40,10 +40,11 @@ from .jets import (
     bivariate_extract,
     check_finite,
     derivative_coeffs,
+    first_point,
     mul_coeffs,
     sqrt_coeffs,
 )
-from .maps import PRESERVING, _first_point, _harmonic_germ, _increments
+from .maps import PRESERVING, _harmonic_germ, _increments
 
 _FD_STEP = 1e-3
 
@@ -69,9 +70,8 @@ def _require_noncritical(z, d1):
     (``d1``) vanishes."""
     zero = d1 == 0
     if np.any(zero):
-        exc = CriticalPoint("phi' vanishes at the evaluation point")
-        exc.at = _first_point(z, zero)
-        raise exc
+        raise CriticalPoint("phi' vanishes at the evaluation point",
+                            at=first_point(z, zero))
 
 
 def _schwarzian_from_derivative_jet(u):
@@ -133,17 +133,15 @@ def cdo_schwarzian(f, z, q=None):
         scale = np.maximum(np.abs(wj.coeffs).max(axis=0), 1.0)
         bad = (np.abs(sq - wj.coeffs) > 1e-8 * scale).any(axis=0)
         if bad.any():
-            exc = QMismatch("q^2 does not match the dilatation at z")
-            exc.at = _first_point(z, bad)
-            raise exc
+            raise QMismatch("q^2 does not match the dilatation at z",
+                            at=first_point(z, bad))
     elif np.all(np.abs(wj.coeffs) == 0):
         qc = wj.coeffs  # analytic map: q identically 0, correction terms vanish
     else:
         zero = wj.coeffs[0] == 0  # the branch point of sqrt(omega)
         if zero.any():
-            exc = DilatationZeroNeedsQ("omega(z) = 0: supply q with q^2 = omega")
-            exc.at = _first_point(z, zero)
-            raise exc
+            raise DilatationZeroNeedsQ("omega(z) = 0: supply q with q^2 = omega",
+                                       at=first_point(z, zero))
         qc = sqrt_coeffs(wj.coeffs)
         check_finite(qc, z)
 
@@ -196,8 +194,8 @@ def schwarzian_via_jacobian_fd(f, z):
     offsets = np.arange(-2, 3)
     pts = z + _FD_STEP * (offsets[:, None] + 1j * offsets[None, :])
     if np.any(np.abs(pts) >= 1.0):
-        raise StencilOutsideDomain(
-            f"stencil of half-width {2 * _FD_STEP} leaves the unit disk at {z}")
+        raise StencilOutsideDomain(f"stencil of half-width {2 * _FD_STEP} "
+                                   f"leaves the unit disk at {z}", at=z)
     J = jacobian(f, pts)
     if np.any(J <= 0):
         raise DomainError("log J_f undefined: Jacobian not positive", at=z)

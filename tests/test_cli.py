@@ -92,6 +92,20 @@ class TestEval:
         assert code == 3 and out == ""
         assert json.loads(err) == {"code": 3, "message": message, "at": at}
 
+    @pytest.mark.parametrize("argv, message, at", [
+        # q^2 = 100 does not match omega = 0.1 at the first point
+        (("--q", "1/z", "--at", "0.1,0", "--at", "0,0"),
+         "q^2 does not match the dilatation at z", "0.1,0.0"),
+        (("--q", "1/z", "--at", "0,0"),
+         "jet division by zero constant term [ast /div]", "0.0,0.0"),
+        (("--q", "sqrt(z)", "--at", "0,0"),
+         "sqrt of jet with zero constant term [ast /sqrt]", "0.0,0.0"),
+    ], ids=["mismatch-first", "division", "branch-point"])
+    def test_tape_errors_of_q_name_their_point(self, capsys, argv, message, at):
+        code, out, err = run_cli(capsys, "eval", "--map", "K", "--op", "cdo", *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"code": 3, "message": message, "at": at}
+
     def test_cdo_errors_name_the_first_point_of_a_batch(self):
         from harmschwarz.errors import DilatationZeroNeedsQ, QMismatch
         from harmschwarz.operators import cdo_schwarzian
@@ -119,6 +133,18 @@ class TestExitCodes:
                                "--op", "pre", "--at", "0,0")
         assert code == 3
         assert json.loads(err)["at"] == "0.0,0.0"
+
+    @pytest.mark.parametrize("argv, message, at", [
+        (("eval", "--h", "z", "--omega", "0", "--op", "pre", "--at", "0.1,0",
+          "--at", "0,0"), "h' vanishes at 0j", "0.0,0.0"),
+        (("norm", "--h", "z-0.5", "--omega", "0", "--op", "S", "--rays", "8",
+          "--radial", "8", "--rmax", "0.5"), "h' vanishes at (0.5+0j)", "0.5,0.0"),
+    ], ids=["eval", "norm"])
+    def test_vanishing_h_prime_names_its_point(self, capsys, argv, message, at):
+        # an explicit omega: with a quotient omega = g'/h' the division fails first
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"code": 3, "message": message, "at": at}
 
     def test_point_outside_disk_is_3(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--map", "K", "--op", "schw",
@@ -388,8 +414,10 @@ def test_snapshot_commands_keep_the_exit_code_contract():
         err = json.loads(rec["stderr"])
         assert err["code"] == rec["exit"], argv
         assert set(err) <= {"code", "message", "at"}, argv
-        # a message that names a point carries it in "at"
+        # a message that names a point carries it in "at", and so does
+        # every domain error of the set
         assert " at " not in err["message"] or "at" in err, argv
+        assert err["code"] != 3 or "at" in err, argv
 
 
 def _single_error(code, out, err, want_code):
@@ -499,6 +527,14 @@ class TestNonFiniteNumbers:
         rec = _single_error(*run_cli(capsys, *argv), 4)
         assert rec["message"] == "non-finite jet coefficient"
         assert rec["at"] == at
+
+    def test_quotient_overflow_names_its_point(self, capsys):
+        # omega = g'/h' overflows in the jet division, outside any tape
+        rec = _single_error(*run_cli(capsys, "norm", "--h", "1e-300*z", "--g",
+                                     "1e10*z^2", "--op", "S", "--rays", "8",
+                                     "--radial", "8"), 4)
+        assert rec == {"code": 4, "message": "non-finite jet coefficient",
+                       "at": "0.0,0.0"}
 
     @pytest.mark.parametrize("argv, message, at", [
         (("norm", "--h", "z+1e-300", "--omega", "0", "--op", "S"),

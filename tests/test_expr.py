@@ -54,6 +54,7 @@ from harmschwarz.jets import (
     derivative_coeffs,
     div_coeffs,
     exp_coeffs,
+    first_point,
     log_coeffs,
     mul_coeffs,
     neg_coeffs,
@@ -396,6 +397,7 @@ def _reference_jet(node, z0, order):
         return Jet._checked(z0, _reference_eval(node, z0, order))
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        exc.at = first_point(z0, exc.mask)
         raise
 
 
@@ -643,6 +645,7 @@ def _numpy_run_tape(tape, z0):
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.ast_path = _ast_path(where)
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
+        exc.at = first_point(z0, exc.mask)
         raise
     return Jet._checked(z0, pop())
 
@@ -682,12 +685,12 @@ class TestOnePointMatchesNumpy:
         # a negative power whose base underflows
         ("z^-400", 0.01, (NonFinite, "jet power -400 overflows at (0.01+0j)", None, 0.01)),
         ("z+z^-320", 0.1, (NonFinite, "non-finite jet coefficient", None, 0.1)),
-        # a branch point at the centre
-        ("2*sqrt(z)", 0, (BranchPointAtCenter, "sqrt of jet with zero constant term [ast /mul/sqrt]", "/mul/sqrt", None)),
-        ("log(z-0.5)", 0.5, (BranchPointAtCenter, "log of jet with zero constant term [ast /log]", "/log", None)),
-        # a division by a zero constant term
-        ("1+1/z", 0.0, (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /add/div]", "/add/div", None)),
-        ("exp(1+z+z^-1)", np.array(0j), (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /exp/add/pow]", "/exp/add/pow", None)),
+        # a branch point at the centre, which names its point
+        ("2*sqrt(z)", 0, (BranchPointAtCenter, "sqrt of jet with zero constant term [ast /mul/sqrt]", "/mul/sqrt", 0j)),
+        ("log(z-0.5)", 0.5, (BranchPointAtCenter, "log of jet with zero constant term [ast /log]", "/log", 0.5)),
+        # a division by a zero constant term, which names its point
+        ("1+1/z", 0.0, (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /add/div]", "/add/div", 0j)),
+        ("exp(1+z+z^-1)", np.array(0j), (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /exp/add/pow]", "/exp/add/pow", 0j)),
         # a non-finite constant
         ("1e999*z", 0.1, (NonFinite, "non-finite jet coefficient", None, 0.1)),
         # a non-finite centre: its coefficient, or the centre itself

@@ -30,6 +30,7 @@ from harmschwarz import (
     shear,
 )
 from harmschwarz.errors import (
+    DegenerateJet,
     DivisionByZeroConstantTerm,
     DomainError,
     NonFinite,
@@ -421,6 +422,13 @@ class TestBestHarmonicMobius:
         assert abs(M.alpha - alpha) < 1e-13
         for t in (0.03, 0.02j):
             assert abs(M(t) - f.value(z0 + t)) < 1e-12
+
+    def test_vanishing_h_prime_names_its_point(self):
+        f = HarmonicMap.from_dilatation(ExprFunction("z"), ExprFunction("0"))
+        with pytest.raises(DegenerateJet) as err:
+            best_harmonic_mobius(f, 0)
+        assert str(err.value) == "best harmonic Moebius needs h'(z0) != 0"
+        assert err.value.at == 0
 
     def test_koebe_at_origin(self):
         # alpha = 0 and T(t) = t/(1 - (5/2) t) since h''(0) = 5

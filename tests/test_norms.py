@@ -28,7 +28,7 @@ from harmschwarz import (
     schwarzian,
 )
 from harmschwarz import norms
-from harmschwarz.errors import DomainError, ParameterOutOfRange
+from harmschwarz.errors import DomainError, NonFinite, ParameterOutOfRange
 from harmschwarz.maps import CATALOG_NAMES
 
 
@@ -54,6 +54,27 @@ class TestHyperbolicSup:
         for z in 0.95 * (rng.random(100) + 1j * rng.random(100) - 0.5 - 0.5j):
             w = abs(schwarzian(L, complex(z))) * (1 - abs(z) ** 2) ** 2
             assert abs(w - 1.5) <= 1e-9
+
+    @pytest.mark.parametrize("state", ["default", "raise", "ignore"])
+    def test_quotient_overflow_reruns_with_flags_ignored(self, monkeypatch, state):
+        # omega = g'/h' = 2e310*z overflows in the jet division, outside
+        # any tape: numpy raises under the trap and the sweep runs again
+        # with every flag ignored (expr.trapped), whatever the caller's state
+        f = HarmonicMap.from_parts(ExprFunction("1e-300*z"), ExprFunction("1e10*z^2"))
+        seen = []
+        evaluate = HarmonicMap._evaluate_hp_omega
+
+        def spy(self, *args):
+            seen.append(np.geterr()["over"])
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(HarmonicMap, "_evaluate_hp_omega", spy)
+        cfg = SearchConfig(rays=8, radial_samples=8)
+        with np.errstate(**({} if state == "default" else {"all": state})):
+            with pytest.raises(NonFinite, match="^non-finite jet coefficient$") as err:
+                hyperbolic_sup(f, "S", cfg)
+        assert err.value.at == 0
+        assert seen[-2:] == ["raise", "ignore"]
 
     def test_strip_interior_max(self):
         rep = hyperbolic_sup(catalog("S2"), "S")

@@ -341,8 +341,11 @@ class TestJacobianFdOracle:
         assert abs(schwarzian_via_jacobian_fd(f, 0.2 - 0.3j)) < 1e-9
 
     def test_stencil_domain_check(self):
-        with pytest.raises(StencilOutsideDomain):
-            schwarzian_via_jacobian_fd(catalog("K"), 0.9995)
+        with pytest.raises(StencilOutsideDomain) as err:
+            schwarzian_via_jacobian_fd(catalog_map("K"), 0.9995)
+        assert str(err.value) == ("stencil of half-width 0.002 leaves the "
+                                  "unit disk at (0.9995+0j)")
+        assert err.value.at == 0.9995
 
 
 class TestLemma1:
