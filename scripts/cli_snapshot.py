@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 256 ``harmschwarz`` commands in one process through
+Runs 258 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -206,6 +206,15 @@ DERIVED = tuple(
          f"--at={POINTS[1]}", f"--at={POINTS[2]}"),
         ("norm", "--h", hp, "--omega", omega, "--op", "S")))
 
+# the h' of two failing parts-form maps of ERRORS, spelled d(h) as the h'
+# of a dilatation-form map: the derived h' is that tree, so each error
+# names the same path, under "/d"
+TWINS = (
+    ("eval", "--h", "d(log(z))", "--omega", "0", "--op", "pre", "--at", "0,0"),
+    ("norm", "--h", "d(1/(z-0.5))", "--omega", "0", "--op", "S", "--rays", "8",
+     "--radial", "8", "--rmax", "0.5"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -268,7 +277,7 @@ def commands():
         out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
         out.append(("becker", "--h", hp, "--omega", omega))
     return [list(argv) for argv in
-            out + list(OVERFLOWS) + list(TAPE) + list(DERIVED)]
+            out + list(OVERFLOWS) + list(TAPE) + list(DERIVED) + list(TWINS)]
 
 
 def run(argv, main):

@@ -346,10 +346,6 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
-    return _build_parsers()[0]
-
-
 def _build_parsers():
     """The top-level parser, and the parser of each command by name."""
     parser = _Parser(prog="harmschwarz",

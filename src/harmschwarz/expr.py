@@ -27,11 +27,12 @@ or numpy number, or a 0-d array), with the same bits either way.
 Running a tape builds no Jet per node and recurses nowhere, so an AST of
 any depth evaluates.  A sum or a product is one node, evaluated left to
 right.  d(u) through order n is the jet of u through order n + 1,
-differentiated, and so is ``ExprFunction.derivative``: the same tape
-with a derivative instruction appended.  Integer-constant exponents of
-any size are evaluated by repeated squaring (exact, and valid at zeros of
-the base); all other powers go through exp(e*log(base)) on the principal
-branch.
+differentiated: u's tape one order higher with a derivative instruction
+appended.  ``ExprFunction.derivative`` is d(f) on f's own tree, so an
+error in f' names its path below "/d", as the text "d(f)" does.
+Integer-constant exponents of any size are evaluated by repeated
+squaring (exact, and valid at zeros of the base); all other powers go
+through exp(e*log(base)) on the principal branch.
 
 The tape checks every slot it fills for finiteness, as a Jet is checked
 when built (``jets.check_finite``): an overflow raises NonFinite at the
@@ -92,8 +93,10 @@ from .jets import (
 
 
 class _Node:
-    """Equality, hashing and repr of the AST node classes, on an explicit
-    stack, so an AST of any depth compares, hashes and prints.
+    """Equality, hashing and repr of the AST node classes.  Equality and
+    hashing read one walk, ``_tokens``, and ``repr`` prints ``to_text``:
+    each keeps an explicit stack, so an AST of any depth compares, hashes
+    and prints.
 
     Equality is that of the dataclasses it replaces: nodes of one class
     with equal fields (a field compared as in a tuple: identity, then
@@ -105,44 +108,31 @@ class _Node:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            names = _FIELDS.get(type(a))
-            if names is not None:
-                if type(b) is not type(a):
-                    return False
-                todo += [(getattr(a, f), getattr(b, f)) for f in names]
-            elif type(a) is tuple and type(b) is tuple:
-                if len(a) != len(b):
-                    return False
-                todo += zip(a, b)
-            elif not a == b:
-                return False
-        return True
+        return all(a is b or a == b for a, b in zip(_tokens(self), _tokens(other)))
 
     def __hash__(self):
-        # equal trees give equal token sequences: classes, tuple lengths
-        # and leaf values in pre-order
-        tokens = []
-        todo = [self]
-        while todo:
-            item = todo.pop()
-            names = _FIELDS.get(type(item))
-            if names is not None:
-                tokens.append(type(item).__name__)
-                todo += [getattr(item, f) for f in reversed(names)]
-            elif type(item) is tuple:
-                tokens.append(len(item))
-                todo += reversed(item)
-            else:
-                tokens.append(item)
-        return hash(tuple(tokens))
+        return hash(tuple(_tokens(self)))
 
     def __repr__(self):
         return f"{type(self).__name__}<{to_text(self)}>"
+
+
+def _tokens(node):
+    """The tree in pre-order: the class of each node, the length of each
+    tuple and each leaf value.  The tokens before any position fix what
+    the next one is, so two trees are equal when their tokens are."""
+    todo = [node]
+    while todo:
+        item = todo.pop()
+        names = _FIELDS.get(type(item))
+        if names is not None:
+            yield type(item)
+            todo += [getattr(item, f) for f in reversed(names)]
+        elif type(item) is tuple:
+            yield len(item)
+            todo += reversed(item)
+        else:
+            yield item
 
 
 _node = dataclass(frozen=True, eq=False, repr=False)
@@ -648,10 +638,6 @@ def _execute(tape, z0, point, shape, check):
     return Jet._checked(z0, out)
 
 
-def eval_ast_jet(node, z0, order):
-    return _run_tape(_compile_tape(node, order), z0)
-
-
 # ---------------------------------------------------------------------------
 # analytic function objects
 
@@ -688,43 +674,18 @@ class ExprFunction(AnalyticFunction):
         return to_text(self.ast)
 
     def jet(self, z, order):
-        return _run_tape(self._tape(order), z)
-
-    def _tape(self, order):
         tape = self._tapes.get(order)
         if tape is None:
             tape = self._tapes[order] = _compile_tape(self.ast, order)
-        return tape
+        return _run_tape(tape, z)
 
     def derivative(self):
-        return _TapeDerivative(self)
+        """f' as the expression d(f): f's tape one order higher, then a
+        derivative instruction (see ``_compile_tape``)."""
+        return ExprFunction(Call("d", self.ast))
 
     def __repr__(self):
         return f"ExprFunction({self.source!r})"
-
-
-class _TapeDerivative(AnalyticFunction):
-    """f' of an ExprFunction f, on a tape: f's tape one order higher, then
-    a derivative instruction.
-
-    The jets are ``derivative_coeffs`` of ``f.jet(z, n + 1)``, bit for
-    bit, and an error names the AST path in f that the tape of f names (not
-    the path below a ``d`` node); in a tree it is ``d(f)``.  It has no
-    text of its own, so ``maps.map_to_json`` writes f, not f'.
-    """
-
-    def __init__(self, f):
-        self.f = f
-        self.ast = Call("d", f.ast)
-        self._tapes = {}  # jet order -> tape
-
-    def jet(self, z, order):
-        tape = self._tapes.get(order)
-        if tape is None:
-            inner = self.f._tape(order + 1)
-            tape = self._tapes[order] = inner._replace(
-                instrs=inner.instrs + ((_D, None, None),))
-        return _run_tape(tape, z)
 
 
 def eval_jet(f, z0, order=DEFAULT_ORDER):
@@ -733,7 +694,7 @@ def eval_jet(f, z0, order=DEFAULT_ORDER):
     The default order 4 carries every derivative the Schwarzian
     machinery needs (h''' and omega'', with one order to spare).
     """
-    if isinstance(f, AnalyticFunction):
-        return f.jet(z0, order)
-    return eval_ast_jet(f, z0, order)
+    if not isinstance(f, AnalyticFunction):
+        f = ExprFunction(f)
+    return f.jet(z0, order)
 

@@ -607,7 +607,8 @@ def map_to_json(f):
     """Serializable dict {label, form, h, g|omega, sense}.
 
     Parts form carries the text of h and g, and of h' (``hp``) and omega
-    where the map has a tree of its own for h' or an explicit omega.
+    where h' is a tree of its own (not d(h) on h's own tree, as
+    ``h.derivative()`` builds it) or omega is explicit.
     Dilatation form (h an antiderivative) carries the text of h' in the
     ``h`` field (h of a general shear has no closed form) plus omega;
     ValueError unless h(0) = g(0) = 0.  A sense-reversing map writes the
@@ -616,7 +617,8 @@ def map_to_json(f):
     rep = f.preserving()
     if f.form == "parts":
         fields = {"h": f.h, "g": f.g}
-        if isinstance(rep.hp, ExprFunction):
+        hp = rep.hp.ast
+        if not (type(hp) is Call and hp.fn == "d" and hp.arg is rep.h.ast):
             fields["hp"] = rep.hp
         if "hp" in fields or not rep._omega_is_quotient:
             fields["omega"] = rep.omega

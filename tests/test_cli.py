@@ -1,6 +1,5 @@
 """CLI contract: commands, output schemas, exit codes, determinism."""
 
-import argparse
 import importlib.util
 import json
 import math
@@ -22,7 +21,7 @@ from harmschwarz import (
     norms,
     shear,
 )
-from harmschwarz.cli import _VALUE_FLAGS, build_parser, main
+from harmschwarz.cli import _VALUE_FLAGS, _build_parsers, main
 from harmschwarz.maps import CATALOG_NAMES, HarmonicMap
 
 
@@ -121,6 +120,13 @@ class TestEval:
 
 
 class TestExitCodes:
+    def test_missing_command_is_1(self, capsys):
+        # the top-level parser reads an argv whose first token names no command
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "code": 1, "message": "the following arguments are required: command"}
+
     def test_parse_error_is_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--h", "z^(1/2", "--g", "0",
                                "--op", "pre", "--at", "0,0")
@@ -619,12 +625,13 @@ def test_error_classes_declare_the_exit_codes():
 
 
 def test_value_flags_are_every_option_that_takes_a_value():
-    # main() joins these flags with a following value that starts with '-'
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    flags = {opt for p in commands.choices.values() for a in p._actions
-             if a.nargs != 0 for opt in a.option_strings if opt.startswith("--")}
-    assert flags == set(_VALUE_FLAGS)
+    # main() joins these flags with a following value that starts with '-';
+    # the list is kept by hand, so it must equal the option strings of
+    # every action, of any parser built, that takes one value
+    parser, commands = _build_parsers()
+    flags = {opt for p in (parser, *commands.values()) for a in p._actions
+             if a.nargs is None for opt in a.option_strings}
+    assert sorted(_VALUE_FLAGS) == sorted(flags)
 
 
 class TestDeepExpressions:

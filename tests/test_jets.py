@@ -15,7 +15,7 @@ from harmschwarz.errors import (
     IllConditioned,
     NonFinite,
 )
-from harmschwarz.expr import Var, compose, eval_ast_jet, parse
+from harmschwarz.expr import Var, compose, eval_jet, parse
 from harmschwarz.jets import (
     _extraction_plan,
     add_coeffs,
@@ -248,13 +248,13 @@ class TestCompose:
     # jets of a composition: the inner tree substituted for z
     def test_square_after_shift(self):
         composed = compose(parse("z^2"), parse("1+z"))
-        assert_coeffs(eval_ast_jet(composed, 0.0, 4).coeffs, [1, 2, 1, 0, 0])
+        assert_coeffs(eval_jet(composed, 0.0, 4).coeffs, [1, 2, 1, 0, 0])
 
     def test_identity_outer(self):
         inner = parse("0.5+2*z-z^2+0.25*z^3")
         for z in (0.0, 0.3 - 0.2j, np.array([0.1, -0.5j])):
-            assert (eval_ast_jet(compose(Var(), inner), z, 3).coeffs.tobytes()
-                    == eval_ast_jet(inner, z, 3).coeffs.tobytes())
+            assert (eval_jet(compose(Var(), inner), z, 3).coeffs.tobytes()
+                    == eval_jet(inner, z, 3).coeffs.tobytes())
 
     def test_koebe_of_half_z(self):
         # k(z/2) = sum n (z/2)^n; oracle: direct series expansion
@@ -386,6 +386,10 @@ class TestBivariate:
             bivariate_extract(lambda t: t[0], degree=3)
         with pytest.raises(ValueError, match="shape"):
             bivariate_extract(lambda t: 1.0, degree=3)
+
+    def test_non_finite_samples_raise(self):
+        with pytest.raises(NonFinite, match="bivariate extraction"):
+            bivariate_extract(lambda t: np.full_like(t, np.nan), degree=3)
 
     def test_errors_inside_f_propagate(self):
         calls = []

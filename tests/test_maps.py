@@ -140,7 +140,9 @@ class TestShear:
             shear(catalog("k"), ExprFunction("z"), theta)
 
     def test_functions_without_source_rejected(self):
-        textless = catalog("k").derivative()  # d/dz h has no text of its own
+        # the h of a dilatation-form map is an antiderivative, with no text
+        textless = HarmonicMap.from_dilatation(ExprFunction("1"), ExprFunction("0")).h
+        assert isinstance(textless, AntiderivativeFunction)
         with pytest.raises(ParameterOutOfRange, match="source"):
             shear(textless, ExprFunction("z"), 0.0)
         with pytest.raises(ParameterOutOfRange, match="source"):
@@ -151,6 +153,10 @@ class TestAffine:
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             AffineMap(1.0, 1.0, 0.0)
+
+    def test_call_evaluates(self):
+        # a*w + b*conj(w) + c
+        assert AffineMap(1, 0.5, 2)(0.3 + 0.1j) == (0.3 + 0.1j) + 0.5 * (0.3 - 0.1j) + 2
 
     def test_identity(self, rng):
         f = catalog("K")
@@ -332,6 +338,23 @@ class TestPartner:
         with pytest.raises(ParameterOutOfRange):
             partner_map(f, 0.0, 1.0, 0.0)
 
+    def test_reversing_map_rejected(self):
+        with pytest.raises(DomainError, match="sense-preserving"):
+            partner_map(conjugate(catalog("K")), 0.0, 1.0, 1.0)
+
+
+class TestParameterOutOfRange:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MobiusMap(1, 2, 2, 4), "ad - bc = 0"),
+        (lambda: HarmonicMobius(MobiusMap(1, 0, 0, 1), 1.0), r"\|alpha\| < 1"),
+        (lambda: disk_automorphism(1.0), r"\|a\| < 1"),
+        (lambda: HarmonicMap(ExprFunction("z"), ExprFunction("0"), ExprFunction("1"),
+                             ExprFunction("0"), None, "sideways"), "sense flag"),
+    ], ids=["MobiusMap", "HarmonicMobius", "disk_automorphism", "sense"])
+    def test_rejected(self, build, message):
+        with pytest.raises(ParameterOutOfRange, match=message):
+            build()
+
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -430,6 +453,13 @@ class TestBestHarmonicMobius:
         assert str(err.value) == "best harmonic Moebius needs h'(z0) != 0"
         assert err.value.at == 0
 
+    def test_reversing_dilatation_names_its_point(self):
+        f = map_from_json({"form": "dilatation", "h": "1", "omega": "2"})
+        with pytest.raises(DomainError) as err:
+            best_harmonic_mobius(f, 0.1)
+        assert str(err.value) == "map not sense-preserving at 0.1"
+        assert err.value.at == 0.1
+
     def test_koebe_at_origin(self):
         # alpha = 0 and T(t) = t/(1 - (5/2) t) since h''(0) = 5
         M = best_harmonic_mobius(catalog("K"), 0.0)
@@ -458,6 +488,10 @@ class TestBestHarmonicMobius:
 
 
 class TestSerialization:
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="unknown map form 'polar'"):
+            map_from_json({"form": "polar", "h": "z", "g": "0"})
+
     def test_parts_roundtrip(self):
         f = catalog("K")
         d = map_to_json(f)
@@ -591,20 +625,38 @@ class TestDerivedHPrime:
         assert (f.hp.jet(z, 2).coeffs.tobytes()
                 == derivative_coeffs(f.h.jet(z, 3).coeffs).tobytes())
 
+    def test_only_the_derivative_of_h_itself_is_left_out(self):
+        # a reversing map writes the h' of its conjugate, derived from the
+        # conjugate's h; a precomposed h' is composed apart from its h,
+        # so it is a tree of its own and is written
+        f = map_from_json({"form": "parts", "h": "0.1*z^2", "g": "z/(1-z)^2",
+                           "sense": REVERSING})
+        assert "hp" not in map_to_json(f)
+        f = map_from_json({"form": "parts", "h": "z/(1-z)^2", "g": "0.1*z^2"})
+        F = precompose(f, disk_automorphism(0.2))
+        assert map_to_json(F)["hp"] == F.hp.source
+        assert (map_from_json(map_to_json(F)).hp.jet(0.3, 2).coeffs.tobytes()
+                == F.hp.jet(0.3, 2).coeffs.tobytes())
+
     def test_errors_name_the_path_in_h(self):
-        f = map_from_json({"form": "parts", "h": "log(z)", "g": "0"})
-        with pytest.raises(DomainError) as err:
-            pre_schwarzian(f, 0.0)
-        assert str(err.value) == ("derivative data unavailable: log of jet with "
-                                  "zero constant term [ast /log] at 0j")
+        # the derived h' is d(h), so its path is that of the text d(log(z))
+        # given as h' of a dilatation-form map
+        want = ("derivative data unavailable: log of jet with "
+                "zero constant term [ast /d/log] at 0j")
+        for d in ({"form": "parts", "h": "log(z)", "g": "0"},
+                  {"form": "dilatation", "h": "d(log(z))", "omega": "0"}):
+            with pytest.raises(DomainError) as err:
+                pre_schwarzian(map_from_json(d), 0.0)
+            assert str(err.value) == want
 
 
 class TestDerivativeData:
     @pytest.mark.parametrize("sense", [PRESERVING, REVERSING])
     @pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (2, 3)])
     def test_quotient_omega_evaluates_each_part_once(self, sense, orders, monkeypatch):
-        # h' and g' are tapes of their own (h and g one order higher, then
-        # a derivative instruction), and omega = g'/h' divides their jets:
+        # h' and g' are d(h) and d(g), tapes of their own (h and g one order
+        # higher, then a derivative instruction), and omega = g'/h' divides
+        # their jets:
         # one call runs the tape of h' once and the tape of g' once
         import harmschwarz.expr as expr_module
 
@@ -618,7 +670,7 @@ class TestDerivativeData:
         else:  # served by its conjugate h + conj(g), whose omega is g'/h'
             f = HarmonicMap.from_parts(g, h, sense=REVERSING)
         p = f.preserving()
-        assert (p.hp.f, p.gp.f) == (h, g)
+        assert p.hp.ast.arg is h.ast and p.gp.ast.arg is g.ast
         for z in (0.3 + 0.1j, np.array([0.3 + 0.1j, -0.2 + 0.5j])):
             runs.clear()
             f.derivative_data(z, *orders)

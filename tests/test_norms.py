@@ -46,6 +46,10 @@ class TestSearchConfig:
 
 
 class TestHyperbolicSup:
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ParameterOutOfRange, match="unknown operator tag 'Q'"):
+            hyperbolic_sup(catalog("K"), "Q")
+
     def test_half_plane_constant_modulus(self, rng):
         L = catalog("L")
         rep = hyperbolic_sup(L, "S")

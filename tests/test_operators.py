@@ -340,6 +340,14 @@ class TestJacobianFdOracle:
         f = HarmonicMap.from_parts(ExprFunction("z"), ExprFunction("0.5*z"))
         assert abs(schwarzian_via_jacobian_fd(f, 0.2 - 0.3j)) < 1e-9
 
+    def test_vanishing_jacobian_names_its_point(self):
+        # h' = z and omega = 0: J_f = |z|^2 is 1e-6 at the centre, and 0 at
+        # the stencil point that lands on the origin
+        f = map_from_json({"form": "dilatation", "h": "z", "omega": "0"})
+        with pytest.raises(DomainError, match="log J_f undefined") as err:
+            schwarzian_via_jacobian_fd(f, 0.001)
+        assert err.value.at == 0.001
+
     def test_stencil_domain_check(self):
         with pytest.raises(StencilOutsideDomain) as err:
             schwarzian_via_jacobian_fd(catalog_map("K"), 0.9995)
