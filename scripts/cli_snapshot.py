@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 258 ``harmschwarz`` commands in one process through
+Runs 263 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -216,6 +216,21 @@ TWINS = (
 )
 
 
+# each command registers only the flags it reads: becker has no zoom
+# flags, --q belongs to --op cdo, and a value that starts with '-' joins
+# its flag unless it is one of the command's own flags (--rays is not an
+# eval flag, so it is the expression of --h); --no-refine is
+# --refine-iterations 0
+FLAGS = (
+    ("becker", "--map", "K", "--rays", "16", "--radial", "8", "--no-refine"),
+    ("becker", "--map", "K", "--rays", "16", "--radial", "8",
+     "--refine-iterations", "5"),
+    ("eval", "--map", "K", "--op", "pre", "--q", "z", "--at", "0.3,0.1"),
+    ("eval", "--h", "--rays", "--g", "0", "--op", "pre", "--at", "0,0"),
+    ("norm", "--map", "K", "--op", "S", "--refine-iterations", "0"),
+)
+
+
 def commands():
     """The fixed command set, in output order."""
     out = [("catalog",)] + [("catalog", name) for name in CATALOG]
@@ -277,7 +292,8 @@ def commands():
         out.append(("norm", "--h", hp, "--omega", omega, "--op", "S"))
         out.append(("becker", "--h", hp, "--omega", omega))
     return [list(argv) for argv in
-            out + list(OVERFLOWS) + list(TAPE) + list(DERIVED) + list(TWINS)]
+            out + list(OVERFLOWS) + list(TAPE) + list(DERIVED) + list(TWINS)
+            + list(FLAGS)]
 
 
 def run(argv, main):

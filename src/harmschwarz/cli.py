@@ -24,6 +24,12 @@ The dilatation-form convention matches the JSON interchange emitted by
 ``shear``, which serializes ``maps.shear``: a sheared map's analytic
 part has no closed form, so its derivative phi'/(1 - e^{2i theta} omega)
 is what travels.
+
+Each command registers only the flags it reads: the grid flags --rays,
+--radial and --rmax for norm and becker, the zoom flags for norm only
+(--no-refine is --refine-iterations 0; the last one given wins), --q for
+eval --op cdo only.  A flag's value may start with '-' after a space
+(--omega -z) unless it is itself one of the command's flags.
 """
 
 import argparse
@@ -61,8 +67,8 @@ from .operators import (
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 4
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ToolkitError):
+    exit_code = EXIT_USAGE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,22 +123,16 @@ def _add_map_flags(p):
     p.add_argument("--omega", help="dilatation omega (dilatation form)")
 
 
-def _add_search_flags(p):
+def _add_grid_flags(p):
     p.add_argument("--rays", type=int, default=256)
     p.add_argument("--radial", type=int, default=128,
                    help="radial samples of the polar grid")
     p.add_argument("--rmax", type=float, default=1.0 - 1e-6)
-    p.add_argument("--no-refine", action="store_true",
-                   help="skip the local zoom around the best grid cells")
-    p.add_argument("--refine-iterations", type=int, default=60,
-                   help="cap on the number of zoom levels")
 
 
-def _search_config(args):
+def _search_config(args, **zoom):
     return SearchConfig(rays=args.rays, radial_samples=args.radial,
-                        rmax=args.rmax,
-                        refine_iterations=0 if args.no_refine
-                        else args.refine_iterations)
+                        rmax=args.rmax, **zoom)
 
 
 def _jsonpair(v):
@@ -162,6 +162,8 @@ _EVAL_OPS = {
 
 def _cmd_eval(args):
     f = _load_map(args)
+    if args.q is not None and args.op != "cdo":
+        raise _UsageError("--q applies to --op cdo only")
     q = ex.ExprFunction(args.q) if args.q is not None else None
     points = [_parse_point(t) for t in args.at]
     records = []
@@ -190,7 +192,8 @@ def _cmd_eval(args):
 
 def _cmd_norm(args):
     f = _load_map(args)
-    report = hyperbolic_sup(f, args.op, _search_config(args))
+    cfg = _search_config(args, refine_iterations=args.refine_iterations)
+    report = hyperbolic_sup(f, args.op, cfg)
     print(json.dumps(report.to_json()))
     return EXIT_OK
 
@@ -328,14 +331,8 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    if args.suite == "all":
-        details = []
-        for fn in _SUITES.values():
-            details.extend(fn())
-    elif args.suite in _SUITES:
-        details = _SUITES[args.suite]()
-    else:
-        raise _UsageError(f"unknown suite {args.suite!r}")
+    suites = _SUITES.values() if args.suite == "all" else [_SUITES[args.suite]]
+    details = [d for fn in suites for d in fn()]
     passed = sum(1 for d in details if d["passed"])
     failed = len(details) - passed
     print(json.dumps({"suite": args.suite, "passed": passed,
@@ -368,12 +365,18 @@ def _build_parsers():
     p = sub.add_parser("norm", help="hyperbolic sup-norm estimate")
     _add_map_flags(p)
     p.add_argument("--op", required=True, choices=("P", "S"))
-    _add_search_flags(p)
+    _add_grid_flags(p)
+    # one dest: the last of the two flags wins
+    p.add_argument("--refine-iterations", type=int, default=60,
+                   help="cap on the number of zoom levels")
+    p.add_argument("--no-refine", action="store_const", const=0,
+                   dest="refine_iterations",
+                   help="skip the local zoom (--refine-iterations 0)")
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("becker", help="Becker-type univalence check")
     _add_map_flags(p)
-    _add_search_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(fn=_cmd_becker)
 
     p = sub.add_parser("shear", help="shear construction, emitted as map JSON")
@@ -390,33 +393,26 @@ def _build_parsers():
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("suite", help="oracles | invariance | norms | becker | all")
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.set_defaults(fn=_cmd_verify)
 
     return parser, sub.choices
 
 
-# every flag that takes a value: a new one must be listed here too
-_VALUE_FLAGS = ("--map", "--h", "--g", "--omega", "--phi", "--q", "--op",
-                "--at", "--format", "--rays", "--radial", "--rmax",
-                "--refine-iterations", "--theta", "--circles")
-
-
-def _merge_dash_expressions(argv):
-    """Join a value flag with a value that starts with '-' (``--omega -z``,
-    ``--at -0.3,0.1``), which argparse would otherwise read as an option."""
+def _join_dash_values(p, args):
+    """Join each of parser ``p``'s flags that takes one value with a value
+    that starts with '-' (``--omega -z``, ``--at -0.3,0.1``), which
+    argparse would otherwise read as an option, unless that value is
+    itself one of ``p``'s flags."""
+    options = p._option_string_actions
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt.startswith("-") and nxt not in (*_VALUE_FLAGS, "--no-refine"):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in args:
+        action = options.get(out[-1]) if out else None
+        if (action is not None and action.nargs is None
+                and tok.startswith("-") and tok not in options):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -427,31 +423,24 @@ _parsers = functools.cache(_build_parsers)
 
 def _parse_args(argv):
     """The namespace of ``argv``.  When its first token names a command,
-    that command's parser reads the rest: the top-level parser would only
-    hand them on, after classifying each one as an option or not (its
-    errors are those of the command's parser, as ``_Parser.error`` raises
-    the bare message)."""
+    that command's parser reads the rest, joined by ``_join_dash_values``:
+    the top-level parser would only hand them on, after classifying each
+    one as an option or not (its errors are those of the command's
+    parser, as ``_Parser.error`` raises the bare message)."""
     parser, commands = _parsers()
     if argv and argv[0] in commands:
-        return commands[argv[0]].parse_args(argv[1:])
+        p = commands[argv[0]]
+        return p.parse_args(_join_dash_values(p, argv[1:]))
     return parser.parse_args(argv)
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_dash_expressions(list(argv))
     try:
-        args = _parse_args(argv)
-    except _UsageError as exc:
-        return _emit_error(EXIT_USAGE, exc)
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         # the jets raise NonFinite on overflow, so numpy's warnings would
         # only put extra lines before the one JSON error record
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except _UsageError as exc:
-        return _emit_error(EXIT_USAGE, exc)
     except MemoryError:
         # a grid too large to hold (norm, becker and render build theirs
         # in one array)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonFinite, ParameterOutOfRange
 from .expr import ExprFunction
-from .jets import first_point
+from .jets import _is_int, first_point
 from .maps import HarmonicMap
 from .operators import (
     _one_minus_sq,
@@ -72,6 +72,10 @@ class SearchConfig:
     refine_iterations: int = 60
 
     def __post_init__(self):
+        for name, n in (("rays", self.rays), ("radial samples", self.radial_samples),
+                        ("refine iterations", self.refine_iterations)):
+            if not _is_int(n):
+                raise ParameterOutOfRange(f"{name} must be an integer, not {n!r}")
         if self.rays < 8:
             raise ParameterOutOfRange("rays must be >= 8")
         if self.radial_samples < 8:

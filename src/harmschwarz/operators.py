@@ -7,8 +7,13 @@ closed formulas:
     P_f = h''/h' - conj(w) w' / (1 - |w|^2)
     S_f = Sh + conj(w)/(1-|w|^2) * ((h''/h') w' - w'') - 3/2 (w' conj(w)/(1-|w|^2))^2
 
-with w the dilatation.  1 - |w|^2 is always computed as
-(1 - |w|)(1 + |w|) to limit cancellation near the boundary.
+with w the dilatation.  These formulas, the Jacobian,
+``dbar_pre_schwarzian`` and ``mixed_laplacian_schwarzian`` compute
+1 - |w|^2 as (1 - |w|)(1 + |w|) (``_one_minus_sq``) to limit
+cancellation near the boundary.  Three
+places compute 1 - |alpha|^2, with alpha = conj(w(z0)), directly:
+``_mobius_deviation`` (the Tamanoi oracle), ``maps.best_harmonic_mobius``
+and ``maps.HarmonicMobius.invert``.
 
 Three independent oracles cross-validate S_f:
 

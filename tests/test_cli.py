@@ -21,7 +21,7 @@ from harmschwarz import (
     norms,
     shear,
 )
-from harmschwarz.cli import _VALUE_FLAGS, _build_parsers, main
+from harmschwarz.cli import _UsageError, _build_parsers, _parse_args, main
 from harmschwarz.maps import CATALOG_NAMES, HarmonicMap
 
 
@@ -387,8 +387,8 @@ class TestCatalogAndVerify:
             assert got == want and want[0] == 0
 
     def test_unknown_suite_exit_1(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "nonsense")
-        assert code == 1
+        rec = _single_error(*run_cli(capsys, "verify", "nonsense"), 1)
+        assert rec["message"].startswith("argument suite: invalid choice: 'nonsense'")
 
     def test_becker_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "becker")
@@ -624,14 +624,66 @@ def test_error_classes_declare_the_exit_codes():
     assert declared == _EXIT_CODES
 
 
-def test_value_flags_are_every_option_that_takes_a_value():
-    # main() joins these flags with a following value that starts with '-';
-    # the list is kept by hand, so it must equal the option strings of
-    # every action, of any parser built, that takes one value
-    parser, commands = _build_parsers()
-    flags = {opt for p in (parser, *commands.values()) for a in p._actions
-             if a.nargs is None for opt in a.option_strings}
-    assert sorted(_VALUE_FLAGS) == sorted(flags)
+_COMMANDS = _build_parsers()[1]
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag) for cmd, p in _COMMANDS.items() for a in p._actions
+    if a.nargs is None for flag in a.option_strings])
+def test_value_flag_joins_a_value_that_starts_with_dash(cmd, flag):
+    # the parser may reject the value itself or miss a required flag, but
+    # never reads "-x" as an option
+    try:
+        _parse_args([cmd, flag, "-x"])
+    except _UsageError as exc:
+        assert "expected one argument" not in str(exc)
+    # a following flag of the same command stays a flag
+    for other in set(_COMMANDS[cmd]._option_string_actions) - {flag}:
+        with pytest.raises(_UsageError, match=f"argument {flag}: expected one argument"):
+            _parse_args([cmd, flag, other])
+
+
+@pytest.mark.parametrize("flags", [("--no-refine",), ("--refine-iterations", "5")],
+                         ids=["no-refine", "refine-iterations"])
+def test_becker_rejects_the_zoom_flags(capsys, flags):
+    # becker searches the grid only, so it has no zoom to configure
+    rec = _single_error(*run_cli(capsys, "becker", "--map", "K", "--rays", "16",
+                                 "--radial", "8", *flags), 1)
+    assert rec["message"] == f"unrecognized arguments: {' '.join(flags)}"
+
+
+@pytest.mark.parametrize("op", ["pre", "schw", "jac", "dbarpre", "lap"])
+def test_q_with_an_op_other_than_cdo_is_usage_error(capsys, op):
+    # the text of q is never parsed, so an unparsable one exits 1 too
+    for q in ("z", "1/"):
+        rec = _single_error(*run_cli(capsys, "eval", "--map", "K", "--op", op,
+                                     "--q", q, "--at", "0.3,0.1"), 1)
+        assert rec["message"] == "--q applies to --op cdo only"
+
+
+def test_no_refine_is_refine_iterations_0(capsys):
+    argv = ("norm", "--map", "K", "--op", "S")
+    want = run_cli(capsys, *argv, "--refine-iterations", "0")
+    assert want[0] == 0
+    assert run_cli(capsys, *argv, "--no-refine") == want
+    # one destination: the last of the two flags wins
+    assert run_cli(capsys, *argv, "--refine-iterations", "5", "--no-refine") == want
+    assert run_cli(capsys, *argv, "--no-refine", "--refine-iterations", "5") == \
+        run_cli(capsys, *argv, "--refine-iterations", "5")
+
+
+def test_benchmark_commands_parse():
+    # bench/workloads.py builds the benchmark's CLI commands; a flag they
+    # use that the CLI stops accepting fails here rather than in a run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for build in workloads.BUILDERS.values():
+        for cmd in build(1):
+            args = _parse_args(cmd.argv)
+            assert args.fn is _COMMANDS[cmd.argv[0]].get_default("fn"), cmd.argv
 
 
 class TestDeepExpressions:

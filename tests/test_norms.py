@@ -43,6 +43,18 @@ class TestSearchConfig:
         with pytest.raises(ParameterOutOfRange):
             SearchConfig(refine_iterations=-3)
         SearchConfig(refine_iterations=0)
+        SearchConfig(np.int64(8), np.int32(8), refine_iterations=np.int64(0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rays", 8.5), ("rays", 16.0), ("rays", True), ("radial_samples", 8.5),
+        ("radial_samples", "16"), ("refine_iterations", 2.5),
+        ("refine_iterations", False),
+    ])
+    def test_counts_are_integers(self, field, value):
+        # a float rays would sweep angles that do not close the circle, and
+        # a float refine_iterations would fail in range() as a TypeError
+        with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+            SearchConfig(**{field: value})
 
 
 class TestHyperbolicSup:
