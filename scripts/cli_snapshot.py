@@ -1,6 +1,6 @@
 """Byte snapshot of the CLI over a fixed command set.
 
-Runs 263 ``harmschwarz`` commands in one process through
+Runs 268 ``harmschwarz`` commands in one process through
 ``harmschwarz.cli.main`` and writes one JSON line per command:
 ``{"argv", "exit", "stdout", "stderr"}``.  The set covers every command,
 every map style, the catalog, the error paths and their exit codes.
@@ -230,6 +230,21 @@ FLAGS = (
     ("norm", "--map", "K", "--op", "S", "--refine-iterations", "0"),
 )
 
+# h' overflows only in its order-3 jet, and g' is finite: lap runs h'
+# through order 2, then g', then h' through order 3, which fails; schw
+# reads order 2 only
+JET_ORDER = tuple(
+    ("eval", "--h", "exp(1000*z)", "--g", "0.1*z^2", "--op", op, "--at", "0.688,0")
+    for op in ("lap", "schw"))
+
+# flags are spelled in full: a prefix of a value flag, before a value
+# and before a value that starts with '-', and of a store_const flag
+ABBREVIATIONS = (
+    ("eval", "--map", "K", "--op", "pre", "--a", "0.3,0.1", "--form", "csv"),
+    ("eval", "--map", "K", "--op", "pre", "--a", "-0.3,0.1"),
+    ("norm", "--map", "K", "--op", "S", "--no"),
+)
+
 
 def commands():
     """The fixed command set, in output order."""
@@ -293,7 +308,7 @@ def commands():
         out.append(("becker", "--h", hp, "--omega", omega))
     return [list(argv) for argv in
             out + list(OVERFLOWS) + list(TAPE) + list(DERIVED) + list(TWINS)
-            + list(FLAGS)]
+            + list(FLAGS) + list(JET_ORDER) + list(ABBREVIATIONS)]
 
 
 def run(argv, main):

@@ -72,6 +72,10 @@ class _UsageError(ToolkitError):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled in full (the command parsers are of this class too)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

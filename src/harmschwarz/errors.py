@@ -77,7 +77,7 @@ class UnknownCatalogName(ToolkitError):
 
 
 class DomainError(ToolkitError):
-    """Map is not sense-preserving / evaluable at the given point."""
+    """Map not locally univalent (h' = 0, |omega| >= 1) or not evaluable."""
     exit_code = 3
 
     def __init__(self, message, at=None):
@@ -87,11 +87,6 @@ class DomainError(ToolkitError):
 class ParameterOutOfRange(ToolkitError):
     """Group/affine parameter violates its constraint."""
     exit_code = 1
-
-
-class DegenerateJet(ToolkitError):
-    """Best-Moebius construction with h'(z0) = 0."""
-    exit_code = 3
 
 
 class CriticalPoint(ToolkitError):

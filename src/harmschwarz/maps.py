@@ -30,11 +30,9 @@ import numpy as np
 
 from .errors import (
     BranchPointAtCenter,
-    DegenerateJet,
     DivisionByZeroConstantTerm,
     DomainError,
     ParameterOutOfRange,
-    ToolkitError,
     UnknownCatalogName,
 )
 from .expr import (
@@ -179,8 +177,8 @@ class HarmonicMap:
     conjugate, and omega*h' is 0*inf where h' vanishes.
 
     ``omega=None`` makes omega the quotient g'/h' (``from_parts``
-    without an omega, every ``conjugate``); then the jets of h' and omega
-    come from one evaluation of h': see ``derivative_data``.
+    without an omega, every ``conjugate``); then the jet of omega divides
+    by the jet of h': see ``derivative_data``.
     """
 
     def __init__(self, h, g, hp, gp, omega, sense, label=""):
@@ -250,36 +248,30 @@ class HarmonicMap:
     def _evaluate_hp_omega(self, z, order_h, order_w):
         """The jets of ``_hp_omega_jets``, under the error state it sets.
 
-        A quotient omega = g'/h' reuses the jet of h': it is evaluated
-        once, at the higher order, and the jet division reads its first
-        coefficients.  That is exact, bit for bit, because every jet
-        recurrence is causal (coefficient k reads only coefficients <= k).
-        A jet division by zero or a branch point at the centre raises
-        DomainError naming, in ``at``, the point that the error names.
+        In a fixed order, so the first failure is reported: h' through
+        ``order_h``, then omega; for a quotient omega = g'/h', g' through
+        ``order_w``, then h' through ``order_w`` only if that is higher (the
+        division reads the jet of h' at hand).  A jet division by zero or a
+        branch point at the centre raises DomainError naming its first point.
         """
         try:
+            hpj = self.hp.jet(z, order_h)
             if not self._omega_is_quotient:
-                return self.hp.jet(z, order_h), self.omega.jet(z, order_w)
-            n = max(order_h, order_w)
-            try:
-                hpj = self.hp.jet(z, n)
-            except ToolkitError:
-                if n > order_h:
-                    # fail as the separate evaluations did: h' through
-                    # order_h, then g', then h' through n (only the last
-                    # can overflow where the first does not)
-                    self.hp.jet(z, order_h)
-                    self.gp.jet(z, order_w)
-                raise
-            wj = _jet_quotient(self.gp.jet(z, order_w), hpj)
+                return hpj, self.omega.jet(z, order_w)
+            num = self.gp.jet(z, order_w).coeffs
+            den = (hpj if order_w <= order_h else self.hp.jet(z, order_w)).coeffs
+            if num.ndim == 1:  # one point: the recurrence on Python numbers
+                num, den = num.tolist(), den.tolist()
+            return hpj, Jet(z, div_coeffs(num, den[:len(num)]))
         except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
-            raise DomainError(f"derivative data unavailable: {exc}", at=exc.at) from exc
-        return Jet._checked(hpj.center, hpj.coeffs[:order_h + 1]), wj
+            raise DomainError(f"derivative data unavailable: {exc}",
+                              at=first_point(z, exc.mask)) from exc
 
     def derivative_data(self, z, order_h=2, order_w=2):
         """Jets of h' and omega of the preserving representative at z.
 
-        A quotient omega = g'/h' costs one evaluation of h', not two.
+        A quotient omega = g'/h' evaluates h' once, or twice when omega
+        needs the higher order.
         Checks local univalence lazily: raises DomainError naming the
         first offending point when h' = 0 or |omega| >= 1, and the first
         point where a jet division meets a zero divisor or a branch
@@ -295,20 +287,6 @@ class HarmonicMap:
             raise DomainError("|omega| >= 1 (map not sense-preserving)",
                               at=first_point(z, bad))
         return hpj, wj
-
-
-def _jet_quotient(num, den):
-    """The jet num/den, for jets of one centre with den at least num's
-    order: the recurrence of jet division, on Python complex numbers at
-    one point.  A zero divisor names its first point in ``at``."""
-    a, b = num.coeffs, den.coeffs[:len(num.coeffs)]
-    if a.ndim == 1:
-        a, b = a.tolist(), b.tolist()
-    try:
-        return Jet(num.center, div_coeffs(a, b))
-    except DivisionByZeroConstantTerm as exc:
-        exc.at = first_point(num.center, exc.mask)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +548,12 @@ def _increments(f, z0, t):
 
 
 def _harmonic_germ(f, z0):
-    """(alpha, h'(z0), kappa) of a sense-preserving f at z0, with alpha =
-    conj(omega(z0)) and kappa = h''(z0)/(2 h'(z0)): what its best harmonic
-    Moebius approximation reads besides f(z0)."""
-    hpj, wj = f._hp_omega_jets(z0, 1, 0)
+    """(alpha, h'(z0), kappa) of a sense-preserving f at z0 by ``derivative_data``,
+    with alpha = conj(omega(z0)) and kappa = h''(z0)/(2 h'(z0)): what its best
+    harmonic Moebius approximation reads besides f(z0)."""
+    hpj, wj = f.derivative_data(z0, 1, 0)
     hp = complex(hpj.value)
     hpp = complex(hpj.coeffs[1])  # h'' (first coefficient of the h' jet)
-    if hp == 0:
-        raise DegenerateJet("best harmonic Moebius needs h'(z0) != 0", at=z0)
-    if abs(complex(wj.value)) >= 1:
-        raise DomainError("map not sense-preserving", at=z0)
     return complex(np.conjugate(wj.value)), hp, hpp / (2.0 * hp)
 
 

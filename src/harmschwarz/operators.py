@@ -255,7 +255,8 @@ def tamanoi_schwarzian(f, z0):
     The circles must stay inside the disk (|z0| < 0.97), else
     DomainError, and h' and omega must be analytic on the closed disk of
     radius 0.03 around z0: nothing checks it, and a branch point inside
-    gives a wrong number with no error.
+    gives a wrong number with no error.  ``derivative_data`` gives alpha,
+    h'(z0) and kappa: DomainError where h'(z0) = 0 or |omega(z0)| >= 1.
     The oracle runs under numpy's floating-point trap and, where numpy
     raises, again checked (``expr.trapped``), so its errors do not depend
     on the caller's error state.

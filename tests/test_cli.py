@@ -609,7 +609,6 @@ _EXIT_CODES = {
     "UnknownCatalogName": 1,
     "DomainError": 3,
     "ParameterOutOfRange": 1,
-    "DegenerateJet": 3,
     "CriticalPoint": 3,
     "DilatationZeroNeedsQ": 3,
     "QMismatch": 3,
@@ -650,6 +649,24 @@ def test_becker_rejects_the_zoom_flags(capsys, flags):
     rec = _single_error(*run_cli(capsys, "becker", "--map", "K", "--rays", "16",
                                  "--radial", "8", *flags), 1)
     assert rec["message"] == f"unrecognized arguments: {' '.join(flags)}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a value flag: --a is not --at, whatever its value
+    (("eval", "--map", "K", "--op", "pre", "--a", "0.3,0.1", "--form", "csv"),
+     "the following arguments are required: --at"),
+    # a flag with choices
+    (("eval", "--map", "K", "--op", "pre", "--at", "0.3,0.1", "--form", "csv"),
+     "unrecognized arguments: --form csv"),
+    # a store_const flag
+    (("norm", "--map", "K", "--op", "S", "--no"), "unrecognized arguments: --no"),
+    # a prefix of --rays and --radial
+    (("norm", "--map", "K", "--op", "S", "--ra", "8"),
+     "unrecognized arguments: --ra 8"),
+], ids=["value-flag", "choice-flag", "store-const", "shared-prefix"])
+def test_flags_are_spelled_in_full(capsys, argv, message):
+    rec = _single_error(*run_cli(capsys, *argv), 1)
+    assert rec["message"] == message
 
 
 @pytest.mark.parametrize("op", ["pre", "schw", "jac", "dbarpre", "lap"])

@@ -31,6 +31,7 @@ from harmschwarz.expr import (
     _SQRT,
     _SUB,
     _VAR,
+    AnalyticFunction,
     Call,
     Const,
     Neg,
@@ -323,6 +324,19 @@ class TestDerivativeBuiltin:
     def test_d_round_trips_through_the_printer(self, text):
         ast = parse(f"2*d({text})-d(d({text}))")
         assert parse(to_text(ast)) == ast
+
+
+class TestFunctionObjects:
+    def test_repr_shows_the_text(self):
+        assert repr(ExprFunction("z/(1-z)^2")) == "ExprFunction('z/(1-z)^2')"
+        # a given tree prints its text when first read
+        assert repr(ExprFunction(_chain(Var(), ("+", Const(1))))) == "ExprFunction('z+1.0')"
+
+    def test_base_class_has_no_jet(self):
+        # an AnalyticFunction without a tree supplies its own jet
+        for read in (lambda f: f.jet(0.1, 2), lambda f: f.value(0.1)):
+            with pytest.raises(NotImplementedError):
+                read(AnalyticFunction())
 
 
 class TestTruncation:

@@ -30,7 +30,6 @@ from harmschwarz import (
     shear,
 )
 from harmschwarz.errors import (
-    DegenerateJet,
     DivisionByZeroConstantTerm,
     DomainError,
     NonFinite,
@@ -446,19 +445,25 @@ class TestBestHarmonicMobius:
         for t in (0.03, 0.02j):
             assert abs(M(t) - f.value(z0 + t)) < 1e-12
 
+    # the germ is read through derivative_data, so its errors are those of
+    # the operators
     def test_vanishing_h_prime_names_its_point(self):
         f = HarmonicMap.from_dilatation(ExprFunction("z"), ExprFunction("0"))
-        with pytest.raises(DegenerateJet) as err:
+        with pytest.raises(DomainError) as err:
             best_harmonic_mobius(f, 0)
-        assert str(err.value) == "best harmonic Moebius needs h'(z0) != 0"
+        assert str(err.value) == "h' vanishes at 0j"
         assert err.value.at == 0
 
     def test_reversing_dilatation_names_its_point(self):
         f = map_from_json({"form": "dilatation", "h": "1", "omega": "2"})
         with pytest.raises(DomainError) as err:
             best_harmonic_mobius(f, 0.1)
-        assert str(err.value) == "map not sense-preserving at 0.1"
+        assert str(err.value) == ("|omega| >= 1 (map not sense-preserving) "
+                                  "at (0.1+0j)")
         assert err.value.at == 0.1
+
+    def test_repr(self):
+        assert repr(MobiusMap(1, 0.5j, 0, 2)) == "MobiusMap((1+0j), 0.5j, 0j, (2+0j))"
 
     def test_koebe_at_origin(self):
         # alpha = 0 and T(t) = t/(1 - (5/2) t) since h''(0) = 5
@@ -656,8 +661,9 @@ class TestDerivativeData:
     def test_quotient_omega_evaluates_each_part_once(self, sense, orders, monkeypatch):
         # h' and g' are d(h) and d(g), tapes of their own (h and g one order
         # higher, then a derivative instruction), and omega = g'/h' divides
-        # their jets:
-        # one call runs the tape of h' once and the tape of g' once
+        # their jets: one call runs the tape of h' through order_h, then
+        # that of g', and the tape of h' once more only when omega needs
+        # the higher order
         import harmschwarz.expr as expr_module
 
         runs = []
@@ -676,7 +682,21 @@ class TestDerivativeData:
             f.derivative_data(z, *orders)
             owner = {id(tape): name for name, fn in (("h'", p.hp), ("g'", p.gp))
                      for tape in fn._tapes.values()}
-            assert [owner.get(id(tape)) for tape in runs] == ["h'", "g'"]
+            want = ["h'", "g'"] + ["h'"] * (orders[1] > orders[0])
+            assert [owner.get(id(tape)) for tape in runs] == want
+
+    def test_lower_order_failure_is_reported_first(self):
+        # orders (0, 2): h' through order 0, then g', which has a pole at
+        # 0.35; h' overflows there only through order 2
+        f = map_from_json({"form": "parts", "h": "exp(2000*z)",
+                           "g": "1e-3/(z-0.35)"})
+        with pytest.raises(DomainError) as err:
+            f.derivative_data(0.35, 0, 2)
+        assert str(err.value) == ("derivative data unavailable: jet division "
+                                  "by zero constant term [ast /d/div] at (0.35+0j)")
+        assert err.value.at == 0.35
+        with pytest.raises(NonFinite):
+            f.derivative_data(0.35, 2, 2)
 
     def test_division_error_names_the_failing_point(self):
         f = HarmonicMap.from_parts(ExprFunction("1/(z-0.5)"), ExprFunction("0"))

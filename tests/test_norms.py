@@ -242,6 +242,23 @@ class TestZoomRefinement:
             assert rep.argmax == 0.0
             assert not rep.boundary_flag
 
+    def test_zoom_seeds_lie_apart(self, monkeypatch):
+        # at rmax = 1 - 1e-12 the outermost grid radii lie about 3e-13
+        # apart: the seed filter keeps the five seeds more than 1e-12 apart
+        seeds = []
+        zoom = norms._zoom
+
+        def spy(field, cfg, levels, z0, w0):
+            seeds.append(z0)
+            return zoom(field, cfg, levels, z0, w0)
+
+        monkeypatch.setattr(norms, "_zoom", spy)
+        hyperbolic_sup(catalog_map("L"), "P",
+                       SearchConfig(rays=16, radial_samples=128, rmax=1 - 1e-12))
+        (z0,) = seeds
+        assert len(z0) == 5
+        assert min(abs(a - b) for i, a in enumerate(z0) for b in z0[i + 1:]) > 1e-12
+
     def test_cli_import_leaves_scipy_out(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
