@@ -32,22 +32,25 @@ appended.  ``ExprFunction.derivative`` is d(f) on f's own tree, so an
 error in f' names its path below "/d", as the text "d(f)" does.
 Integer-constant exponents of any size are evaluated by repeated
 squaring (exact, and valid at zeros of the base); all other powers go
-through exp(e*log(base)) on the principal branch.
+through exp(e*log(base)) on the principal branch: e*log(base) is a slot
+of its own, checked before exp, which reads 0 at -inf.
 
 The tape checks every slot it fills for finiteness, as a Jet is checked
 when built (``jets.check_finite``): an overflow raises NonFinite at the
 node where it happens (``1/exp(1000*z)`` at 0.9 fails at exp rather than
-reading 0), and the error names the first point where it does.  At one
-point a slot whose sum is finite is finite, so one test checks it.  A
-checked run detects non-finite slots itself, so it runs with numpy's
-flags ignored: the same NonFinite comes out, without warnings, whatever
-the caller's error state.  On an array, while numpy raises on overflow, invalid operations
-and division by zero (``np.errstate``), a run with finite inputs (the
-centre, checked on each run, and the constants, checked when the tape is
-compiled) skips those checks: no slot can then be non-finite, so the
-coefficients are the same bit for bit, and where numpy raises the tape
-runs again checked.  :func:`trapped` runs a whole computation under that
-trap: ``maps.HarmonicMap`` the jets of h' and omega, and
+reading 0), and the error names the first point where the slot is not
+finite.  The recurrences only compute (but for a negative power's
+guard): no other check runs.  At one point a slot whose sum is finite is
+finite, so one test checks it.  A checked run detects non-finite slots
+itself, so it runs with numpy's flags ignored: the same NonFinite comes
+out, without warnings, whatever the caller's error state.  On an array,
+while numpy raises on overflow, invalid operations and division by zero
+(``np.errstate``), a run with finite inputs (the centre, checked on each
+run, and the constants, checked when the tape is compiled) skips those
+checks: no slot can then be non-finite, so the coefficients are the same
+bit for bit, and where numpy raises the tape runs again checked.
+:func:`trapped` runs a whole computation under that trap:
+``maps.HarmonicMap`` the jets of h' and omega, and
 ``operators.tamanoi_schwarzian`` the whole oracle.  Constants are not
 folded: numpy rounds a complex product of scalars and of arrays
 differently, so a folded constant could not match both.
@@ -426,7 +429,7 @@ def to_text(node):
 # ``jets``, which the operators also call, so values are the same bit for
 # bit, on arrays and on the Python complex numbers of one point alike.
 
-_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CPOW, _LOG, _EXP, _SQRT, _D = range(13)
+_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _LOGMUL, _LOG, _EXP, _SQRT, _D = range(13)
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
@@ -434,7 +437,7 @@ _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
 # whether any calls numpy's exp, log or sqrt (at one point, the only
 # operations that can raise a numpy flag)
 _Tape = namedtuple("_Tape", "instrs finite elementary")
-_ELEMENTARY = {_CPOW, _LOG, _EXP, _SQRT}
+_ELEMENTARY = {_LOGMUL, _LOG, _EXP, _SQRT}
 
 
 def _compile_tape(node, order):
@@ -443,11 +446,11 @@ def _compile_tape(node, order):
     The walk is iterative, so an AST of any depth compiles.  ``d(u)``
     compiles ``u`` one order higher.  An integer-constant exponent is an
     exact repeated-multiplication power (its AST is not evaluated); any
-    other power is exp(e*log(base)) on the principal branch.  ``where`` is
-    the enclosing node chain ``(outer, node, step)``, from which
-    :func:`_ast_path` spells the failing node's path only on error.
-    A constant such as ``1e999`` is infinite without raising a numpy
-    flag, so the tape records whether its constants are finite.
+    other power is exp(e*log(base)) on the principal branch, ``_LOGMUL``
+    then ``_EXP``.  ``where`` is the enclosing node chain ``(outer, node,
+    step)``, from which :func:`_ast_path` spells the failing node's path
+    only on error.  A constant such as ``1e999`` is infinite without raising
+    a numpy flag, so the tape records whether its constants are finite.
     """
     if order < 0:
         raise ValueError("jet order must be >= 0")
@@ -485,7 +488,8 @@ def _compile_tape(node, order):
             inner = (where, node, None)
             n = integer_exponent(node.exponent)
             if n is None:
-                todo += [(_CPOW, None, inner), (node.exponent, order, inner)]
+                todo += [(_EXP, None, inner), (_LOGMUL, None, inner),
+                         (node.exponent, order, inner)]
             else:
                 todo.append((_POW, n, inner))
             todo.append((node.base, order, inner))
@@ -513,18 +517,6 @@ def _ast_path(where):
         else:  # Neg or Pow
             tags.append("/" + type(node).__name__.lower())
     return "".join(reversed(tags))
-
-
-def _cpow_coeffs(base, e, center, check):
-    """exp(e*log(base)), each step checked (if ``check``) as a slot of
-    the tape is."""
-    log_base = log_coeffs(base, center, check=check)
-    if check:
-        check_finite(log_base, center)
-    e_log = mul_coeffs(e, log_base)
-    if check:
-        check_finite(e_log, center)
-    return exp_coeffs(e_log)
 
 
 def _traps():
@@ -611,13 +603,13 @@ def _execute(tape, z0, point, shape, check):
             elif op == _DIV:
                 out = div_coeffs(pop(-2), pop())
             elif op == _POW:
-                out = pow_coeffs(pop(), arg, z0, check=check)
+                out = pow_coeffs(pop(), arg, z0)
             elif op == _NEG:
                 out = neg_coeffs(pop())
-            elif op == _CPOW:
-                out = _cpow_coeffs(pop(-2), pop(), z0, check)
+            elif op == _LOGMUL:
+                out = mul_coeffs(pop(), log_coeffs(pop()))  # e, then its base
             elif op == _LOG:
-                out = log_coeffs(pop(), z0, check=check)
+                out = log_coeffs(pop())
             elif op == _EXP:
                 out = exp_coeffs(pop())
             elif op == _SQRT:

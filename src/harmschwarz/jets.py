@@ -22,17 +22,19 @@ both give the same bits.
 Every Jet checks, when it is built, that its coefficients and then its
 centre are finite (NonFinite otherwise, naming in ``at`` the
 :func:`first_point` with a non-finite coefficient); :func:`check_finite`
-is that check, and a caller of a recurrence runs it on the result, so an
-overflow raises where it happens.  The tape checks each slot the same
-way: at one point by the finiteness of the slot's sum first (one test,
-exact, since no sum with a non-finite term is finite) and coefficient by
-coefficient only when that fails.  On an array it skips the checks while
-numpy raises on overflow, invalid operations and division by zero: then
-no operation on finite operands returns a non-finite result, so checking
-the inputs once is enough (``pow_coeffs`` and ``log_coeffs`` skip the
-checks of their intermediates when called with ``check=False``).  Moved
-to the operator boundary without that trap, a check would let ``1/inf``
-read 0.
+is that check.  A recurrence only computes, and its caller checks the
+result, as the tape checks each slot, so an overflow raises where it
+happens.  An overflow inside a recurrence leaves the result non-finite
+(``inf*0`` and ``inf - inf`` give nan) unless 1 is divided by it, which
+would read 0: so ``pow_coeffs`` checks a power before it inverts it,
+the one check inside a recurrence, made under numpy's trap too.  The
+tape checks a slot at one point by the finiteness of its sum first (one
+test, exact, since no sum with a non-finite term is finite) and
+coefficient by coefficient only when that fails.  On an array it skips
+the checks while numpy raises on overflow, invalid operations and
+division by zero: then no operation on finite operands returns a
+non-finite result, so checking the inputs once is enough.  Checked only
+at the operator boundary without that trap, ``1/inf`` would read 0.
 
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
@@ -73,9 +75,8 @@ _NUMBER = (int, float, complex, np.number)
 # operators call these functions, so every recurrence exists once.  A real
 # factor is written as a complex number: numpy multiplies by k + 0j, and
 # some Python versions mix a real and a complex operand by other rules.
-# A function checks what it builds along the way, as a Jet of its own
-# would be checked (``check=False`` skips that, for a caller under numpy's
-# floating-point trap); its result is left to the caller to check.
+# A function only computes, and its caller checks the result as the tape
+# checks a slot; only ``pow_coeffs`` checks a power, before inverting it.
 
 
 def one_point(center):
@@ -235,12 +236,11 @@ def div_coeffs(a, b):
     return out
 
 
-def pow_coeffs(a, exponent, center, *, check=True):
+def pow_coeffs(a, exponent, center):
     """a^exponent for an integer exponent, by repeated multiplication."""
     if exponent < 0:
-        power = pow_coeffs(a, -exponent, center, check=check)
-        if check:
-            check_finite(power, center)
+        power = pow_coeffs(a, -exponent, center)
+        check_finite(power, center)  # 1/inf would read 0
         # base^n underflows to 0 where the base does not: 1/base^n overflows
         lost = (power[0] == 0) & (a[0] != 0)
         if _any(lost):
@@ -253,21 +253,12 @@ def pow_coeffs(a, exponent, center, *, check=True):
         # no power has a -0 coefficient (a jet product never yields one);
         # adding +0 turns -0 into +0 and changes nothing else
         return add_coeffs(a, _zeros_like(a))
-    result = None
-    base = a
-    e = exponent
+    result, base, e = None, a, exponent
     while e:
         if e & 1:
-            if result is None:
-                result = base
-            else:
-                result = mul_coeffs(result, base)
-                if check and e > 1:  # the last product is the caller's to check
-                    check_finite(result, center)
+            result = base if result is None else mul_coeffs(result, base)
         if e > 1:
             base = mul_coeffs(base, base)
-            if check:
-                check_finite(base, center)
         e >>= 1
     return result
 
@@ -292,19 +283,14 @@ def sqrt_coeffs(a):
     return out
 
 
-def log_coeffs(a, center, *, check=True):
+def log_coeffs(a):
     _require_nonzero_constant(a, "log")
     n = len(a) - 1
     out = _zeros_like(a)
     out[0] = _elementary(np.log, a[0])
     if n >= 1:
         # (log a)' = a'/a, integrated coefficient-wise
-        da = derivative_coeffs(a)
-        if check:
-            check_finite(da, center)
-        q = div_coeffs(da, a[:n])
-        if check:
-            check_finite(q, center)
+        q = div_coeffs(derivative_coeffs(a), a[:n])
         for k in range(1, n + 1):
             out[k] = _quotient(q[k - 1], k)
     return out
@@ -455,7 +441,8 @@ def _extraction_plan(radii, degree, angles):
         needed = (degree - abs(k)) // 2 + 1
         nterms = min(len(radii), needed + 2)
         exps = [abs(k) + 2 * j for j in range(nterms)]
-        A = rho[:, None] ** np.asarray(exps)[None, :]
+        # Python powers: numpy's real power rounds by SIMD level
+        A = np.array([[r ** e for e in exps] for r in radii])
         colscale = np.linalg.norm(A, axis=0)
         As = A / colscale
         if np.linalg.cond(As) > 1e8:

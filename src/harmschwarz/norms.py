@@ -177,8 +177,9 @@ def _zoom(field, cfg, levels, z0, w0):
     value and point per seed and the number of patch points evaluated.
     """
     tmax = math.atanh(cfg.rmax)
-    t = np.arctanh(np.abs(z0))
-    theta = np.angle(z0)
+    # math, not numpy: numpy's real atanh and atan2 round by SIMD level
+    t = np.array([math.atanh(abs(z)) for z in z0.tolist()])
+    theta = np.array([math.atan2(z.imag, z.real) for z in z0.tolist()])
     best, zbest = w0.copy(), z0.copy()
     dt, dtheta = tmax / cfg.radial_samples, 2.0 * math.pi / cfg.rays
     offsets = np.arange(-_ZOOM_HALF, _ZOOM_HALF + 1, dtype=float)

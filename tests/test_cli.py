@@ -402,16 +402,24 @@ class TestCatalogAndVerify:
         assert json.loads(out)["failed"] == 0
 
 
-def test_snapshot_commands_keep_the_exit_code_contract():
-    # every command of the CLI byte snapshot exits 0-4; an error writes
-    # exactly one JSON record {"code", "message", "at"?} and nothing else
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                        "cli_snapshot.py")
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+_SNAPSHOT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                         "cli_snapshot.py")
+
+
+@pytest.fixture(scope="module")
+def snapshot_records():
+    """The records of the CLI byte snapshot, run in this process."""
+    spec = importlib.util.spec_from_file_location("cli_snapshot", _SNAPSHOT)
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
-    for argv in snapshot.commands():
-        rec = snapshot.run(argv, main)
+    return [snapshot.run(argv, main) for argv in snapshot.commands()]
+
+
+def test_snapshot_commands_keep_the_exit_code_contract(snapshot_records):
+    # every command of the CLI byte snapshot exits 0-4; an error writes
+    # exactly one JSON record {"code", "message", "at"?} and nothing else
+    for rec in snapshot_records:
+        argv = rec["argv"]
         assert rec["exit"] in range(5), argv
         if rec["exit"] == 0:
             assert rec["stderr"] == "", argv
@@ -424,6 +432,22 @@ def test_snapshot_commands_keep_the_exit_code_contract():
         # every domain error of the set
         assert " at " not in err["message"] or "at" in err, argv
         assert err["code"] != 3 or "at" in err, argv
+
+
+def test_snapshot_bytes_are_the_same_at_avx2_dispatch(snapshot_records):
+    # numpy picks its SIMD loops per process; the snapshot run with the
+    # AVX-512 loops disabled prints the bytes of this process
+    cpu = pytest.importorskip("numpy._core._multiarray_umath")
+    level = next((lv for lv in ("X86_V4", "X86_V3", "X86_V2")
+                  if cpu.__cpu_features__.get(lv)), "baseline")
+    if level != "X86_V4":
+        pytest.skip(f"numpy dispatches to {level}, not X86_V4")
+    off = " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                   if f in cpu.__cpu_dispatch__)
+    out = subprocess.run([sys.executable, _SNAPSHOT], capture_output=True,
+                         text=True, check=True, timeout=300,
+                         env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=off)).stdout
+    assert out.splitlines() == [json.dumps(rec) for rec in snapshot_records]
 
 
 def _single_error(code, out, err, want_code):
@@ -517,15 +541,22 @@ class TestNonFiniteNumbers:
         assert rec["message"].startswith("non-finite jac value at ")
         assert rec["at"] == at + ".0"
 
+    @staticmethod
+    def _grid_point(i):
+        """Point ``i`` of the default search grid, built in this process,
+        as the CLI prints it: its last bit depends on numpy's SIMD level."""
+        z = complex(norms._grid(norms.SearchConfig())[i])
+        return f"{z.real!r},{z.imag!r}"
+
+    # ray 0 of radii 15 and 16 (256 rays), and the origin
     @pytest.mark.parametrize("argv, at", [
-        (("norm", "--h", "1/exp(1000*z)", "--g", "0", "--op", "S"),
-         "0.6911303977624438,0.0"),
-        (("becker", "--h", "1/exp(1000*z)", "--g", "0"), "0.7195885060206912,0.0"),
+        (("norm", "--h", "1/exp(1000*z)", "--g", "0", "--op", "S"), _grid_point(3585)),
+        (("becker", "--h", "1/exp(1000*z)", "--g", "0"), _grid_point(3841)),
         # omega reads 1/inf = 0 where the tape does not check exp
         (("norm", "--h", "z", "--omega", "1/exp(1000*z)", "--op", "S"),
-         "0.7195885060206912,0.0"),
+         _grid_point(3841)),
         # a non-finite constant raises no numpy flag
-        (("norm", "--h", "1e999*z", "--g", "0", "--op", "S"), "0.0,0.0"),
+        (("norm", "--h", "1e999*z", "--g", "0", "--op", "S"), _grid_point(0)),
     ])
     def test_grid_sweep_overflow_names_its_first_point(self, capsys, argv, at):
         # the sweeps evaluate jets under numpy's floating-point trap; an

@@ -21,10 +21,10 @@ from harmschwarz.errors import (
 from harmschwarz.expr import (
     _ADD,
     _CONST,
-    _CPOW,
     _DIV,
     _EXP,
     _LOG,
+    _LOGMUL,
     _MUL,
     _NEG,
     _POW,
@@ -42,7 +42,6 @@ from harmschwarz.expr import (
     _ast_path,
     _chain,
     _compile_tape,
-    _cpow_coeffs,
     _fmt_const,
     _tokenize,
     integer_exponent,
@@ -397,15 +396,14 @@ def _reference_eval(node, z0, order):
             if n is not None:
                 return checked(pow_coeffs(base, n, z0))
             exponent = _reference_eval(node.exponent, z0, order)
-            log_base = checked(log_coeffs(base, z0))
-            return checked(exp_coeffs(checked(mul_coeffs(exponent, log_base))))
+            return checked(exp_coeffs(checked(mul_coeffs(exponent, log_coeffs(base)))))
         if isinstance(node, Call):
             if node.fn == "d":
                 arg = _reference_eval(node.arg, z0, order + 1)
                 return checked(derivative_coeffs(arg))
             arg = _reference_eval(node.arg, z0, order)
             if node.fn == "log":
-                return checked(log_coeffs(arg, z0))
+                return checked(log_coeffs(arg))
             return checked((exp_coeffs if node.fn == "exp" else sqrt_coeffs)(arg))
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         # prepending the tags of the enclosing nodes while the error unwinds
@@ -557,6 +555,10 @@ class TestTrappedTapeMatchesChecked:
          (NonFinite, "non-finite jet coefficient", None, 0.2)),
         ("1e999*z", np.array([0.2, 0.3]),
          (NonFinite, "non-finite jet coefficient", None, 0.2)),
+        # z^3 overflows at both points, the square inside it at 1e160
+        # only: the power is checked as one slot
+        ("z^3", np.array([1e110 + 0j, 1e160 + 0j]),
+         (NonFinite, "non-finite jet coefficient", None, 1e110)),
     ])
     def test_failures_name_the_checked_point(self, text, z, want):
         fn = ExprFunction(text)
@@ -658,10 +660,10 @@ def _numpy_run_tape(tape, z0):
                 out = pow_coeffs(pop(), arg, z0)
             elif op == _NEG:
                 out = -pop()
-            elif op == _CPOW:
-                out = _cpow_coeffs(pop(-2), pop(), z0, True)
+            elif op == _LOGMUL:
+                out = mul_coeffs(pop(), log_coeffs(pop()))
             elif op == _LOG:
-                out = log_coeffs(pop(), z0)
+                out = log_coeffs(pop())
             elif op == _EXP:
                 out = exp_coeffs(pop())
             elif op == _SQRT:
