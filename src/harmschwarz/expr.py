@@ -23,7 +23,10 @@ walk, into a Taylor tape: a straight-line list of instructions that run
 the recurrences of ``jets`` on raw coefficients sharing one centre
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13): arrays for an
 array of points, lists of Python complex numbers for one point (a Python
-or numpy number, or a 0-d array), with the same bits either way.
+or numpy number, or a 0-d array).  One point gets the bits of numpy's
+scalar arithmetic; numpy's array loops round a complex product
+otherwise, so the same point in a batch can differ in the last bits
+(and constants are not folded: a folded one could not match both).
 Running a tape builds no Jet per node and recurses nowhere, so an AST of
 any depth evaluates.  A sum or a product is one node, evaluated left to
 right.  d(u) through order n is the jet of u through order n + 1,
@@ -50,10 +53,8 @@ run, and the constants, checked when the tape is compiled) skips those
 checks: no slot can then be non-finite, so the coefficients are the same
 bit for bit, and where numpy raises the tape runs again checked.
 :func:`trapped` runs a whole computation under that trap:
-``maps.HarmonicMap`` the jets of h' and omega, and
-``operators.tamanoi_schwarzian`` the whole oracle.  Constants are not
-folded: numpy rounds a complex product of scalars and of arrays
-differently, so a folded constant could not match both.
+``maps.HarmonicMap`` the jets of h' and omega, at one point as on an
+array, and ``operators.tamanoi_schwarzian`` the whole oracle.
 """
 
 import cmath
@@ -426,18 +427,14 @@ def to_text(node):
 # a stack, a leaf pushes its coefficients and an operation pops its
 # operands and pushes its result, so each slot is dropped once the
 # instruction that reads it has run.  The arithmetic is the recurrences of
-# ``jets``, which the operators also call, so values are the same bit for
-# bit, on arrays and on the Python complex numbers of one point alike.
+# ``jets``, which the operators also call.
 
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _LOGMUL, _LOG, _EXP, _SQRT, _D = range(13)
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
-# the instructions, whether every constant among them is finite, and
-# whether any calls numpy's exp, log or sqrt (at one point, the only
-# operations that can raise a numpy flag)
-_Tape = namedtuple("_Tape", "instrs finite elementary")
-_ELEMENTARY = {_LOGMUL, _LOG, _EXP, _SQRT}
+# the instructions, and whether every constant among them is finite
+_Tape = namedtuple("_Tape", "instrs finite")
 
 
 def _compile_tape(node, order):
@@ -499,8 +496,7 @@ def _compile_tape(node, order):
                      (node.arg, order + 1 if node.fn == "d" else order, inner)]
         else:
             raise TypeError(f"not an AST node: {node!r}")
-    return _Tape(tuple(tape), finite,
-                 any(instr[0] in _ELEMENTARY for instr in tape))
+    return _Tape(tuple(tape), finite)
 
 
 def _ast_path(where):
@@ -547,34 +543,25 @@ def trapped(fn, *args):
 def _run_tape(tape, z0):
     """The Jet that ``tape`` computes at ``z0`` (a point or an array).
 
-    Each slot is checked as a Jet is checked when built: its
-    coefficients, then the centre (NonFinite names the first point where
-    a coefficient is not finite).  A division by a zero constant term or a
-    branch point at the centre names its AST path in ``ast_path`` and in
-    the message, and its first point in ``at``.  At one point
-    (``one_point``) the slots are lists of Python complex numbers, and a
-    slot whose sum is finite at a finite centre needs no further check.
-    On an array under numpy's trap (``_traps``), with a finite centre and
-    finite constants, no slot is checked: each is finite, or numpy raises
-    FloatingPointError where the first one would not be, and the tape
-    runs again checked.  A checked
-    run ignores numpy's flags (at one point only a tape that calls exp,
-    log or sqrt can raise one).
+    Each slot is checked as a Jet is checked when built (see the module
+    docstring), in a run that ignores numpy's flags; at one point
+    (``one_point``) the slots are lists of Python complex numbers.  On an
+    array under numpy's trap (``_traps``), with a finite centre and
+    finite constants, no slot is checked, and where numpy raises
+    FloatingPointError the tape runs again checked.  A division by a zero
+    constant term or a branch point at the centre names its AST path in
+    ``ast_path`` and in the message, and its first point in ``at``.
     """
-    point = one_point(z0)
-    if point is not None:
-        if not tape.elementary:
-            return _execute(tape, z0, point, None, True)
-        with np.errstate(all="ignore"):
-            return _execute(tape, z0, point, None, True)
-    shape = np.shape(z0)  # an array of points
-    if tape.finite and _traps() and center_is_finite(z0):
-        try:
-            return _execute(tape, z0, z0, shape, False)
-        except FloatingPointError:
-            pass  # a slot would not be finite: run again, checked
+    point, shape = one_point(z0), None
+    if point is None:  # an array of points
+        point, shape = z0, np.shape(z0)
+        if tape.finite and _traps() and center_is_finite(z0):
+            try:
+                return _execute(tape, z0, point, shape, False)
+            except FloatingPointError:
+                pass  # a slot would not be finite: run again, checked
     with np.errstate(all="ignore"):
-        return _execute(tape, z0, z0, shape, True)
+        return _execute(tape, z0, point, shape, True)
 
 
 def _execute(tape, z0, point, shape, check):

@@ -16,8 +16,10 @@ one centre and one order, which they do not check.  The expression tape
 of :mod:`~harmschwarz.expr` and the operators call them: on arrays for
 an array of points, and on lists of Python complex numbers for one
 point, where numpy's per-scalar dispatch would cost more than the
-arithmetic.  Each recurrence is written once, over either sequence, and
-both give the same bits.
+arithmetic.  Each recurrence is written once, over either sequence.  One
+point gets the bits of numpy's scalar arithmetic, not those of its array
+loops, which round a complex product otherwise: the same point in a
+batch can differ in the last bits.
 
 Every Jet checks, when it is built, that its coefficients and then its
 centre are finite (NonFinite otherwise, naming in ``at`` the
@@ -27,14 +29,10 @@ result, as the tape checks each slot, so an overflow raises where it
 happens.  An overflow inside a recurrence leaves the result non-finite
 (``inf*0`` and ``inf - inf`` give nan) unless 1 is divided by it, which
 would read 0: so ``pow_coeffs`` checks a power before it inverts it,
-the one check inside a recurrence, made under numpy's trap too.  The
-tape checks a slot at one point by the finiteness of its sum first (one
-test, exact, since no sum with a non-finite term is finite) and
-coefficient by coefficient only when that fails.  On an array it skips
-the checks while numpy raises on overflow, invalid operations and
-division by zero: then no operation on finite operands returns a
-non-finite result, so checking the inputs once is enough.  Checked only
-at the operator boundary without that trap, ``1/inf`` would read 0.
+the one check inside a recurrence, made under numpy's trap too.  How
+the tape checks its slots, and when numpy's trap lets it skip them, is
+told in :mod:`~harmschwarz.expr`; checked only at the operator boundary
+without that trap, ``1/inf`` would read 0.
 
 The module also hosts :func:`bivariate_extract`, which recovers the
 coefficients ``c_{mn}`` of a smooth (not necessarily analytic) map
@@ -70,13 +68,14 @@ _NUMBER = (int, float, complex, np.number)
 # trailing axes are the points, or, for one point, a list of Python
 # complex numbers.  Python arithmetic on one number skips numpy's scalar
 # dispatch and rounds as numpy's scalars do, except in a division (see
-# ``_quotient``) and in exp, log and sqrt (see ``_elementary``), so both
-# forms carry the same bits.  The expression tape of ``expr`` and the
-# operators call these functions, so every recurrence exists once.  A real
-# factor is written as a complex number: numpy multiplies by k + 0j, and
-# some Python versions mix a real and a complex operand by other rules.
-# A function only computes, and its caller checks the result as the tape
-# checks a slot; only ``pow_coeffs`` checks a power, before inverting it.
+# ``_quotient``) and in exp, log and sqrt (see ``_elementary``), so a
+# list carries the bits of numpy's scalars.  The expression tape of
+# ``expr`` and the operators call these functions, so every recurrence
+# exists once.  A real factor is written as a complex number: numpy
+# multiplies by k + 0j, and some Python versions mix a real and a complex
+# operand by other rules.  A function only computes, and its caller
+# checks the result as the tape checks a slot; only ``pow_coeffs`` checks
+# a power, before inverting it.
 
 
 def one_point(center):
@@ -100,10 +99,6 @@ def check_finite(coeffs, center):
         # a sum of finite numbers can overflow, but no sum with a
         # non-finite term is finite
         finite = cmath.isfinite(sum(coeffs)) or all(map(cmath.isfinite, coeffs))
-    elif coeffs.ndim == 1:
-        # the values of one point are read faster one by one in Python
-        # than by a numpy reduction; both spell the same test
-        finite = all(map(cmath.isfinite, coeffs.tolist()))
     else:
         finite = np.isfinite(coeffs).all()
     if not finite:

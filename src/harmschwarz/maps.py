@@ -45,7 +45,7 @@ from .expr import (
     compose,
     trapped,
 )
-from .jets import Jet, div_coeffs, first_point, one_point
+from .jets import Jet, div_coeffs, first_point
 from .quadrature import DEFAULT_TOL, integrate_segments
 
 PRESERVING = "preserving"
@@ -233,27 +233,21 @@ class HarmonicMap:
         return self.value(np.asarray(zs, dtype=np.complex128))
 
     def _hp_omega_jets(self, z, order_h, order_w):
-        """Jets of h' and omega at z; local univalence is not checked.
+        """Jets of h' and omega at z (a point or an array); local
+        univalence is not checked.
 
-        On an array of points the jets are evaluated under numpy's
-        floating-point trap (``expr.trapped``), so the expression tapes
-        need not check each slot they fill.  At one point the tapes check
-        every slot on Python complex numbers, and the trap would buy
-        nothing.
+        They are evaluated under numpy's floating-point trap
+        (``expr.trapped``), at one point as on an array, in a fixed
+        order, so the first failure is reported: h' through ``order_h``,
+        then omega; for a quotient omega = g'/h', g' through ``order_w``,
+        then h' through ``order_w`` only if that is higher (the division
+        reads the jet of h' at hand).  A jet division by zero or a branch
+        point at the centre raises DomainError naming its first point.
         """
-        if one_point(z) is not None:
-            return self._evaluate_hp_omega(z, order_h, order_w)
         return trapped(self._evaluate_hp_omega, z, order_h, order_w)
 
     def _evaluate_hp_omega(self, z, order_h, order_w):
-        """The jets of ``_hp_omega_jets``, under the error state it sets.
-
-        In a fixed order, so the first failure is reported: h' through
-        ``order_h``, then omega; for a quotient omega = g'/h', g' through
-        ``order_w``, then h' through ``order_w`` only if that is higher (the
-        division reads the jet of h' at hand).  A jet division by zero or a
-        branch point at the centre raises DomainError naming its first point.
-        """
+        """The jets of ``_hp_omega_jets``, under the error state it sets."""
         try:
             hpj = self.hp.jet(z, order_h)
             if not self._omega_is_quotient:

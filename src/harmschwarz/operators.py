@@ -31,6 +31,8 @@ Sense-reversing maps are routed through their conjugate (P and S are
 conjugation invariant; the Jacobian changes sign).
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -204,7 +206,8 @@ def schwarzian_via_jacobian_fd(f, z):
     J = jacobian(f, pts)
     if np.any(J <= 0):
         raise DomainError("log J_f undefined: Jacobian not positive", at=z)
-    delta = np.log(J)
+    # math.log, since numpy's real log rounds by its SIMD level
+    delta = np.array([[math.log(j) for j in row] for row in J.tolist()])
     dx = _D1 @ delta[:, 2]
     dy = _D1 @ delta[2, :]
     dxx = _D2 @ delta[:, 2]

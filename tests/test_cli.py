@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import require_dispatch
 
 from harmschwarz import (
     ExprFunction,
@@ -434,14 +435,28 @@ def test_snapshot_commands_keep_the_exit_code_contract(snapshot_records):
         assert err["code"] != 3 or "at" in err, argv
 
 
+_CHECKED_IN = os.path.join(os.path.dirname(__file__), "cli_snapshot.jsonl")
+_CHECKED_IN_NUMPY = "2.4.6"  # the numpy build that wrote _CHECKED_IN
+
+
+def test_snapshot_bytes_are_the_checked_in_ones(snapshot_records):
+    # the bytes are fixed for one numpy build at AVX2 dispatch or above
+    require_dispatch("X86_V3")
+    if np.__version__ != _CHECKED_IN_NUMPY:
+        pytest.skip(f"the snapshot was written by numpy {_CHECKED_IN_NUMPY}, "
+                    f"this is numpy {np.__version__}")
+    with open(_CHECKED_IN) as fh:
+        want = fh.read().splitlines()
+    got = [json.dumps(rec) for rec in snapshot_records]
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        assert line == expected, json.loads(expected)["argv"]
+
+
 def test_snapshot_bytes_are_the_same_at_avx2_dispatch(snapshot_records):
     # numpy picks its SIMD loops per process; the snapshot run with the
     # AVX-512 loops disabled prints the bytes of this process
-    cpu = pytest.importorskip("numpy._core._multiarray_umath")
-    level = next((lv for lv in ("X86_V4", "X86_V3", "X86_V2")
-                  if cpu.__cpu_features__.get(lv)), "baseline")
-    if level != "X86_V4":
-        pytest.skip(f"numpy dispatches to {level}, not X86_V4")
+    cpu = require_dispatch("X86_V4")
     off = " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
                    if f in cpu.__cpu_dispatch__)
     out = subprocess.run([sys.executable, _SNAPSHOT], capture_output=True,

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import require_dispatch
 
 from harmschwarz import (
     AffineMap,
@@ -186,6 +187,17 @@ class TestSchwarzian:
         for z in disk_points(rng, 10, rmax=0.6):
             assert abs(schwarzian(f, complex(z))) < 1e-10
 
+    def test_a_point_alone_and_in_a_batch_agree_to_rounding(self):
+        # one point rounds as numpy's scalars, a batch as its array loops,
+        # which round a complex product otherwise: at the argmax of
+        # norm --map L --op S the two differ by 1.02e-14 relative, and the
+        # weighted modulus reads 1.5000000000044573 alone and
+        # 1.5000000000044713 in a batch
+        z = 0.9997915370086967 - 9.807798501271583e-05j
+        alone = schwarzian(catalog("L"), z)
+        batch = schwarzian(catalog("L"), np.array([z, 0.1]))[0]
+        assert abs(batch - alone) <= 2e-14 * abs(alone)
+
     def test_constant_dilatation_reduces_to_analytic_part(self, rng):
         h = ExprFunction("z/(1-z)^2")
         alpha = 0.37 - 0.21j
@@ -347,6 +359,16 @@ class TestJacobianFdOracle:
         with pytest.raises(DomainError, match="log J_f undefined") as err:
             schwarzian_via_jacobian_fd(f, 0.001)
         assert err.value.at == 0.001
+
+    def test_bits_do_not_depend_on_numpys_simd_level(self):
+        # numpy's real log rounds differently at AVX-512: np.log of this
+        # stencil gave an imaginary part of 0.0010110952886222824 there,
+        # and 0.0010110952885085955 (math.log) at AVX2
+        require_dispatch("X86_V3")
+        f = map_from_json({"form": "parts", "h": "z/(1-(0.3339-0.0588*i)*z)",
+                           "g": "(0.017+0.0087*i)*z^2/(1-(0.3339-0.0588*i)*z)"})
+        assert schwarzian_via_jacobian_fd(f, 0.2683 - 0.8142j) == complex(
+            0.0007531543464263935, 0.0010110952885085955)
 
     def test_stencil_domain_check(self):
         with pytest.raises(StencilOutsideDomain) as err:

@@ -99,3 +99,13 @@ class TestDilatationFormRender:
         D = HarmonicMap.from_dilatation(K.hp, K.omega)
         zs = render_grid(64, 64)
         assert np.max(np.abs(D.values(zs) - K.values(zs))) <= 2e-8
+
+    @pytest.mark.xfail(strict=True, raises=QuadratureFailure,
+                       reason="ROADMAP item 17")
+    def test_koebe_values_near_the_rim(self):
+        # |h| is 5.3e6 at 0.995, where an absolute tol=1e-08 cannot be met
+        # within depth 12
+        D = HarmonicMap.from_dilatation(ExprFunction("(1+z)/(1-z)^4"),
+                                        ExprFunction("z"))
+        got = D.values([0.995])
+        assert abs(got - catalog_map("K").values([0.995]))[0] <= 2e-8
