@@ -25,8 +25,7 @@ the recurrences of ``jets`` on raw coefficients sharing one centre
 array of points, lists of Python complex numbers for one point (a Python
 or numpy number, or a 0-d array).  One point gets the bits of numpy's
 scalar arithmetic; numpy's array loops round a complex product
-otherwise, so the same point in a batch can differ in the last bits
-(and constants are not folded: a folded one could not match both).
+otherwise, so the same point in a batch can differ in the last bits.
 Running a tape builds no Jet per node and recurses nowhere, so an AST of
 any depth evaluates.  A sum or a product is one node, evaluated left to
 right.  d(u) through order n is the jet of u through order n + 1,
@@ -51,7 +50,16 @@ while numpy raises on overflow, invalid operations and division by zero
 (``np.errstate``), a run with finite inputs (the centre, checked on each
 run, and the constants, checked when the tape is compiled) skips those
 checks: no slot can then be non-finite, so the coefficients are the same
-bit for bit, and where numpy raises the tape runs again checked.
+bit for bit, and where numpy raises the tape runs again checked.  That
+trapped array run fills its slots with lists of coefficient rows, and
+runs each maximal subtree that does not read z as one jet, computed once
+per tape and rank of the points (``_fold``) on an array of one point and
+broadcast against the points.  Folding is exact: numpy's array loops
+round each element alike whatever the length of the array and whether
+an operand is broadcast (its scalars round otherwise, so a folded jet
+never comes from them), and a subtree that raises is not folded, so it
+raises where it runs.  The checked run and the run at one point fold
+nothing.
 :func:`trapped` runs a whole computation under that trap:
 ``maps.HarmonicMap`` the jets of h' and omega, at one point as on an
 array, and ``operators.tamanoi_schwarzian`` the whole oracle.
@@ -69,6 +77,7 @@ from .errors import (
     BranchPointAtCenter,
     DivisionByZeroConstantTerm,
     ExprSyntaxError,
+    ToolkitError,
     UnknownIdentifier,
 )
 from .jets import (
@@ -429,12 +438,18 @@ def to_text(node):
 # instruction that reads it has run.  The arithmetic is the recurrences of
 # ``jets``, which the operators also call.
 
-_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _LOGMUL, _LOG, _EXP, _SQRT, _D = range(13)
+_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _LOGMUL, _LOG, _EXP, _SQRT, _D, _JET = range(14)
+# the slots each compiled instruction pops (_JET, which pushes a folded
+# jet, is not compiled: see _fold)
+_ARITY = {_CONST: 0, _VAR: 0, _NEG: 1, _POW: 1, _LOG: 1, _EXP: 1, _SQRT: 1,
+          _D: 1, _ADD: 2, _SUB: 2, _MUL: 2, _DIV: 2, _LOGMUL: 2}
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
-# the instructions, and whether every constant among them is finite
-_Tape = namedtuple("_Tape", "instrs finite")
+# the instructions, whether every constant among them is finite, and the
+# folded instructions of the trapped array run by rank of the points,
+# each built at its first such run (see _fold)
+_Tape = namedtuple("_Tape", "instrs finite folded")
 
 
 def _compile_tape(node, order):
@@ -496,7 +511,7 @@ def _compile_tape(node, order):
                      (node.arg, order + 1 if node.fn == "d" else order, inner)]
         else:
             raise TypeError(f"not an AST node: {node!r}")
-    return _Tape(tuple(tape), finite)
+    return _Tape(tuple(tape), finite, {})
 
 
 def _ast_path(where):
@@ -547,40 +562,100 @@ def _run_tape(tape, z0):
     docstring), in a run that ignores numpy's flags; at one point
     (``one_point``) the slots are lists of Python complex numbers.  On an
     array under numpy's trap (``_traps``), with a finite centre and
-    finite constants, no slot is checked, and where numpy raises
-    FloatingPointError the tape runs again checked.  A division by a zero
-    constant term or a branch point at the centre names its AST path in
-    ``ast_path`` and in the message, and its first point in ``at``.
+    finite constants, the tape's folded instructions run (``_fold``) and
+    no slot is checked; where numpy raises FloatingPointError the tape
+    runs again, checked.  A division by a zero constant term or a branch
+    point at the centre names its AST path in ``ast_path`` and in the
+    message, and its first point in ``at``.
     """
     point, shape = one_point(z0), None
     if point is None:  # an array of points
         point, shape = z0, np.shape(z0)
-        if tape.finite and _traps() and center_is_finite(z0):
+        # a folded jet of one point stands for every point, of which an
+        # empty array has none
+        if tape.finite and _traps() and 0 not in shape and center_is_finite(z0):
+            instrs = tape.folded.get(len(shape))
+            if instrs is None:
+                instrs = tape.folded[len(shape)] = _fold(tape.instrs, len(shape))
             try:
-                return _execute(tape, z0, point, shape, False)
+                rows = _execute(instrs, z0, point, shape, False)
             except FloatingPointError:
                 pass  # a slot would not be finite: run again, checked
+            else:
+                coeffs = np.empty((len(rows),) + shape, dtype=np.complex128)
+                for k, row in enumerate(rows):
+                    coeffs[k] = row  # a row of one point broadcasts
+                return Jet._checked(z0, coeffs)
     with np.errstate(all="ignore"):
-        return _execute(tape, z0, point, shape, True)
+        out = _execute(tape.instrs, z0, point, shape, True)
+    if shape is None:
+        out = np.array(out, dtype=np.complex128)
+    return Jet._checked(z0, out)
 
 
-def _execute(tape, z0, point, shape, check):
-    """Run ``tape`` at ``z0``: ``point`` is z0 as a Python complex number
-    and ``shape`` None at one point, else the array z0 and its shape.
-    ``check``: check every slot."""
+def _fold(instrs, rank):
+    """``instrs`` with each maximal subtree that does not read z replaced
+    by one ``_JET`` instruction, which pushes the rows that the subtree
+    computes, under the caller's numpy trap, on an array of one point of
+    ``rank`` axes (exact; see the module docstring).  A subtree whose run
+    raises, FloatingPointError or any ToolkitError, is kept as it is, to
+    raise where it runs.
+    """
+    center = np.zeros((1,) * rank, dtype=np.complex128)  # read by no such subtree
+    slots = []  # (first instruction, reads z, last instruction) of each slot
+    spans = {}  # first instruction -> last of each maximal z-free subtree
+    for k, (op, _, _) in enumerate(instrs):
+        n = _ARITY[op]
+        operands = slots[len(slots) - n:]
+        del slots[len(slots) - n:]
+        reads = op == _VAR or any(r for _, r, _ in operands)
+        if reads:
+            spans.update((first, last) for first, r, last in operands if not r)
+        slots.append((operands[0][0] if operands else k, reads, k))
+    (first, reads, last), = slots
+    if not reads:
+        spans[first] = last
+    folded, k = [], 0
+    while k < len(instrs):
+        last = spans.get(k, k)
+        subtree = instrs[k:last + 1]
+        if k in spans:
+            try:
+                rows = _execute(subtree, center, center, center.shape, False)
+                subtree = ((_JET, rows, None),)
+            except (FloatingPointError, ToolkitError):
+                pass
+        folded += subtree
+        k = last + 1
+    return tuple(folded)
+
+
+def _execute(instrs, z0, point, shape, check):
+    """Run the instructions ``instrs`` at ``z0`` and return the last slot:
+    ``point`` is z0 as a Python complex number and ``shape`` None at one
+    point, else the array z0 and its shape.  ``check``: check every slot;
+    on an array, a run that checks none fills its slots with lists of
+    coefficient rows, each of the points or of one point (``_fold``)."""
     quick = shape is None and cmath.isfinite(point)
+    rows = shape is not None and not check
     isfinite = cmath.isfinite
     stack = []
     # a binary operation pops its left operand (below the top) first, so
     # no local keeps an operand alive after the result is built
     pop = stack.pop
     try:
-        for op, arg, where in tape.instrs:
+        for op, arg, where in instrs:
             if op == _CONST:
                 out = (list(arg) if shape is None
                        else constant_coeffs(arg[0], len(arg) - 1, shape))
+                if rows:
+                    out = list(out)
             elif op == _VAR:
-                out = variable_coeffs(point, arg)
+                if rows:  # z's coefficients past the first are of one point
+                    out = list(variable_coeffs(np.zeros((1,) * len(shape)), arg))
+                    out[0] = np.asarray(point, dtype=np.complex128)
+                else:
+                    out = variable_coeffs(point, arg)
             elif op == _ADD:
                 out = add_coeffs(pop(-2), pop())
             elif op == _SUB:
@@ -601,8 +676,10 @@ def _execute(tape, z0, point, shape, check):
                 out = exp_coeffs(pop())
             elif op == _SQRT:
                 out = sqrt_coeffs(pop())
-            else:  # _D
+            elif op == _D:
                 out = derivative_coeffs(pop())
+            else:  # _JET
+                out = arg
             if check and not (quick and isfinite(sum(out))):
                 check_finite(out, z0)
             stack.append(out)
@@ -611,10 +688,7 @@ def _execute(tape, z0, point, shape, check):
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
         exc.at = first_point(z0, exc.mask)
         raise
-    out = pop()
-    if shape is None:
-        out = np.array(out, dtype=np.complex128)
-    return Jet._checked(z0, out)
+    return pop()
 
 
 # ---------------------------------------------------------------------------

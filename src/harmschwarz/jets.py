@@ -14,9 +14,10 @@ The recurrences (product, quotient, integer power, log, exp, sqrt,
 derivative) are module-level functions on raw coefficient sequences of
 one centre and one order, which they do not check.  The expression tape
 of :mod:`~harmschwarz.expr` and the operators call them: on arrays for
-an array of points, and on lists of Python complex numbers for one
-point, where numpy's per-scalar dispatch would cost more than the
-arithmetic.  Each recurrence is written once, over either sequence.  One
+an array of points, on lists of Python complex numbers for one point,
+where numpy's per-scalar dispatch would cost more than the arithmetic,
+and, in the tape's trapped run on an array, on lists of coefficient
+rows.  Each recurrence is written once, over any of these sequences.  One
 point gets the bits of numpy's scalar arithmetic, not those of its array
 loops, which round a complex product otherwise: the same point in a
 batch can differ in the last bits.
@@ -65,11 +66,14 @@ _NUMBER = (int, float, complex, np.number)
 #
 # Each function takes and returns the raw coefficients of jets that share
 # one centre, as a sequence indexed by the coefficient: an array whose
-# trailing axes are the points, or, for one point, a list of Python
-# complex numbers.  Python arithmetic on one number skips numpy's scalar
-# dispatch and rounds as numpy's scalars do, except in a division (see
-# ``_quotient``) and in exp, log and sqrt (see ``_elementary``), so a
-# list carries the bits of numpy's scalars.  The expression tape of
+# trailing axes are the points; for one point, a list of Python complex
+# numbers; or, in the trapped array run of the tape, a list of rows, each
+# an array of the points or of one point that broadcasts against them
+# (numpy's array loops round an element alike either way).  Python
+# arithmetic on one number skips numpy's scalar dispatch and rounds as
+# numpy's scalars do, except in a division (see ``_quotient``) and in
+# exp, log and sqrt (see ``_elementary``), so a list of numbers carries
+# the bits of numpy's scalars.  The expression tape of
 # ``expr`` and the operators call these functions, so every recurrence
 # exists once.  A real factor is written as a complex number: numpy
 # multiplies by k + 0j, and some Python versions mix a real and a complex
@@ -95,11 +99,14 @@ def check_finite(coeffs, center):
     For a coefficient, the error's ``at`` names the first point (in C
     order of the trailing axes) where one is not finite.
     """
-    if type(coeffs) is list:
+    if type(coeffs) is not list:
+        finite = np.isfinite(coeffs).all()
+    elif type(coeffs[0]) is complex:
         # a sum of finite numbers can overflow, but no sum with a
         # non-finite term is finite
         finite = cmath.isfinite(sum(coeffs)) or all(map(cmath.isfinite, coeffs))
-    else:
+    else:  # rows of an array of points, which broadcast against each other
+        coeffs = np.broadcast_arrays(*coeffs)
         finite = np.isfinite(coeffs).all()
     if not finite:
         raise NonFinite("non-finite jet coefficient",
@@ -109,10 +116,11 @@ def check_finite(coeffs, center):
 
 
 def first_point(z, mask):
-    """The first point (in C order) of ``z``, broadcast to the shape of
-    ``mask``, where ``mask`` holds: the ``at`` of an error; at one point,
-    that point."""
-    return complex(np.broadcast_to(z, np.shape(mask))[mask][0])
+    """The first point (in C order) of ``z`` and ``mask`` broadcast against
+    each other where ``mask`` holds: the ``at`` of an error; at one point,
+    or where the mask is of one point (a constant's), the first point."""
+    z, mask = np.broadcast_arrays(z, mask)
+    return complex(z[mask][0])
 
 
 def center_is_finite(center):
@@ -134,9 +142,14 @@ def _zeros_like(a):
     return np.zeros_like(a)
 
 
-def _points_shape(a):
-    """The shape of the points of ``a``; None for a list (one point)."""
-    return None if type(a) is list else a.shape[1:]
+def _one_like(a):
+    """The jet of 1 in the form of ``a``: an array of its points, a list of
+    one point, or rows of one point each (which broadcast)."""
+    if type(a) is not list:
+        return constant_coeffs(1.0, len(a) - 1, a.shape[1:])
+    if type(a[0]) is complex:
+        return constant_coeffs(1.0, len(a) - 1, None)
+    return list(constant_coeffs(1.0, len(a) - 1, (1,) * a[0].ndim))
 
 
 def _quotient(x, y):
@@ -241,9 +254,9 @@ def pow_coeffs(a, exponent, center):
         if _any(lost):
             at = first_point(center, lost)
             raise NonFinite(f"jet power {exponent} overflows at {at}", at=at)
-        return div_coeffs(constant_coeffs(1.0, len(a) - 1, _points_shape(a)), power)
+        return div_coeffs(_one_like(a), power)
     if exponent == 0:
-        return constant_coeffs(1.0, len(a) - 1, _points_shape(a))
+        return _one_like(a)
     if exponent == 1:
         # no power has a -0 coefficient (a jet product never yields one);
         # adding +0 turns -0 into +0 and changes nothing else

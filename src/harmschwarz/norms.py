@@ -25,10 +25,14 @@ with the boundary flag set.
 The search evaluates the grid in blocks of ``_BLOCK`` points, so the
 jet and operator temporaries take about 1 MB whatever the grid size;
 memory grows only by the grid, its values and their sort order, about
-33 bytes per grid point.  An error in the sweep names in ``at`` the
-first offending point of the first block that fails.
+33 bytes per grid point.  The grid is built once per (rays, radial
+samples, rmax) and kept, read-only, in a cache of four grids, so the 16
+bytes per point of the last grids searched stay held.  An error in the
+sweep names in ``at`` the first offending point of the first block that
+fails.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +62,11 @@ _ZOOM_STEP_MIN = 1e-14
 
 # points per block of a grid sweep, about 1 MB of temporaries.  The S
 # sweep of K over the 32,769-point default grid, its jets run under
-# numpy's trap (numpy 2.4, 2-vCPU VM, medians of 40 runs), takes 7.5 ms
-# in blocks of 4096, 8.4 to 8.8 in blocks of 2048 or 3072, 12 in blocks
-# of 6144 or 8192, 13.7 in one and 19.5 in blocks of 512
+# numpy's trap with constants folded (numpy 2.4, 2-vCPU VM, medians of
+# 40 runs, two sessions), takes 4.2 to 5.7 ms in blocks of 4096, within
+# 3 % of blocks of 3072, 6144 or 8192, 4.8 to 6.9 in blocks of 2048, 8.4
+# to 11.2 in one and 10.0 to 16.0 in blocks of 512.  Block edges decide
+# the ``at`` of a sweep error, so the size stays
 _BLOCK = 4096
 
 
@@ -123,15 +129,23 @@ def _grid(cfg):
 
     The radii tanh(T*j/m), j = 1..m, are nested under doubling of m, and
     uniform angles are nested under doubling of rays, so enlarging the
-    config never loses grid points (lower-bound monotonicity).
+    config never loses grid points (lower-bound monotonicity).  The grid
+    is read-only: it is built once per (rays, radial samples, rmax).
     """
-    tmax = math.atanh(cfg.rmax)
-    fracs = np.arange(1, cfg.radial_samples + 1) / cfg.radial_samples
+    return _polar_grid(cfg.rays, cfg.radial_samples, cfg.rmax)
+
+
+@functools.lru_cache(maxsize=4)
+def _polar_grid(rays, radial_samples, rmax):
+    tmax = math.atanh(rmax)
+    fracs = np.arange(1, radial_samples + 1) / radial_samples
     radii = np.tanh(tmax * fracs)
-    radii[-1] = cfg.rmax
-    angles = 2.0 * np.pi * np.arange(cfg.rays) / cfg.rays
+    radii[-1] = rmax
+    angles = 2.0 * np.pi * np.arange(rays) / rays
     zs = (radii[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
-    return np.concatenate(([0.0 + 0.0j], zs))
+    zs = np.concatenate(([0.0 + 0.0j], zs))
+    zs.flags.writeable = False  # shared by every search with this key
+    return zs
 
 
 def _blocked(fn, zs):
@@ -151,9 +165,13 @@ def _innermost(zs, tied):
     """The tied grid points (a mask) with the smallest |z|, the only ones
     ``_tie_break`` can pick, as indices.  np.hypot rounds as the abs() of
     ``_tie_break`` does (np.abs does not), so same-circle ties stay
-    resolved by the same ulps; a flat field ties the whole grid."""
-    r = np.hypot(zs.real, zs.imag, where=tied, out=np.full(zs.size, np.inf))
-    return np.flatnonzero(tied & (r == r.min()))
+    resolved by the same ulps.  A flat field ties the whole grid; only
+    the tied points are measured."""
+    tied = np.flatnonzero(tied)
+    if not tied.size:
+        return tied
+    r = np.hypot(zs.real[tied], zs.imag[tied])
+    return tied[r == r.min()]
 
 
 def _tie_break(candidates):
@@ -188,9 +206,10 @@ def _zoom(field, cfg, levels, z0, w0):
     for _ in range(levels):
         if dt < _ZOOM_STEP_MIN and dtheta < _ZOOM_STEP_MIN:
             break
-        pt = np.clip(t[:, None] + dt * offsets, -tmax, tmax)
+        # np.minimum and np.maximum clamp as np.clip does, at less cost
+        pt = np.minimum(np.maximum(t[:, None] + dt * offsets, -tmax), tmax)
         pa = theta[:, None] + dtheta * offsets
-        radius = np.clip(np.tanh(pt), -cfg.rmax, cfg.rmax)
+        radius = np.minimum(np.maximum(np.tanh(pt), -cfg.rmax), cfg.rmax)
         zp = (radius[:, :, None] * np.exp(1j * pa)[:, None, :]).reshape(z0.size, -1)
         wp = field(zp.reshape(-1)).reshape(zp.shape)
         evals += zp.size

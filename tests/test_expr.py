@@ -536,9 +536,12 @@ class TestTrappedTapeMatchesChecked:
            st.integers(0, 4), st.sampled_from(range(len(_BATCHES))))
     @settings(max_examples=400, deadline=None)
     def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, batch):
+        # the trapped runs fold the tape once per rank of the points: the
+        # runs after the first of each rank read the cached folding
         fn, z = ExprFunction(wrap.format(text)), _BATCHES[batch]
-        want = _outcome(lambda: fn.jet(z, order))
-        assert _outcome(lambda: trapped(fn.jet, z, order)) == want
+        for points in (_BATCHES[batch - 1], z, np.stack([z, z[::-1]])):
+            want = _outcome(lambda: fn.jet(points, order))
+            assert _outcome(lambda: trapped(fn.jet, points, order)) == want
 
     @pytest.mark.parametrize("text, z, want", [
         # the first slot to overflow is exp(1000*z) at 0.9; unchecked,
@@ -559,11 +562,58 @@ class TestTrappedTapeMatchesChecked:
         # only: the power is checked as one slot
         ("z^3", np.array([1e110 + 0j, 1e160 + 0j]),
          (NonFinite, "non-finite jet coefficient", None, 1e110)),
+        # a subtree that does not read z and fails is not folded: it fails
+        # where it runs, at the first point of the batch
+        ("(1e-200)^-2*z+z", np.array([0.2, 0.3]),
+         (NonFinite, "jet power -2 overflows at (0.2+0j)", None, 0.2)),
+        ("log(1-1)*z", np.array([0.2, 0.3]),
+         (BranchPointAtCenter, "log of jet with zero constant term [ast /mul/log]",
+          "/mul/log", 0.2)),
+        ("exp(800)*exp(800)+z", np.array([0.2, 0.3]),
+         (NonFinite, "non-finite jet coefficient", None, 0.2)),
+        # a folded divisor of one point vanishes at every point
+        ("z/(1-1)", np.array([0.2, 0.3]),
+         (DivisionByZeroConstantTerm, "jet division by zero constant term [ast /div]",
+          "/div", 0.2)),
     ])
     def test_failures_name_the_checked_point(self, text, z, want):
         fn = ExprFunction(text)
         assert _outcome(lambda: fn.jet(z, 2)) == want
-        assert _outcome(lambda: trapped(fn.jet, z, 2)) == want
+        for _ in range(2):  # the second run reads the cached folding
+            assert _outcome(lambda: trapped(fn.jet, z, 2)) == want
+
+    @pytest.mark.parametrize("text, z", [
+        ("1+2*i", _BATCHES[1]), ("1+2*i", np.stack([_BATCHES[0]] * 3)),
+        # a folded divisor vanishes at every point, and an empty batch has none
+        ("z/(1-1)", np.zeros(0, dtype=complex))])
+    def test_a_tape_that_does_not_read_z_keeps_the_shape(self, text, z):
+        fn = ExprFunction(text)
+        want = fn.jet(z, 2).coeffs
+        assert want.shape == (3,) + z.shape
+        for _ in range(2):
+            got = trapped(fn.jet, z, 2).coeffs
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # the tapes of h' and omega (parts form: h' and g') of the generated
+    # maps of the benchmark's norm sweep (seed 1), at order 2: their
+    # instructions, and those left once the subtrees that do not read z
+    # are folded
+    @pytest.mark.parametrize("text, count, folded", [
+        ("d(z+(0.0417-0.015*i)*z^2)", 11, 7),
+        ("d((-0.0746-0.0311*i)*z^2+(0.0026+0.0105*i)*z^3)", 19, 10),
+        ("(1+(0.3097-0.0456*i)*z)/(1-(-0.4487-0.0662*i)*z)^3", 21, 12),
+        ("(-0.4523+0.6078*i)*(z-(-0.3855-0.6007*i))/(1-(-0.3855+0.6007*i)*z)", 26, 11),
+        ("d(z/(1-(0.0067-0.0016*i)*z))", 12, 8),
+        ("d((0.1953-0.0945*i)*z^2/(1-(0.0067-0.0016*i)*z))", 19, 11),
+        ("exp((-0.0606-0.637*i)*z)/(1-(-0.4547-0.3055*i)*z)^2", 21, 11),
+        ("(-0.0389+0.706*i)*z*(z-(0.0902+0.2215*i))/(1-(0.0902-0.2215*i)*z)", 26, 13),
+    ])
+    def test_folded_instruction_counts(self, text, count, folded):
+        fn = ExprFunction(text)
+        trapped(fn.jet, _BATCHES[0], 2)
+        tape = fn._tapes[2]
+        assert len(tape.instrs) == count
+        assert sorted(tape.folded) == [1] and len(tape.folded[1]) == folded
 
     def test_trapped_run_checks_no_slot(self, monkeypatch):
         import harmschwarz.expr as expr_module

@@ -203,6 +203,42 @@ class TestArithmetic:
                 assert type(got) is list
                 assert np.array(got, dtype=np.complex128).tobytes() == want.tobytes()
 
+    @given(st.lists(st.lists(_UNIT_SCALE, min_size=4, max_size=4), min_size=3, max_size=3),
+           st.lists(_UNIT_SCALE, min_size=4, max_size=4),
+           st.sampled_from([2, 3, 5, -1, -3]))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_of_one_point_broadcast_to_the_bits_of_the_array(self, a, b, n):
+        # the trapped array run of the tape computes a jet of one point once
+        # and broadcasts its rows against the points: each recurrence gives
+        # the bits of the array that repeats that point
+        points = np.array(a, dtype=np.complex128).T  # 4 coefficients, 3 points
+        one = np.array(b, dtype=np.complex128)[:, None]
+        center = np.array([0.1, 0.2, 0.3], dtype=np.complex128)
+
+        def run(x, y):
+            return [add_coeffs(x, y), sub_coeffs(x, y), mul_coeffs(x, y),
+                    div_coeffs(x, y), div_coeffs(y, x), pow_coeffs(y, n, center),
+                    sqrt_coeffs(y), log_coeffs(y), exp_coeffs(mul_coeffs(y, x)),
+                    derivative_coeffs(y)]
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = run(list(points), list(one))
+            full = run(points, np.repeat(one, 3, axis=1))
+        for got, want in zip(rows, full):
+            assert type(got) is list
+            got = np.stack(np.broadcast_arrays(*got, points[0]))[:-1]
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_are_checked_and_name_their_point(self):
+        rows = [np.array([0.5, 0.6], dtype=complex), np.array([np.inf], dtype=complex)]
+        with pytest.raises(NonFinite) as err:
+            check_finite(rows, np.array([0.1, 0.2]))
+        assert err.value.at == 0.1
+        check_finite([np.array([1e308, 1e308]), np.array([1e308])], np.array([0.1, 0.2]))
+        # a power whose rows are of one point names the first point of the batch
+        with pytest.raises(NonFinite, match=r"overflows at \(0\.1\+0j\)"):
+            pow_coeffs([np.array([1e-200 + 0j]), np.array([0j])], -2, np.array([0.1, 0.2]))
+
 
 class TestTranscend:
     def test_mercator_series(self):
