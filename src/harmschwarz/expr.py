@@ -53,9 +53,9 @@ checks: no slot can then be non-finite, so the coefficients are the same
 bit for bit, and where numpy raises the tape runs again checked.  That
 trapped array run fills its slots with lists of coefficient rows, and
 runs each maximal subtree that does not read z as one jet, computed once
-per tape and rank of the points (``_fold``) on an array of one point and
-broadcast against the points.  Folding is exact: numpy's array loops
-round each element alike whatever the length of the array and whether
+per tape (``_fold``) on a one-axis array of one point, which broadcasts
+against points of any shape.  Folding is exact: numpy's array loops
+round each element alike whatever the shape of the array and whether
 an operand is broadcast (its scalars round otherwise, so a folded jet
 never comes from them), and a subtree that raises is not folded, so it
 raises where it runs.  The checked run and the run at one point fold
@@ -68,7 +68,6 @@ array, and ``operators.tamanoi_schwarzian`` the whole oracle.
 import cmath
 import functools
 import re
-from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -446,10 +445,16 @@ _ARITY = {_CONST: 0, _VAR: 0, _NEG: 1, _POW: 1, _LOG: 1, _EXP: 1, _SQRT: 1,
 _CHAIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _CALL_OPS = {"log": _LOG, "exp": _EXP, "sqrt": _SQRT, "d": _D}  # the builtins (parse reads the names)
 _OP_TAGS = {"+": "/add", "-": "/sub", "*": "/mul", "/": "/div"}
+
+
 # the instructions, whether every constant among them is finite, and the
-# folded instructions of the trapped array run by rank of the points,
-# each built at its first such run (see _fold)
-_Tape = namedtuple("_Tape", "instrs finite folded")
+# folded instructions of the trapped array run, built at its first such
+# run (see _fold)
+@dataclass(eq=False)
+class _Tape:
+    instrs: tuple
+    finite: bool
+    folded: tuple = None
 
 
 def _compile_tape(node, order):
@@ -511,7 +516,7 @@ def _compile_tape(node, order):
                      (node.arg, order + 1 if node.fn == "d" else order, inner)]
         else:
             raise TypeError(f"not an AST node: {node!r}")
-    return _Tape(tuple(tape), finite, {})
+    return _Tape(tuple(tape), finite)
 
 
 def _ast_path(where):
@@ -560,25 +565,25 @@ def _run_tape(tape, z0):
 
     Each slot is checked as a Jet is checked when built (see the module
     docstring), in a run that ignores numpy's flags; at one point
-    (``one_point``) the slots are lists of Python complex numbers.  On an
-    array under numpy's trap (``_traps``), with a finite centre and
-    finite constants, the tape's folded instructions run (``_fold``) and
-    no slot is checked; where numpy raises FloatingPointError the tape
-    runs again, checked.  A division by a zero constant term or a branch
-    point at the centre names its AST path in ``ast_path`` and in the
-    message, and its first point in ``at``.
+    (``one_point``) the slots are lists of Python complex numbers.  On a
+    non-empty array under numpy's trap (``_traps``), with a finite centre
+    and finite constants, the tape's folded instructions run (``_fold``,
+    the first such run builds them) and no slot is checked; where numpy
+    raises FloatingPointError the tape runs again, checked.  A division
+    by a zero constant term or a branch point at the centre names its AST
+    path in ``ast_path`` and in the message, and its first point in
+    ``at``.
     """
-    point, shape = one_point(z0), None
+    point = one_point(z0)
     if point is None:  # an array of points
         point, shape = z0, np.shape(z0)
         # a folded jet of one point stands for every point, of which an
         # empty array has none
         if tape.finite and _traps() and 0 not in shape and center_is_finite(z0):
-            instrs = tape.folded.get(len(shape))
-            if instrs is None:
-                instrs = tape.folded[len(shape)] = _fold(tape.instrs, len(shape))
+            if tape.folded is None:
+                tape.folded = _fold(tape.instrs)
             try:
-                rows = _execute(instrs, z0, point, shape, False)
+                rows = _execute(tape.folded, z0, False)
             except FloatingPointError:
                 pass  # a slot would not be finite: run again, checked
             else:
@@ -587,21 +592,19 @@ def _run_tape(tape, z0):
                     coeffs[k] = row  # a row of one point broadcasts
                 return Jet._checked(z0, coeffs)
     with np.errstate(all="ignore"):
-        out = _execute(tape.instrs, z0, point, shape, True)
-    if shape is None:
-        out = np.array(out, dtype=np.complex128)
-    return Jet._checked(z0, out)
+        out = _execute(tape.instrs, point, True)
+    return Jet._checked(z0, np.asarray(out, dtype=np.complex128))  # a list at one point
 
 
-def _fold(instrs, rank):
+def _fold(instrs):
     """``instrs`` with each maximal subtree that does not read z replaced
     by one ``_JET`` instruction, which pushes the rows that the subtree
-    computes, under the caller's numpy trap, on an array of one point of
-    ``rank`` axes (exact; see the module docstring).  A subtree whose run
-    raises, FloatingPointError or any ToolkitError, is kept as it is, to
-    raise where it runs.
+    computes, under the caller's numpy trap, on a one-axis array of one
+    point: they broadcast against points of any shape (exact; see the
+    module docstring).  A subtree whose run raises, FloatingPointError or
+    any ToolkitError, is kept as it is, to raise where it runs.
     """
-    center = np.zeros((1,) * rank, dtype=np.complex128)  # read by no such subtree
+    center = np.zeros(1, dtype=np.complex128)  # read by no such subtree
     slots = []  # (first instruction, reads z, last instruction) of each slot
     spans = {}  # first instruction -> last of each maximal z-free subtree
     for k, (op, _, _) in enumerate(instrs):
@@ -621,7 +624,7 @@ def _fold(instrs, rank):
         subtree = instrs[k:last + 1]
         if k in spans:
             try:
-                rows = _execute(subtree, center, center, center.shape, False)
+                rows = _execute(subtree, center, False)
                 subtree = ((_JET, rows, None),)
             except (FloatingPointError, ToolkitError):
                 pass
@@ -630,12 +633,13 @@ def _fold(instrs, rank):
     return tuple(folded)
 
 
-def _execute(instrs, z0, point, shape, check):
-    """Run the instructions ``instrs`` at ``z0`` and return the last slot:
-    ``point`` is z0 as a Python complex number and ``shape`` None at one
-    point, else the array z0 and its shape.  ``check``: check every slot;
-    on an array, a run that checks none fills its slots with lists of
-    coefficient rows, each of the points or of one point (``_fold``)."""
+def _execute(instrs, point, check):
+    """Run the instructions ``instrs`` at ``point``, a Python complex
+    number or an array of points, and return the last slot.  ``check``:
+    check every slot; on an array, a run that checks none fills its slots
+    with lists of coefficient rows, each of the points or a one-axis row
+    of one point (``_fold``)."""
+    shape = None if type(point) is complex else np.shape(point)
     quick = shape is None and cmath.isfinite(point)
     rows = shape is not None and not check
     isfinite = cmath.isfinite
@@ -652,7 +656,7 @@ def _execute(instrs, z0, point, shape, check):
                     out = list(out)
             elif op == _VAR:
                 if rows:  # z's coefficients past the first are of one point
-                    out = list(variable_coeffs(np.zeros((1,) * len(shape)), arg))
+                    out = list(variable_coeffs(np.zeros(1), arg))
                     out[0] = np.asarray(point, dtype=np.complex128)
                 else:
                     out = variable_coeffs(point, arg)
@@ -665,7 +669,7 @@ def _execute(instrs, z0, point, shape, check):
             elif op == _DIV:
                 out = div_coeffs(pop(-2), pop())
             elif op == _POW:
-                out = pow_coeffs(pop(), arg, z0)
+                out = pow_coeffs(pop(), arg, point)
             elif op == _NEG:
                 out = neg_coeffs(pop())
             elif op == _LOGMUL:
@@ -681,12 +685,12 @@ def _execute(instrs, z0, point, shape, check):
             else:  # _JET
                 out = arg
             if check and not (quick and isfinite(sum(out))):
-                check_finite(out, z0)
+                check_finite(out, point)
             stack.append(out)
     except (DivisionByZeroConstantTerm, BranchPointAtCenter) as exc:
         exc.ast_path = _ast_path(where)
         exc.args = (f"{exc.args[0]} [ast {exc.ast_path}]",)
-        exc.at = first_point(z0, exc.mask)
+        exc.at = first_point(point, exc.mask)
         raise
     return pop()
 

@@ -68,12 +68,13 @@ _NUMBER = (int, float, complex, np.number)
 # one centre, as a sequence indexed by the coefficient: an array whose
 # trailing axes are the points; for one point, a list of Python complex
 # numbers; or, in the trapped array run of the tape, a list of rows, each
-# an array of the points or of one point that broadcasts against them
-# (numpy's array loops round an element alike either way).  Python
-# arithmetic on one number skips numpy's scalar dispatch and rounds as
-# numpy's scalars do, except in a division (see ``_quotient``) and in
-# exp, log and sqrt (see ``_elementary``), so a list of numbers carries
-# the bits of numpy's scalars.  The expression tape of
+# an array of the points or a one-axis array of one point, which
+# broadcasts against them (numpy's array loops round an element alike
+# either way).  Python arithmetic on one number skips numpy's scalar
+# dispatch and rounds as numpy's scalars do; a division, exp, log and
+# sqrt, which Python rounds otherwise, go through numpy's scalars
+# (``_quotient``, ``_elementary``), so a list of numbers carries the bits
+# of numpy's scalars.  The expression tape of
 # ``expr`` and the operators call these functions, so every recurrence
 # exists once.  A real factor is written as a complex number: numpy
 # multiplies by k + 0j, and some Python versions mix a real and a complex
@@ -144,32 +145,22 @@ def _zeros_like(a):
 
 def _one_like(a):
     """The jet of 1 in the form of ``a``: an array of its points, a list of
-    one point, or rows of one point each (which broadcast)."""
+    one point, or one-axis rows of one point each (which broadcast)."""
     if type(a) is not list:
         return constant_coeffs(1.0, len(a) - 1, a.shape[1:])
     if type(a[0]) is complex:
         return constant_coeffs(1.0, len(a) - 1, None)
-    return list(constant_coeffs(1.0, len(a) - 1, (1,) * a[0].ndim))
+    return list(constant_coeffs(1.0, len(a) - 1, (1,)))
 
 
 def _quotient(x, y):
-    """x / y as numpy divides complex numbers, also for a Python complex x
-    (y a Python complex number or int).
-
-    Python divides complex numbers by another formula, so a one-point jet
-    spells out numpy's loop: Smith's method, multiplying by the reciprocal
-    ``scl`` (so that ``acc / k`` is ``acc*(1/k)``, not ``acc/k``).
-    """
-    if type(x) is not complex:
-        return x / y
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    if abs(yr) >= abs(yi):  # no jet recurrence divides by zero
-        rat = yi / yr
-        scl = 1.0 / (yr + yi * rat)
-        return complex((xr + xi * rat) * scl, (xi - xr * rat) * scl)
-    rat = yr / yi
-    scl = 1.0 / (yi + yr * rat)
-    return complex((xr * rat + xi) * scl, (xi * rat - xr) * scl)
+    """x / y as numpy divides complex numbers: a Python complex x (y a
+    Python complex number or int) by numpy's scalar division, since
+    Python divides complex numbers by another formula; any other x by
+    its own operator."""
+    if type(x) is complex:
+        return complex(np.complex128(x) / y)
+    return x / y
 
 
 def _elementary(fn, x):

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +14,17 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded from its file (the
+    benchmark is not a package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def disk_points(rng, n, rmax=0.45):

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import require_dispatch
+from conftest import bench_workloads, require_dispatch
 
 from harmschwarz import (
     ExprFunction,
@@ -738,12 +738,7 @@ def test_no_refine_is_refine_iterations_0(capsys):
 def test_benchmark_commands_parse():
     # bench/workloads.py builds the benchmark's CLI commands; a flag they
     # use that the CLI stops accepting fails here rather than in a run
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for build in workloads.BUILDERS.values():
+    for build in bench_workloads().BUILDERS.values():
         for cmd in build(1):
             args = _parse_args(cmd.argv)
             assert args.fn is _COMMANDS[cmd.argv[0]].get_default("fn"), cmd.argv

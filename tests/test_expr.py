@@ -536,8 +536,8 @@ class TestTrappedTapeMatchesChecked:
            st.integers(0, 4), st.sampled_from(range(len(_BATCHES))))
     @settings(max_examples=400, deadline=None)
     def test_bitwise_equal_with_the_same_failures(self, text, wrap, order, batch):
-        # the trapped runs fold the tape once per rank of the points: the
-        # runs after the first of each rank read the cached folding
+        # the first trapped run folds the tape once: the later runs, on a
+        # batch of another rank too, read the cached folding
         fn, z = ExprFunction(wrap.format(text)), _BATCHES[batch]
         for points in (_BATCHES[batch - 1], z, np.stack([z, z[::-1]])):
             want = _outcome(lambda: fn.jet(points, order))
@@ -613,7 +613,34 @@ class TestTrappedTapeMatchesChecked:
         trapped(fn.jet, _BATCHES[0], 2)
         tape = fn._tapes[2]
         assert len(tape.instrs) == count
-        assert sorted(tape.folded) == [1] and len(tape.folded[1]) == folded
+        assert len(tape.folded) == folded
+
+    def test_one_plan_serves_batches_of_any_rank(self, monkeypatch):
+        import harmschwarz.expr as expr_module
+
+        folds, checked = [], []
+        fold, execute = expr_module._fold, expr_module._execute
+
+        def counted_execute(instrs, point, check):
+            if check:
+                checked.append(point)
+            return execute(instrs, point, check)
+
+        monkeypatch.setattr(expr_module, "_fold",
+                            lambda instrs: folds.append(instrs) or fold(instrs))
+        monkeypatch.setattr(expr_module, "_execute", counted_execute)
+        fn, z = ExprFunction("(0.45+0.61*i)*z^2/(1-exp(2)*z)+log(3)"), _BATCHES[0]
+        # an empty batch has no point for a folded jet to stand for
+        got = trapped(fn.jet, np.zeros((0, 2), dtype=complex), 3)
+        assert len(checked) == 1 and folds == [] and got.coeffs.shape == (4, 0, 2)
+        plane = np.stack([z, -z])
+        for points in (z, plane, np.stack([plane, 0.5j * plane[:, ::-1]])):
+            want = fn.jet(points, 3).coeffs
+            checked.clear()
+            got = trapped(fn.jet, points, 3).coeffs
+            assert checked == [] and got.tobytes() == want.tobytes()
+        tape = fn._tapes[3]
+        assert len(folds) == 1 and len(tape.folded) < len(tape.instrs)
 
     def test_trapped_run_checks_no_slot(self, monkeypatch):
         import harmschwarz.expr as expr_module

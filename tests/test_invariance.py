@@ -77,7 +77,7 @@ def _constructed(name, form):
 def _case(name, form):
     value = ABOVE.get((name, form))
     marks = () if value is None else pytest.mark.xfail(
-        strict=True, reason=f"ROADMAP item 2: reads {value!r}")
+        reason=f"ROADMAP item 2: reads {value!r}")
     return pytest.param(name, form, marks=marks, id=f"{name}-{form}")
 
 

@@ -3,6 +3,9 @@ complex numbers, as the tape runs them, and an array) and on arrays of
 points: frozen examples, calculus properties and errors; the Jet record;
 bivariate extraction."""
 
+import random
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from harmschwarz.errors import (
 from harmschwarz.expr import Var, compose, eval_jet, parse
 from harmschwarz.jets import (
     _extraction_plan,
+    _quotient,
     add_coeffs,
     check_finite,
     constant_coeffs,
@@ -238,6 +242,64 @@ class TestArithmetic:
         # a power whose rows are of one point names the first point of the batch
         with pytest.raises(NonFinite, match=r"overflows at \(0\.1\+0j\)"):
             pow_coeffs([np.array([1e-200 + 0j]), np.array([0j])], -2, np.array([0.1, 0.2]))
+
+
+# (dividend, divisor) pairs of one point: subnormal and +-1e308
+# divisors, signed zeros, a pure-imaginary divisor, and the divisors the
+# recurrences use besides a constant term, k (exp, log) and (2+0j)*c (sqrt)
+_QUOTIENTS = [
+    (1 + 2j, 5e-324 + 0j), (0.3 - 0.7j, 2e-320 - 5e-324j), (1e-300 + 3e-310j, 5e-324j),
+    (1 + 1j, 1e308 + 1e308j), (1e308 - 1e308j, -1e308 + 0j), (1e308 + 1e308j, 1e-308 + 0j),
+    (-1e308 + 0.5j, 0.5 - 1e308j), (0j, 1 + 0j), (-0.0 + 0j, 1 - 1j),
+    (complex(0.0, -0.0), -2 + 0j), (complex(-0.0, -0.0), complex(-0.0, 3.0)),
+    (2.5 - 1j, -0.25j), (1 + 2j, 3j), (1e308 + 1e308j, 1e-300j),
+    (1 + 2j, 3), (0.1 + 0.2j, 7), (1e308 - 1e308j, 2), (5e-324 + 5e-324j, 4),
+    (0.3 + 0.1j, (2 + 0j) * (0.7 - 0.2j)), (1e-200 + 1e200j, (2 + 0j) * 1e-160j),
+]
+
+
+def _wide_quotients(n, seed=35):
+    """n (dividend, divisor) pairs with exponents from 1e-320 to 1e308."""
+    rng = random.Random(seed)
+
+    def part():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308)
+
+    return [(complex(part(), part()), complex(part(), part())) for _ in range(n)]
+
+
+def _bytes(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+class TestQuotient:
+    # one point divides a Python complex number with numpy's scalar
+    # division: the bits of numpy's scalars, as every other operation of
+    # the one-point recurrences has
+    @pytest.mark.parametrize("x, y", _QUOTIENTS)
+    def test_one_point_is_numpys_scalar_division(self, x, y):
+        with np.errstate(all="ignore"):
+            got = _quotient(x, y)
+            want = np.complex128(x) / y
+        assert type(got) is complex
+        assert _bytes(got) == _bytes(complex(want))
+
+    def test_wide_exponents(self):
+        with np.errstate(all="ignore"):
+            for x, y in _wide_quotients(2000):
+                assert _bytes(_quotient(x, y)) == _bytes(complex(np.complex128(x) / y))
+
+    def test_rows_and_arrays_divide_by_their_operator(self):
+        x = np.array([1 + 2j, 1e308 - 1e308j, -0.0j])
+        for y in (3, 0.5 - 2j, np.array([2j, 1e-308, -1 + 0j])):
+            with np.errstate(all="ignore"):
+                assert _quotient(x, y).tobytes() == (x / y).tobytes()
+
+    def test_an_overflow_takes_numpys_flags(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _quotient(1e308 + 1e308j, 1e-10 + 0j)
+        with np.errstate(over="ignore"):
+            assert _quotient(1e308 + 1e308j, 1e-10 + 0j).real == float("inf")
 
 
 class TestTranscend:

